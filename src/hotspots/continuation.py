@@ -452,10 +452,11 @@ def breaking_experiment(T: Polygon, *, eps_rel: float = 0.01,
                 w_pt = s.polygon.vertices[w_vid]
                 gsc = _grad_scale(s.sol)
                 best = np.inf
-                for sd in (left_side, right_side):
-                    roots, _ = _side_tangential_roots(
-                        s.sol, sd, n_samples=400,
-                        zero_rtol=DEFAULTS.grad_zero_rtol, gscale=gsc)
+                sides = (left_side, right_side)
+                side_roots = _side_tangential_roots(s.sol, sides, n_samples=400,
+                                                    zero_rtol=DEFAULTS.grad_zero_rtol,
+                                                    gscale=gsc)
+                for sd, (roots, _) in zip(sides, side_roots):
                     for r in roots or []:
                         q = s.polygon.vertices[sd] + r * s.polygon.side_vectors[sd]
                         best = min(best, float(np.linalg.norm(q - w_pt)))

@@ -346,36 +346,44 @@ def _newton_refine(sol, p0, *, max_iter: int = 40):
     return p
 
 
-def _side_tangential_roots(sol, i: int, *, n_samples: int, zero_rtol: float,
-                           gscale: float):
-    """Roots of the one-sided tangential derivative along side i."""
+def _side_tangential_roots(sol, sides, *, n_samples, zero_rtol: float, gscale: float):
+    """Roots of the one-sided tangential derivative along each of ``sides``.
+
+    ``n_samples`` is one sample count for every side or one per side.
+    Returns one ``(roots, pts)`` pair per side: the roots as fractions along
+    the side, or None when the derivative vanishes on the whole side (a
+    degenerate locus), and the sample points.  Each sign change between
+    samples is bisected 45 times; the brackets of all sides halve in
+    lockstep, with one batched gradient evaluation per halving.
+    """
     P = sol.polygon
-    t = P.side_tangents[i]
-    L = P.side_lengths[i]
-    s = np.linspace(0.0, 1.0, n_samples)
-    pts = P.vertices[i][None, :] + s[:, None] * P.side_vectors[i][None, :]
-
-    def tang(pp):
-        g = sol.eval_grad(pp, strict=False)
-        return g @ t
-
-    f = tang(pts)
-    ok = np.isfinite(f)
-    if np.all(np.abs(f[ok]) < zero_rtol * gscale):
-        return None, pts  # entire side critical: degenerate locus
-    roots = []
-    for k in range(n_samples - 1):
-        if ok[k] and ok[k + 1] and f[k] * f[k + 1] < 0:
-            a, b, fa = s[k], s[k + 1], f[k]
-            for _ in range(45):
-                mm = 0.5 * (a + b)
-                fm = float(tang(P.vertices[i][None, :] + mm * P.side_vectors[i][None, :])[0])
-                if fa * fm <= 0:
-                    b = mm
-                else:
-                    a, fa = mm, fm
-            roots.append(0.5 * (a + b))
-    return roots, pts
+    out, brackets = [], []
+    for j, (i, m) in enumerate(zip(sides, np.broadcast_to(n_samples, (len(sides),)))):
+        s = np.linspace(0.0, 1.0, m)
+        pts = P.vertices[i][None, :] + s[:, None] * P.side_vectors[i][None, :]
+        f = sol.eval_grad(pts, strict=False) @ P.side_tangents[i]
+        ok = np.isfinite(f)
+        if np.all(np.abs(f[ok]) < zero_rtol * gscale):
+            out.append((None, pts))  # entire side critical: degenerate locus
+            continue
+        out.append(([], pts))
+        brackets += [(j, i, s[k], s[k + 1], f[k])
+                     for k in np.nonzero(ok[:-1] & ok[1:] & (f[:-1] * f[1:] < 0))[0]]
+    if not brackets:
+        return out
+    j, side, a, b, fa = (np.array(c) for c in zip(*brackets))
+    for _ in range(45):
+        mm = 0.5 * (a + b)
+        g = sol.eval_grad(P.vertices[side] + mm[:, None] * P.side_vectors[side], strict=False)
+        # one (1,2) @ (2,) product per row: a batched product may round the
+        # last bit differently, which would move the roots
+        fm = np.array([(g[r:r + 1] @ P.side_tangents[i])[0] for r, i in enumerate(side)])
+        left = fa * fm <= 0
+        b = np.where(left, mm, b)
+        a, fa = np.where(left, a, mm), np.where(left, fa, fm)
+    for jj, root in zip(j, 0.5 * (a + b)):
+        out[jj][0].append(root)
+    return out
 
 
 def find_critical_points(sol, *, threshold: float | None = None,
@@ -400,14 +408,15 @@ def find_critical_points(sol, *, threshold: float | None = None,
     absorbed: dict[int, list[float]] = {}   # vid -> distances of absorbed roots
 
     # sides first: vertex probes adapt to nearby side structure
+    n_samples = []
     for i in range(P.n):
         L = P.side_lengths[i]
         h_side = float(np.min(sol.h_at(
             P.vertices[i][None, :] + np.linspace(0.1, 0.9, 9)[:, None] * P.side_vectors[i][None, :])))
-        n_samples = int(np.clip(4 * L / h_side, 128, 1200))
-        roots, pts = _side_tangential_roots(sol, i, n_samples=n_samples,
-                                            zero_rtol=DEFAULTS.grad_zero_rtol,
-                                            gscale=gscale)
+        n_samples.append(int(np.clip(4 * L / h_side, 128, 1200)))
+    side_roots = _side_tangential_roots(sol, range(P.n), n_samples=n_samples,
+                                        zero_rtol=DEFAULTS.grad_zero_rtol, gscale=gscale)
+    for i, (roots, pts) in enumerate(side_roots):
         if roots is None:
             degenerate.append(DegenerateLocus("side", f"tangential derivative vanishes on side {i}",
                                               pts))

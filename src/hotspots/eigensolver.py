@@ -12,13 +12,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
 from .config import DEFAULTS
 from .geometry import Polygon
-from .mesh import Mesh
+from .mesh import Mesh, _unique_edges
 
 
 class SolverError(RuntimeError):
@@ -69,11 +70,9 @@ class P2Space:
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
         t = mesh.triangles
-        edges = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        edges.sort(axis=1)
-        uniq, inv = np.unique(edges, axis=0, return_inverse=True)
-        self.edge_nodes = uniq
         n = mesh.n_nodes
+        uniq, inv = _unique_edges(t, n, return_inverse=True)
+        self.edge_nodes = uniq
         m = len(t)
         self.ndof = n + len(uniq)
         self.dof = np.empty((m, 6), dtype=int)
@@ -368,16 +367,15 @@ def solve_second(mesh: Mesh, tol: float | None = None, *,
     sigma = -0.25 * mu_scale
     v0 = np.cos(0.7 * np.arange(n))
     k = 2 + max(1, n_extra)
+    route = "eigsh"
     try:
         vals, vecs = spla.eigsh(K, k=k, M=M, sigma=sigma, which="LM",
                                 v0=v0, maxiter=maxiter)
-    except Exception:
-        if n <= 4000:
-            import scipy.linalg as la
-            vals, vecs = la.eigh(K.toarray(), M.toarray(),
-                                 subset_by_index=[0, k - 1])
-        else:
-            raise SolverError("eigensolver failed to converge") from None
+    except spla.ArpackError as err:   # ArpackNoConvergence included
+        if n > 4000:
+            raise SolverError("eigensolver failed to converge") from err
+        route = "dense-eigh"
+        vals, vecs = la.eigh(K.toarray(), M.toarray(), subset_by_index=[0, k - 1])
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     if abs(vals[0]) > 1e-6 * max(vals[1], mu_scale):
@@ -412,7 +410,7 @@ def solve_second(mesh: Mesh, tol: float | None = None, *,
     neighbor_coef = deflate(vecs[:, 2]) if (len(vals) > 2 and multiple) else None
     diag = {"spectrum_head": [float(v) for v in vals],
             "ndof": n, "residual": residual, "gap": gap,
-            "mass_total": mass_total}
+            "mass_total": mass_total, "route": route}
     return EigenSolution(space, mu2, c2, gap, residual,
                          neighbor_mu=neighbor_mu, neighbor_coef=neighbor_coef,
                          multiplicity_flag=bool(multiple), diagnostics=diag)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,6 +40,11 @@ def _as_points(vertices) -> np.ndarray:
     if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
         raise GeometryError(f"expected an (n,2) vertex array with n >= 3, got {v.shape}")
     return v
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _signed_area(v: np.ndarray) -> float:
@@ -104,18 +110,23 @@ class Polygon:
     def centroid(self) -> np.ndarray:
         return self._v.mean(axis=0)
 
-    @property
+    # side geometry is computed once per polygon and handed out read-only
+    @cached_property
     def side_vectors(self) -> np.ndarray:
-        return np.roll(self._v, -1, axis=0) - self._v
+        return _read_only(np.roll(self._v, -1, axis=0) - self._v)
 
-    @property
+    @cached_property
     def side_lengths(self) -> np.ndarray:
-        return np.linalg.norm(self.side_vectors, axis=1)
+        return _read_only(np.linalg.norm(self.side_vectors, axis=1))
 
-    @property
+    @cached_property
     def side_tangents(self) -> np.ndarray:
+        return _read_only(self.side_vectors / self.side_lengths[:, None])
+
+    @cached_property
+    def _side_lengths_sq(self) -> np.ndarray:
         sv = self.side_vectors
-        return sv / np.linalg.norm(sv, axis=1)[:, None]
+        return _read_only(np.sum(sv * sv, axis=1))
 
     @property
     def side_normals(self) -> np.ndarray:
@@ -154,7 +165,7 @@ class Polygon:
         diam = self.diameter
         if diam == 0:
             raise GeometryError("degenerate polygon: zero diameter")
-        seps = np.linalg.norm(self.side_vectors, axis=1)
+        seps = self.side_lengths
         if np.any(seps < DEFAULTS.eps_geom * diam):
             raise GeometryError("degenerate polygon: coincident consecutive vertices")
         ang = self.angles
@@ -200,9 +211,8 @@ class Polygon:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         v = self._v
         sv = self.side_vectors
-        ll2 = np.sum(sv * sv, axis=1)
         d = pts[:, None, :] - v[None, :, :]
-        t = np.clip(np.einsum("pij,ij->pi", d, sv) / ll2[None, :], 0.0, 1.0)
+        t = np.clip(np.einsum("pij,ij->pi", d, sv) / self._side_lengths_sq[None, :], 0.0, 1.0)
         proj = v[None, :, :] + t[:, :, None] * sv[None, :, :]
         dist = np.linalg.norm(pts[:, None, :] - proj, axis=2)
         return dist.min(axis=1)

@@ -6,6 +6,19 @@ polygon sides with spacing that follows a size function graded toward
 selected vertices, interior nodes start on a hexagonal lattice and relax
 under repulsive edge springs.  The contract is the mesh quality bound and
 the grading, not the particular algorithm.
+
+Between relaxation steps the nodes move little, and most steps leave the
+Delaunay triangulation as it was.  ``relax`` therefore keeps the last one
+and reuses it while it is certified to still be the Delaunay triangulation
+of the moved nodes (see ``_Topology``); otherwise it triangulates afresh.
+A certified triangulation is the unique Delaunay triangulation, so a fresh
+call would return the same triangles, and ``relax`` reads them only through
+the carve test and the sorted edge array: the output is the same as when
+every step triangulates afresh.  (The carve test sums each centroid in the
+vertex order of its triangle, which a fresh call may rotate; only a centroid
+within one rounding of the carve threshold could tell.)  The repair loop
+and the final mesh always use a fresh triangulation, whose triangle order
+they depend on.
 """
 from __future__ import annotations
 
@@ -25,6 +38,30 @@ class MeshingError(RuntimeError):
 
 def _cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def _edge_keys(triangles: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Key a*n_nodes + b (a < b) of every triangle edge: all (0,1) edges, then
+    all (1,2), then all (2,0)."""
+    t = np.asarray(triangles, dtype=np.int64)
+    a = np.concatenate([t[:, 0], t[:, 1], t[:, 2]])
+    b = np.concatenate([t[:, 1], t[:, 2], t[:, 0]])
+    return np.minimum(a, b) * n_nodes + np.maximum(a, b)
+
+
+def _unique_edges(triangles: np.ndarray, n_nodes: int, *, return_inverse: bool = False,
+                  return_counts: bool = False):
+    """Unique edges (a < b) of a triangle list as an (E, 2) array.
+
+    The rows come out in lexicographic order, since that is the order of the
+    integer keys.  Optionally also returns, as ``np.unique`` does, the row of
+    each edge in ``_edge_keys`` order and the number of triangles per edge.
+    """
+    out = np.unique(_edge_keys(triangles, n_nodes), return_inverse=return_inverse,
+                    return_counts=return_counts)
+    if not (return_inverse or return_counts):
+        return np.column_stack(np.divmod(out, n_nodes))
+    return (np.column_stack(np.divmod(out[0], n_nodes)),) + out[1:]
 
 
 def default_grading(P: Polygon) -> np.ndarray:
@@ -96,10 +133,7 @@ class Mesh:
         return out
 
     def edges(self) -> np.ndarray:
-        t = self.triangles
-        e = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        e.sort(axis=1)
-        return np.unique(e, axis=0)
+        return _unique_edges(self.triangles, self.n_nodes)
 
     def edge_lengths(self) -> np.ndarray:
         e = self.edges()
@@ -170,9 +204,79 @@ def _hex_seeds(P: Polygon, size: _SizeFunction, rng: np.random.Generator) -> np.
     return pts[keep]
 
 
-def _carve(P: Polygon, pts: np.ndarray, geps: float) -> np.ndarray:
-    tri = Delaunay(pts)
-    t = tri.simplices
+class _Topology:
+    """Delaunay triangulation of a moving point set, kept while it is certified.
+
+    ``simplices(pts)`` returns the Delaunay simplices of ``pts``.  It returns
+    the array of the previous call again when the point count is the same and
+    the old triangulation still is the Delaunay triangulation of the moved
+    points, certified by three conditions:
+
+    - the vertices of the hull edges have not moved;
+    - every simplex keeps its orientation, with area above a relative margin;
+    - across every interior edge, the opposite vertex lies outside the
+      circumcircle by a relative margin (Lawson's local Delaunay criterion).
+
+    With a fixed boundary and no simplex turned over, the simplices still
+    triangulate the hull, and a triangulation that is strictly locally
+    Delaunay at every interior edge is the unique Delaunay triangulation.  A
+    fresh ``Delaunay`` call would return the same simplex set.  The margins
+    lie far above rounding error, so a near-degenerate configuration always
+    gets a fresh call.
+    """
+
+    _AREA_MARGIN = 1e-6        # of |u| |v| for the edge vectors u, v at vertex 0
+    _INCIRCLE_MARGIN = 1e-6    # of the in-circle determinant's magnitude bound
+
+    def __init__(self):
+        self._t = None
+
+    def simplices(self, pts: np.ndarray) -> np.ndarray:
+        if self._t is None or len(pts) != self._n or not self._certified(pts):
+            self._triangulate(pts)
+        return self._t
+
+    def _triangulate(self, pts: np.ndarray):
+        tri = Delaunay(pts)
+        t, nb = tri.simplices, tri.neighbors
+        self._t, self._n = t, len(pts)
+        # a point left out of the triangulation voids the argument above
+        self._certifiable = len(tri.coplanar) == 0
+        p = pts[t]
+        self._sign = np.sign(_cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]))
+        i, k = np.nonzero(nb < 0)
+        self._hull = np.unique([t[i, (k + 1) % 3], t[i, (k + 2) % 3]])
+        self._hull_pts = pts[self._hull].copy()
+        # each interior edge once: simplex i and the vertex of its neighbour j
+        # opposite the shared edge
+        i, k = np.nonzero(nb > np.arange(len(t))[:, None])
+        j = nb[i, k]
+        self._quad_tri = i
+        self._quad_opp = t[j, np.argmax(nb[j] == i[:, None], axis=1)]
+
+    def _certified(self, pts: np.ndarray) -> bool:
+        if not self._certifiable or not np.array_equal(pts[self._hull], self._hull_pts):
+            return False
+        p = pts[self._t]
+        u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        area = self._sign * _cross2(u, v)
+        if not np.all(area > self._AREA_MARGIN * np.linalg.norm(u, axis=1)
+                      * np.linalg.norm(v, axis=1)):
+            return False
+        q = p[self._quad_tri] - pts[self._quad_opp][:, None, :]
+        w = np.sum(q * q, axis=2)
+        det = (w[:, 0] * _cross2(q[:, 1], q[:, 2]) + w[:, 1] * _cross2(q[:, 2], q[:, 0])
+               + w[:, 2] * _cross2(q[:, 0], q[:, 1]))
+        r = np.sqrt(w)
+        bound = r[:, 0] * r[:, 1] * r[:, 2] * r.sum(axis=1)
+        return bool(np.all(self._sign[self._quad_tri] * det < -self._INCIRCLE_MARGIN * bound))
+
+
+def _carve(P: Polygon, pts: np.ndarray, geps: float, t: np.ndarray | None = None) -> np.ndarray:
+    """Simplices (fresh Delaunay ones unless given) with centroid inside P,
+    oriented positively."""
+    if t is None:
+        t = Delaunay(pts).simplices
     cent = pts[t].mean(axis=1)
     t = t[P.signed_distance(cent) < -geps]
     # enforce positive orientation
@@ -225,11 +329,10 @@ def triangulate(P: Polygon, h: float, grade=None, *,
     geps = 1e-3 * h
 
     def relax(pts, n_iter):
+        topology = _Topology()
         for _ in range(n_iter):
-            t = _carve(P, pts, geps)
-            e = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-            e.sort(axis=1)
-            e = np.unique(e, axis=0)
+            t = _carve(P, pts, geps, topology.simplices(pts))
+            e = _unique_edges(t, len(pts))
             vec = pts[e[:, 0]] - pts[e[:, 1]]
             L = np.linalg.norm(vec, axis=1)
             mid = 0.5 * (pts[e[:, 0]] + pts[e[:, 1]])
@@ -343,15 +446,14 @@ def _min_angles(pts, t) -> np.ndarray:
 
 
 def _missing_chain_edges(P: Polygon, side_station_idx, pts, t, n_fixed):
-    edges = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    edges.sort(axis=1)
-    present = {tuple(e) for e in edges}
+    n = len(pts)
+    present = _edge_keys(t, n)
     missing = []
     for i in range(P.n):
-        chain = [i] + list(side_station_idx[i]) + [(i + 1) % P.n]
-        for a, b in zip(chain[:-1], chain[1:]):
-            if tuple(sorted((int(a), int(b)))) not in present:
-                missing.append((int(a), int(b)))
+        chain = np.concatenate([[i], side_station_idx[i], [(i + 1) % P.n]]).astype(np.int64)
+        a, b = chain[:-1], chain[1:]
+        absent = ~np.isin(np.minimum(a, b) * n + np.maximum(a, b), present)
+        missing += [(int(x), int(y)) for x, y in zip(a[absent], b[absent])]
     return missing
 
 
@@ -367,10 +469,7 @@ def _boundary_chain(P: Polygon, side_station_idx, remap) -> np.ndarray:
 
 def _check_conforming(mesh: Mesh):
     """Boundary edges of the triangulation must be exactly the polygon chain."""
-    t = mesh.triangles
-    e = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    e.sort(axis=1)
-    uniq, counts = np.unique(e, axis=0, return_counts=True)
+    uniq, counts = _unique_edges(mesh.triangles, mesh.n_nodes, return_counts=True)
     tri_boundary = {tuple(row) for row in uniq[counts == 1]}
     declared = {tuple(sorted((a, b))) for a, b, _ in mesh.boundary_edges}
     if tri_boundary != declared:

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+
+import hotspots.eigensolver as eigensolver
 
 from hotspots.geometry import (unit_square, rectangle, equilateral_triangle,
                                isosceles_triangle, triangle_from_angles)
@@ -87,6 +90,33 @@ class TestSolveSecond:
         mirrored[:, 0] = 1.0 - mirrored[:, 0]
         du = np.abs(sol.eval(pts) - sol.eval(mirrored))
         assert du.max() <= 1e-6 * np.abs(sol.coef).max()
+
+
+class TestSolverRoute:
+    def test_eigsh_route_recorded(self, square_sol):
+        assert square_sol.diagnostics["route"] == "eigsh"
+
+    def test_arpack_failure_takes_dense_route(self, monkeypatch):
+        mesh = triangulate(triangle_from_angles(math.radians(30), math.radians(35)), 0.2)
+        ref = solve_second(mesh)
+
+        def no_convergence(*args, **kwargs):
+            raise spla.ArpackNoConvergence("forced", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(eigensolver.spla, "eigsh", no_convergence)
+        sol = solve_second(mesh)
+        assert sol.diagnostics["route"] == "dense-eigh"
+        assert abs(sol.mu - ref.mu) < 1e-8 * ref.mu
+
+    def test_other_errors_are_not_swallowed(self, monkeypatch):
+        mesh = triangulate(unit_square(), 0.3)
+
+        def broken(*args, **kwargs):
+            raise ValueError("not an ARPACK failure")
+
+        monkeypatch.setattr(eigensolver.spla, "eigsh", broken)
+        with pytest.raises(ValueError):
+            solve_second(mesh)
 
 
 class TestEval:

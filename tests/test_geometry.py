@@ -254,3 +254,16 @@ def test_polygon_invariants_property(n, seed):
     mids = P.vertices + 0.5 * P.side_vectors
     out_pts = mids + 1e-6 * P.diameter * nrm
     assert not np.any(P.contains(out_pts, include_boundary=False))
+
+
+def test_side_geometry_is_cached_and_read_only():
+    P = Polygon([[0, 0], [3, 0], [3, 1], [0, 2]])
+    sv = np.roll(P.vertices, -1, axis=0) - P.vertices
+    assert np.array_equal(P.side_vectors, sv)
+    assert np.array_equal(P.side_lengths, np.linalg.norm(sv, axis=1))
+    assert np.array_equal(P.side_tangents, sv / np.linalg.norm(sv, axis=1)[:, None])
+    for name in ("side_vectors", "side_lengths", "side_tangents"):
+        a = getattr(P, name)
+        assert a is getattr(P, name)
+        with pytest.raises(ValueError):
+            a[0] = 0.0

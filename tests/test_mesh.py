@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
+import hotspots.mesh as mesh_mod
 from hotspots.geometry import Polygon, unit_square, isosceles_triangle
 from hotspots.mesh import (triangulate, refine, structured_triangle_mesh,
-                           default_grading, MeshingError)
+                           default_grading, MeshingError, _Topology, _unique_edges)
 from hotspots.corpus import random_simple_polygon
 
 
@@ -107,3 +109,102 @@ class TestStructured:
         T = isosceles_triangle(math.radians(50))
         m = structured_triangle_mesh(T, 6)
         assert abs(m.min_angle() - math.degrees(T.angles.min())) < 1e-9
+
+
+def _simplex_set(t) -> set:
+    return {tuple(sorted(map(int, s))) for s in t}
+
+
+def _square_with_inner_quad(d_y: float) -> np.ndarray:
+    """Fixed hull corners, three inner points on a circle about (0.5, 0.5) of
+    radius 0.1 and a fourth at height d_y above the centre: outside that
+    circle the Delaunay diagonal is a-c, inside it b-d."""
+    return np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                     [0.4, 0.5], [0.5, 0.4], [0.6, 0.5], [0.5, d_y]])
+
+
+class TestTopologyReuse:
+    def test_small_moves_keep_the_fresh_simplex_set(self):
+        rng = np.random.default_rng(3)
+        pts = np.vstack([[[0, 0], [1, 0], [1, 1], [0, 1]],
+                         0.1 + 0.8 * rng.random((40, 2))])
+        topo = _Topology()
+        prev = topo.simplices(pts)
+        reused = 0
+        for _ in range(20):
+            pts = pts.copy()
+            pts[4:] += 1e-5 * rng.standard_normal((40, 2))
+            t = topo.simplices(pts)
+            reused += t is prev
+            assert _simplex_set(t) == _simplex_set(Delaunay(pts).simplices)
+            prev = t
+        assert reused > 0
+
+    def test_edge_flip_falls_back(self):
+        topo = _Topology()
+        before = topo.simplices(_square_with_inner_quad(0.62))
+        assert (4, 6) in {(a, b) for a, b in _unique_edges(before, 8)}
+        pts = _square_with_inner_quad(0.58)
+        t = topo.simplices(pts)
+        assert t is not before
+        assert (5, 7) in {(a, b) for a, b in _unique_edges(t, 8)}
+        assert _simplex_set(t) == _simplex_set(Delaunay(pts).simplices)
+
+    def test_inverted_triangle_falls_back(self):
+        topo = _Topology()
+        before = topo.simplices(_square_with_inner_quad(0.62))
+        pts = _square_with_inner_quad(0.45)   # d crosses the line a-c
+        t = topo.simplices(pts)
+        assert t is not before
+        assert _simplex_set(t) == _simplex_set(Delaunay(pts).simplices)
+
+    def test_point_count_or_hull_change_falls_back(self):
+        topo = _Topology()
+        pts = _square_with_inner_quad(0.62)
+        before = topo.simplices(pts)
+        assert topo.simplices(pts.copy()) is before
+        more = np.vstack([pts, [[0.8, 0.2]]])
+        t = topo.simplices(more)
+        assert len(t) == len(Delaunay(more).simplices) and t is not before
+        moved = more.copy()
+        moved[1] = [1.0, 1e-9]
+        assert topo.simplices(moved) is not t
+
+    def test_triangulate_matches_always_fresh_delaunay(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        cases = [(unit_square(), 0.1),
+                 (isosceles_triangle(math.radians(49.75)), None),
+                 (Polygon([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]), 0.1)]
+        for _ in range(6):
+            P = random_simple_polygon(rng, int(rng.integers(4, 8)))
+            cases.append((P, P.diameter / 18))
+        calls = []
+        real = mesh_mod.Delaunay
+        monkeypatch.setattr(mesh_mod, "Delaunay", lambda p: calls.append(1) or real(p))
+
+        def run():
+            calls.clear()
+            out = [triangulate(P, P.diameter / 20 if h is None else h) for P, h in cases]
+            return out, len(calls)
+
+        reused, n_reused = run()
+        monkeypatch.setattr(_Topology, "_certified", lambda self, pts: False)
+        fresh, n_fresh = run()
+        assert n_reused < n_fresh
+        for a, b in zip(reused, fresh):
+            for name in ("nodes", "triangles", "boundary_edges", "vertex_map"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+class TestUniqueEdges:
+    def test_matches_lexicographic_unique(self, square_mesh):
+        t = square_mesh.triangles
+        e = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+        e.sort(axis=1)
+        uniq, inv, counts = np.unique(e, axis=0, return_inverse=True, return_counts=True)
+        got, got_inv, got_counts = _unique_edges(t, square_mesh.n_nodes,
+                                                 return_inverse=True, return_counts=True)
+        assert np.array_equal(got, uniq)
+        assert np.array_equal(got_inv, inv.ravel())
+        assert np.array_equal(got_counts, counts)
