@@ -105,6 +105,53 @@ class TestFindCriticalPoints:
                 assert max(mags[0], mags[1]) > 1e-4
 
 
+def _interpolant(solve_cached, P, h, f, mu):
+    """P2 interpolant of f on the mesh of P, as an EigenSolution."""
+    base = solve_cached(P, h)
+    return base.with_coef(f(base.space.dof_points()), mu=mu)
+
+
+_PI = math.pi
+# (polygon, h, (a, b) for cos(a x) cos(b y), interior critical points, indices)
+_INTERIOR_CASES = {
+    "2pi_pi": (unit_square(), 0.05, (2 * _PI, _PI),
+               [(0.25, 0.5), (0.75, 0.5)], [-1, -1]),
+    "pi_2pi": (unit_square(), 0.05, (_PI, 2 * _PI),
+               [(0.5, 0.25), (0.5, 0.75)], [-1, -1]),
+    "2pi_2pi": (unit_square(), 0.05, (2 * _PI, 2 * _PI),
+                [(0.25, 0.25), (0.25, 0.75), (0.5, 0.5), (0.75, 0.25), (0.75, 0.75)],
+                [-1, -1, 1, -1, -1]),
+    "rect_3pi/2_pi": (Polygon([[0, 0], [2, 0], [2, 1], [0, 1]]), 0.08, (1.5 * _PI, _PI),
+                      [(1 / 3, 0.5), (1.0, 0.5), (5 / 3, 0.5)], [-1, -1, -1]),
+}
+
+
+class TestInteriorOracle:
+    """Positive oracle: P2 interpolants of separable cosine modes, whose
+    interior critical points and indices are known in closed form."""
+
+    @pytest.mark.parametrize("case", list(_INTERIOR_CASES))
+    def test_interior_points_and_indices(self, solve_cached, case):
+        P, h, (a, b), want, idx = _INTERIOR_CASES[case]
+        sol = _interpolant(solve_cached, P, h,
+                           lambda p: np.cos(a * p[:, 0]) * np.cos(b * p[:, 1]),
+                           a * a + b * b)
+        cs = find_critical_points(sol)
+        assert not cs.degenerate
+        got = cs.by_kind("interior")
+        assert len(got) == len(want)
+        for p in got:
+            d = np.linalg.norm(np.array(want) - p.location, axis=1)
+            k = int(np.argmin(d))
+            assert d[k] < 0.25 * h
+            assert p.index == idx[k]
+        nearest = {int(np.argmin(np.linalg.norm(np.array(want) - p.location, axis=1)))
+                   for p in got}
+        assert nearest == set(range(len(want)))
+        rep = verify_index_formula(sol, cs)
+        assert rep.passed and rep.rhs == 2
+
+
 class TestIndexFormula:
     def test_obtuse(self, obtuse_sol):
         rep = verify_index_formula(obtuse_sol)
