@@ -45,7 +45,6 @@ class Defaults:
     probe_samples: int = 360
     sign_band_frac: float = 0.02       # |value| below band * max => suppressed in sign counting
     grad_zero_rtol: float = 2e-2       # |grad u(p)| below this * max|grad u| accepts a zero
-    interior_scan_grid: int = 96
     degenerate_collinear_count: int = 10
 
     # continuation

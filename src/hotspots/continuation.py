@@ -60,7 +60,7 @@ class PathSample:
     sol: EigenSolution = dc_field(repr=False, default=None)
 
     def to_dict(self) -> dict:
-        return {"t": self.t, "mu": self.mu, "gap": self.gap,
+        return {"t": self.t, "h": self.sol.mesh.h, "mu": self.mu, "gap": self.gap,
                 "S": self.S, "V": self.V,
                 "leading_ratios": {str(k): v for k, v in self.leading_ratios.items()},
                 "arc_vertices": list(self.arc_vertices),
@@ -231,8 +231,7 @@ def track(path: DeformationPath, steps: int | None = None, *,
         dt = min(dt0, 2 * dt)
     return PathRun(path=path, samples=samples, events=events,
                    config={"steps": steps, "max_halvings": max_halvings,
-                           "threshold": threshold,
-                           "h": h if not callable(h) else "diam-relative"})
+                           "threshold": threshold})
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +452,7 @@ def breaking_experiment(T: Polygon, *, eps_rel: float = 0.01,
                 gsc = _grad_scale(s.sol)
                 best = np.inf
                 sides = (left_side, right_side)
-                side_roots = _side_tangential_roots(s.sol, sides, n_samples=400,
+                side_roots = _side_tangential_roots(s.sol, sides,
                                                     zero_rtol=DEFAULTS.grad_zero_rtol,
                                                     gscale=gsc)
                 for sd, (roots, _) in zip(sides, side_roots):

@@ -1,5 +1,14 @@
 """Critical points of the eigenfunction and their Poincare-Hopf indices.
 
+Candidates are located exactly on the P2 elements.  Inside an element the
+gradient of u_h is affine, so its zero is one 2x2 solve per element, kept
+when it lies in that element.  On a boundary edge u_h is the quadratic
+through the edge's three dofs, so the tangential derivative is linear and
+its root is closed form; a sign change of the derivative across a boundary
+node is a root at that node.  A field without a mesh (AnalyticSolution) is
+located on its P2 interpolant, while probes and vertex fits read the field
+itself.
+
 A point p gets index 1 - n/2 (interior) or 1 - n (boundary), where n counts
 the level-set arcs of u through u(p) that emanate from p.  The count is
 measured by sign changes of u - u(p) on probe circles at two radii, which
@@ -22,6 +31,8 @@ import numpy as np
 
 from .config import DEFAULTS
 from . import bessel as _bessel
+from .eigensolver import AnalyticSolution, EigenSolution, P2Space
+from .mesh import triangulate
 
 
 @dataclass
@@ -306,88 +317,81 @@ def estimate_hessian(sol, p, delta: float | None = None, side: int | None = None
 # detection
 # ---------------------------------------------------------------------------
 
-def _grad_scale(sol, n: int = 48) -> float:
-    P = sol.polygon
-    v = P.vertices
-    lo, hi = v.min(axis=0), v.max(axis=0)
-    xs = np.linspace(lo[0], hi[0], n)
-    ys = np.linspace(lo[1], hi[1], n)
-    X, Y = np.meshgrid(xs, ys)
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    pts = pts[P.contains(pts, include_boundary=False)]
-    g = sol.eval_grad(pts, strict=False)
-    gn = np.linalg.norm(g, axis=1)
-    gn = gn[np.isfinite(gn)]
-    return float(gn.max()) if len(gn) else 1.0
+def _p2_field(sol):
+    """``sol`` itself, or the P2 interpolant of an AnalyticSolution on a mesh
+    at ``h_nominal`` (coefficients = u at the dof points)."""
+    if not isinstance(sol, AnalyticSolution):
+        return sol
+    space = P2Space(triangulate(sol.polygon, sol.h_nominal))
+    return EigenSolution(space, sol.mu, sol.eval(space.dof_points()), sol.gap, sol.residual)
 
 
-def _newton_refine(sol, p0, *, max_iter: int = 40):
-    p = np.asarray(p0, dtype=float).copy()
-    P = sol.polygon
-    diam = P.diameter
-    for _ in range(max_iter):
-        g = sol.eval_grad(p[None, :], strict=False)[0]
-        if not np.all(np.isfinite(g)):
-            return None
-        H = estimate_hessian(sol, p)
-        try:
-            step = -np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            return None
-        h = float(sol.h_at(p[None, :])[0])
-        nstep = np.linalg.norm(step)
-        if nstep > 2 * h:
-            step *= 2 * h / nstep
-        p = p + step
-        if not P.contains(p[None, :])[0]:
-            return None
-        if nstep < 1e-13 * diam:
-            break
-    return p
+def _grad_scale(sol) -> float:
+    """max |grad u_h| over the element centroids."""
+    space = sol.space
+    r0, A = space.affine_gradients(sol.coef)
+    g = np.einsum("eba,eb->ea", space.Jinv, r0 + A @ np.full(2, 1 / 3))
+    return float(np.linalg.norm(g, axis=1).max())
 
 
-def _side_tangential_roots(sol, sides, *, n_samples, zero_rtol: float, gscale: float):
-    """Roots of the one-sided tangential derivative along each of ``sides``.
+def _element_gradient_zeros(sol) -> np.ndarray:
+    """Points where an element's affine gradient vanishes inside that element."""
+    space = sol.space
+    r0, A = space.affine_gradients(sol.coef)
+    det = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
+    slack = 1e-9
+    with np.errstate(divide="ignore", invalid="ignore"):   # singular A: no zero kept
+        # Cramer's rule for A xi = -r0
+        xi = np.column_stack([r0[:, 1] * A[:, 0, 1] - r0[:, 0] * A[:, 1, 1],
+                              r0[:, 0] * A[:, 1, 0] - r0[:, 1] * A[:, 0, 0]]) / det[:, None]
+        inside = (xi[:, 0] >= -slack) & (xi[:, 1] >= -slack) & (xi.sum(axis=1) <= 1 + slack)
+    e = np.nonzero(inside)[0]
+    p0 = space.mesh.nodes[space.mesh.triangles[e, 0]]
+    return p0 + np.einsum("eab,eb->ea", space.J[e], xi[e])
 
-    ``n_samples`` is one sample count for every side or one per side.
-    Returns one ``(roots, pts)`` pair per side: the roots as fractions along
-    the side, or None when the derivative vanishes on the whole side (a
-    degenerate locus), and the sample points.  Each sign change between
-    samples is bisected 45 times; the brackets of all sides halve in
-    lockstep, with one batched gradient evaluation per halving.
+
+def _side_tangential_roots(sol, sides, *, zero_rtol: float, gscale: float):
+    """Roots of the tangential derivative of u_h along each of ``sides``.
+
+    On a boundary edge u_h is the quadratic through its dofs a, m, b, so the
+    tangential derivative is linear between its end values (-3a + 4m - b)/L
+    and (a - 4m + 3b)/L.  A root is reported inside an edge where the two
+    change sign, and at a boundary node where the derivative changes sign
+    across the node.  Returns one ``(roots, pts)`` pair per side: the roots
+    as increasing fractions along the side, or None when every end value is
+    below ``zero_rtol * gscale`` (a degenerate locus), and the side's nodes.
     """
-    P = sol.polygon
-    out, brackets = [], []
-    for j, (i, m) in enumerate(zip(sides, np.broadcast_to(n_samples, (len(sides),)))):
-        s = np.linspace(0.0, 1.0, m)
-        pts = P.vertices[i][None, :] + s[:, None] * P.side_vectors[i][None, :]
-        f = sol.eval_grad(pts, strict=False) @ P.side_tangents[i]
-        ok = np.isfinite(f)
-        if np.all(np.abs(f[ok]) < zero_rtol * gscale):
+    space, coef = sol.space, sol.coef
+    mesh = space.mesh
+    P, n = mesh.polygon, mesh.n_nodes
+    be = mesh.boundary_edges
+    keys = space.edge_nodes[:, 0] * n + space.edge_nodes[:, 1]
+    mid = n + np.searchsorted(keys, be[:, :2].min(axis=1) * n + be[:, :2].max(axis=1))
+    out = []
+    for i in sides:
+        rows = np.nonzero(be[:, 2] == i)[0]
+        ends = be[rows, :2]
+        s = (mesh.nodes[ends] - P.vertices[i]) @ P.side_vectors[i] / P.side_lengths[i] ** 2
+        flip = s[:, 0] > s[:, 1]                       # orient every edge along the side
+        ends[flip], s[flip] = ends[flip, ::-1], s[flip, ::-1]
+        order = np.argsort(s[:, 0])
+        ends, s, m = ends[order], s[order], mid[rows][order]
+        a, um, b = coef[ends[:, 0]], coef[m], coef[ends[:, 1]]
+        L = (s[:, 1] - s[:, 0]) * P.side_lengths[i]
+        f0, f1 = (-3 * a + 4 * um - b) / L, (a - 4 * um + 3 * b) / L
+        pts = mesh.nodes[np.append(ends[:, 0], ends[-1, 1])]
+        if np.all(np.maximum(np.abs(f0), np.abs(f1)) < zero_rtol * gscale):
             out.append((None, pts))  # entire side critical: degenerate locus
             continue
-        out.append(([], pts))
-        brackets += [(j, i, s[k], s[k + 1], f[k])
-                     for k in np.nonzero(ok[:-1] & ok[1:] & (f[:-1] * f[1:] < 0))[0]]
-    if not brackets:
-        return out
-    j, side, a, b, fa = (np.array(c) for c in zip(*brackets))
-    for _ in range(45):
-        mm = 0.5 * (a + b)
-        g = sol.eval_grad(P.vertices[side] + mm[:, None] * P.side_vectors[side], strict=False)
-        # one (1,2) @ (2,) product per row: a batched product may round the
-        # last bit differently, which would move the roots
-        fm = np.array([(g[r:r + 1] @ P.side_tangents[i])[0] for r, i in enumerate(side)])
-        left = fa * fm <= 0
-        b = np.where(left, mm, b)
-        a, fa = np.where(left, a, mm), np.where(left, fa, fm)
-    for jj, root in zip(j, 0.5 * (a + b)):
-        out[jj][0].append(root)
+        cross = f0 * f1 < 0
+        at_node = f1[:-1] * f0[1:] < 0
+        roots = np.concatenate([s[cross, 0] + f0[cross] / (f0[cross] - f1[cross])
+                                * (s[cross, 1] - s[cross, 0]), s[:-1, 1][at_node]])
+        out.append((sorted(roots.tolist()), pts))
     return out
 
 
 def find_critical_points(sol, *, threshold: float | None = None,
-                         scan_grid: int | None = None,
                          expansions: dict | None = None) -> CriticalSet:
     """All critical points: interior gradient zeros, side tangential zeros,
     and vertices classified through their expansions.
@@ -398,23 +402,16 @@ def find_critical_points(sol, *, threshold: float | None = None,
     """
     if threshold is None:
         threshold = DEFAULTS.vanish_threshold
-    if scan_grid is None:
-        scan_grid = DEFAULTS.interior_scan_grid
     P = sol.polygon
-    gscale = _grad_scale(sol)
+    fem = _p2_field(sol)
+    gscale = _grad_scale(fem)
     points: list[CriticalPoint] = []
     degenerate: list[DegenerateLocus] = []
     notes: list[str] = []
     absorbed: dict[int, list[float]] = {}   # vid -> distances of absorbed roots
 
     # sides first: vertex probes adapt to nearby side structure
-    n_samples = []
-    for i in range(P.n):
-        L = P.side_lengths[i]
-        h_side = float(np.min(sol.h_at(
-            P.vertices[i][None, :] + np.linspace(0.1, 0.9, 9)[:, None] * P.side_vectors[i][None, :])))
-        n_samples.append(int(np.clip(4 * L / h_side, 128, 1200)))
-    side_roots = _side_tangential_roots(sol, range(P.n), n_samples=n_samples,
+    side_roots = _side_tangential_roots(fem, range(P.n),
                                         zero_rtol=DEFAULTS.grad_zero_rtol, gscale=gscale)
     for i, (roots, pts) in enumerate(side_roots):
         if roots is None:
@@ -442,38 +439,8 @@ def find_critical_points(sol, *, threshold: float | None = None,
                                          "note": res.note}))
 
     # interior
-    v = P.vertices
-    lo, hi = v.min(axis=0), v.max(axis=0)
-    xs = np.linspace(lo[0], hi[0], scan_grid)
-    ys = np.linspace(lo[1], hi[1], scan_grid)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    gridpts = np.column_stack([X.ravel(), Y.ravel()])
-    inside = P.contains(gridpts, include_boundary=False)
-    bd = P.boundary_distance(gridpts)
-    hloc = sol.h_at(gridpts)
-    deep = inside & (bd > 0.9 * hloc)
-    G = np.full((len(gridpts), 2), np.nan)
-    G[deep] = sol.eval_grad_recovered(gridpts[deep], strict=False)
-    GX = G[:, 0].reshape(scan_grid, scan_grid)
-    GY = G[:, 1].reshape(scan_grid, scan_grid)
-
-    def cell_mixed(A):
-        c = np.stack([A[:-1, :-1], A[1:, :-1], A[1:, 1:], A[:-1, 1:]])
-        fin = np.all(np.isfinite(c), axis=0)
-        return fin & ~(np.all(c > 0, axis=0) | np.all(c < 0, axis=0))
-
-    seeds_mask = cell_mixed(GX) & cell_mixed(GY)
-    si, sj = np.nonzero(seeds_mask)
-    seeds = np.column_stack([0.5 * (xs[si] + xs[si + 1]), 0.5 * (ys[sj] + ys[sj + 1])])
-
     found: list[np.ndarray] = []
-    for s0 in seeds:
-        p = _newton_refine(sol, s0)
-        if p is None:
-            continue
-        g = sol.eval_grad(p[None, :], strict=False)[0]
-        if not np.all(np.isfinite(g)) or np.linalg.norm(g) > DEFAULTS.grad_zero_rtol * gscale:
-            continue
+    for p in _element_gradient_zeros(fem):
         hp = float(sol.h_at(p[None, :])[0])
         if float(P.boundary_distance(p[None, :])[0]) < 1.2 * hp:
             continue  # boundary zone is handled by side/vertex detection

@@ -1,9 +1,8 @@
 """Neumann Laplacian eigenpairs on a triangulated polygon.
 
-Quadratic Lagrange elements (so gradients are linear inside each triangle,
-which Newton refinement of gradient zeros relies on), generalized eigensolve
-via shift-invert Lanczos with the constant mode deflated, and batched point
-evaluation of u and grad u with a kd-tree locator.
+Quadratic Lagrange elements (so gradients are affine inside each triangle),
+generalized eigensolve via shift-invert Lanczos with the constant mode
+deflated, and batched point evaluation of u and grad u with a kd-tree locator.
 """
 from __future__ import annotations
 
@@ -138,6 +137,16 @@ class P2Space:
         gx = self._mass_solver.solve(b[:, 0])
         gy = self._mass_solver.solve(b[:, 1])
         return gx, gy
+
+    def affine_gradients(self, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each element's gradient of u_h in reference coordinates.
+
+        On P2 elements it is affine: grad_xi u(xi) = r0 + A xi, with r0 (m,2)
+        and A (m,2,2); the physical gradient is Jinv^T (r0 + A xi).
+        """
+        G = _p2_grads(np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]))  # (3,6,2)
+        g = np.einsum("ei,qia->eqa", coef[self.dof], G)    # at the 3 corners
+        return g[:, 0], np.stack([g[:, 1] - g[:, 0], g[:, 2] - g[:, 0]], axis=-1)
 
     # -- point location ---------------------------------------------------------
     def locate(self, pts: np.ndarray, *, tol: float = 1e-9, strict: bool = True):
@@ -370,7 +379,7 @@ def solve_second(mesh: Mesh, tol: float | None = None, *,
     route = "eigsh"
     try:
         vals, vecs = spla.eigsh(K, k=k, M=M, sigma=sigma, which="LM",
-                                v0=v0, maxiter=maxiter)
+                                v0=v0, maxiter=maxiter, tol=tol)
     except spla.ArpackError as err:   # ArpackNoConvergence included
         if n > 4000:
             raise SolverError("eigensolver failed to converge") from err

@@ -67,6 +67,20 @@ class TestTrack:
         assert all(a * b > 0 for a, b in zip(vals[:-1], vals[1:]))
 
 
+class TestTrackRecord:
+    def test_samples_record_mesh_h(self):
+        T0 = triangle_from_angles(math.radians(30), math.radians(35))
+        T1 = triangle_from_angles(math.radians(34), math.radians(32))
+        path = DeformationPath.from_breakpoints("vertex-lerp", [0, 1],
+                                                [T0.vertices, T1.vertices])
+        run = track(path, steps=2, h=lambda P: P.diameter / 12)
+        assert "h" not in run.config
+        rec = run.to_dict()["samples"]
+        assert len(rec) == len(run.samples) >= 3
+        for s, d in zip(run.samples, rec):
+            assert d["h"] == s.sol.mesh.h == s.polygon.diameter / 12
+
+
 class TestLip1NoHotspots:
     def test_obtuse_triangle_passes(self):
         T = triangle_from_angles(math.radians(30), math.radians(40))

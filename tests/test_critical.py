@@ -9,7 +9,7 @@ from hotspots.mesh import triangulate, refine
 from hotspots.eigensolver import solve_second, AnalyticSolution
 from hotspots.critical import (find_critical_points, index_of, verify_index_formula,
                                cusp_diagnostic, classify_vertex, CriticalPoint,
-                               estimate_hessian)
+                               estimate_hessian, _side_tangential_roots, _grad_scale)
 from hotspots.nodal import ScalarField, trace
 from hotspots.corpus import random_simple_polygon
 
@@ -150,6 +150,22 @@ class TestInteriorOracle:
         assert nearest == set(range(len(want)))
         rep = verify_index_formula(sol, cs)
         assert rep.passed and rep.rhs == 2
+
+
+class TestSideRoots:
+    def test_root_at_boundary_node(self, solve_cached):
+        # |x - x_k| is linear on every edge of side 0, with slope -1 left of
+        # the node x_k and +1 right of it: the only root is the node itself
+        base = solve_cached(unit_square(), 0.05)
+        nodes = base.mesh.nodes
+        on_side = np.nonzero((np.abs(nodes[:, 1]) < 1e-12)
+                             & (nodes[:, 0] > 1e-9) & (nodes[:, 0] < 1 - 1e-9))[0]
+        xk = float(nodes[on_side[np.argmin(np.abs(nodes[on_side, 0] - 0.5))], 0])
+        sol = base.with_coef(np.abs(base.space.dof_points()[:, 0] - xk))
+        (roots, pts), = _side_tangential_roots(sol, [0], zero_rtol=2e-2,
+                                               gscale=_grad_scale(sol))
+        assert roots == [pytest.approx(xk, abs=1e-14)]
+        assert np.all(pts[:, 1] == 0) and np.all(np.diff(pts[:, 0]) > 0)
 
 
 class TestIndexFormula:

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import hotspots.eigensolver as eigensolver
+from hotspots.config import DEFAULTS
 
 from hotspots.geometry import (unit_square, rectangle, equilateral_triangle,
                                isosceles_triangle, triangle_from_angles)
@@ -117,6 +118,24 @@ class TestSolverRoute:
         monkeypatch.setattr(eigensolver.spla, "eigsh", broken)
         with pytest.raises(ValueError):
             solve_second(mesh)
+
+
+class TestSolverTol:
+    # Shift-invert Lanczos meets any tolerance within its first factorization
+    # on small meshes, so the residual cannot show tol there; check that the
+    # value reaches eigsh instead.
+    @pytest.mark.parametrize("tol, want", [(None, DEFAULTS.solver_tol), (1e-3, 1e-3)])
+    def test_tol_reaches_eigsh(self, monkeypatch, tol, want):
+        seen = []
+        eigsh = spla.eigsh
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs.get("tol"))
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(eigensolver.spla, "eigsh", recording)
+        solve_second(triangulate(unit_square(), 0.3), tol=tol)
+        assert seen == [want]
 
 
 class TestEval:
