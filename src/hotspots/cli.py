@@ -49,7 +49,6 @@ class RunConfig:
     seed: int = 0
     K: int = DEFAULTS.bessel_K
     field: str = "u"
-    resolution: int = DEFAULTS.trace_resolution
     eps: float = 0.01
     dump_mesh: bool = False
 
@@ -59,8 +58,8 @@ class RunConfig:
         for name in ("h", "tol", "eps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.steps <= 0 or self.resolution <= 0 or self.K < 0:
-            raise ValueError("steps, resolution and K must be positive")
+        if self.steps <= 0 or self.K < 0:
+            raise ValueError("steps and K must be positive")
 
 
 def _load_json(path):
@@ -165,7 +164,7 @@ def run(cfg: RunConfig) -> int:
         P = _load_polygon(cfg.spec)
         mesh, sol = _solve(cfg, P)
         fld = _parse_field(sol, cfg.field)
-        g = trace(fld, resolution=cfg.resolution)
+        g = trace(fld)
         payload["mu"] = sol.mu
         payload["graph"] = g.to_dict()
         payload["simple_arc"] = g.simple_arc_report() if cfg.field == "u" else None
@@ -213,13 +212,12 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--K", type=int, default=DEFAULTS.bessel_K)
     ap.add_argument("--field", default="u", help="nodal field: u, L:<deg>, side:<i>, R:<x>,<y>")
-    ap.add_argument("--resolution", type=int, default=DEFAULTS.trace_resolution)
     ap.add_argument("--eps", type=float, default=0.01, help="relative break distance")
     ap.add_argument("--dump-mesh", action="store_true", help="write mesh.json (solve)")
     ns = ap.parse_args(argv)
     cfg = RunConfig(command=ns.command, spec=ns.spec, h=ns.h, tol=ns.tol, out=ns.out,
                     svg=ns.svg, steps=ns.steps, seed=ns.seed, K=ns.K, field=ns.field,
-                    resolution=ns.resolution, eps=ns.eps, dump_mesh=ns.dump_mesh)
+                    eps=ns.eps, dump_mesh=ns.dump_mesh)
     try:
         return run(cfg)
     except (GeometryError, MeshingError, SolverError, FitError, ValueError,

@@ -35,8 +35,6 @@ class Defaults:
     vanish_threshold: float = 1e-3  # relative magnitude below which a coefficient "vanishes"
 
     # nodal tracing
-    trace_resolution: int = 256
-    trace_max_depth: int = 3
     side_zero_rtol: float = 5e-3    # max |field| on a side below this * scale => side lies in Z
     psi_boundary_band: float = 0.05  # rad; verdicts inside the band report raw margin
 

@@ -31,8 +31,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from . import bessel as _bessel
-from .eigensolver import AnalyticSolution, EigenSolution, P2Space
-from .mesh import triangulate
+from .eigensolver import p2_field
 
 
 @dataclass
@@ -317,15 +316,6 @@ def estimate_hessian(sol, p, delta: float | None = None, side: int | None = None
 # detection
 # ---------------------------------------------------------------------------
 
-def _p2_field(sol):
-    """``sol`` itself, or the P2 interpolant of an AnalyticSolution on a mesh
-    at ``h_nominal`` (coefficients = u at the dof points)."""
-    if not isinstance(sol, AnalyticSolution):
-        return sol
-    space = P2Space(triangulate(sol.polygon, sol.h_nominal))
-    return EigenSolution(space, sol.mu, sol.eval(space.dof_points()), sol.gap, sol.residual)
-
-
 def _grad_scale(sol) -> float:
     """max |grad u_h| over the element centroids."""
     space = sol.space
@@ -363,10 +353,9 @@ def _side_tangential_roots(sol, sides, *, zero_rtol: float, gscale: float):
     """
     space, coef = sol.space, sol.coef
     mesh = space.mesh
-    P, n = mesh.polygon, mesh.n_nodes
+    P = mesh.polygon
     be = mesh.boundary_edges
-    keys = space.edge_nodes[:, 0] * n + space.edge_nodes[:, 1]
-    mid = n + np.searchsorted(keys, be[:, :2].min(axis=1) * n + be[:, :2].max(axis=1))
+    mid = space.boundary_mid_dofs
     out = []
     for i in sides:
         rows = np.nonzero(be[:, 2] == i)[0]
@@ -403,7 +392,7 @@ def find_critical_points(sol, *, threshold: float | None = None,
     if threshold is None:
         threshold = DEFAULTS.vanish_threshold
     P = sol.polygon
-    fem = _p2_field(sol)
+    fem = p2_field(sol)
     gscale = _grad_scale(fem)
     points: list[CriticalPoint] = []
     degenerate: list[DegenerateLocus] = []

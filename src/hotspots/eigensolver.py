@@ -18,7 +18,7 @@ from scipy.spatial import cKDTree
 
 from .config import DEFAULTS
 from .geometry import Polygon
-from .mesh import Mesh, _unique_edges
+from .mesh import Mesh, _unique_edges, triangulate
 
 
 class SolverError(RuntimeError):
@@ -127,10 +127,9 @@ class P2Space:
         """L2 projection of grad u_h onto the P2 space (continuous recovery)."""
         dof, Jinv, detJ = self.dof, self.Jinv, self.detJ
         V = _p2_values(_QP7[:, 0], _QP7[:, 1])             # (7,6)
-        Gref = _p2_grads(_QP7[:, 0], _QP7[:, 1])           # (7,6,2)
-        Gphys = np.einsum("eba,qib->eqia", Jinv, Gref)     # (m,7,6,2)
-        ce = coef[dof]                                      # (m,6)
-        gq = np.einsum("ei,eqia->eqa", ce, Gphys)           # (m,7,2)
+        r0, A = self.affine_gradients(coef)
+        gref = r0[:, None, :] + np.einsum("eab,qb->eqa", A, _QP7)   # (m,7,2)
+        gq = np.einsum("eba,eqb->eqa", Jinv, gref)          # physical, (m,7,2)
         be = np.einsum("q,qi,eqa,e->eia", _QW7, V, gq, detJ)
         b = np.zeros((self.ndof, 2))
         np.add.at(b, dof.ravel(), be.reshape(-1, 2))
@@ -147,6 +146,14 @@ class P2Space:
         G = _p2_grads(np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]))  # (3,6,2)
         g = np.einsum("ei,qia->eqa", coef[self.dof], G)    # at the 3 corners
         return g[:, 0], np.stack([g[:, 1] - g[:, 0], g[:, 2] - g[:, 0]], axis=-1)
+
+    @cached_property
+    def boundary_mid_dofs(self) -> np.ndarray:
+        """Mid-edge dof of each row of ``mesh.boundary_edges``."""
+        n = self.mesh.n_nodes
+        be = self.mesh.boundary_edges[:, :2]
+        keys = self.edge_nodes[:, 0] * n + self.edge_nodes[:, 1]
+        return n + np.searchsorted(keys, be.min(axis=1) * n + be.max(axis=1))
 
     # -- point location ---------------------------------------------------------
     def locate(self, pts: np.ndarray, *, tol: float = 1e-9, strict: bool = True):
@@ -345,6 +352,14 @@ class AnalyticSolution:
         pts_arr = np.atleast_2d(np.asarray(pts, dtype=float))
         return np.full(len(pts_arr), self.h_nominal)
 
+    @cached_property
+    def interpolant(self) -> EigenSolution:
+        """P2 interpolant on a mesh at ``h_nominal`` (coefficients = u at the
+        dof points), built once."""
+        space = P2Space(triangulate(self.polygon, self.h_nominal))
+        return EigenSolution(space, self.mu, self.eval(space.dof_points()), self.gap,
+                             self.residual)
+
     @property
     def scale(self) -> float:
         rng = np.random.default_rng(7)
@@ -354,6 +369,12 @@ class AnalyticSolution:
         pts = pts[self.polygon.contains(pts)]
         vals = self.eval(pts)
         return float(np.nanmax(np.abs(vals))) if len(pts) else 1.0
+
+
+def p2_field(sol) -> EigenSolution:
+    """The P2 field behind a solution: ``sol`` itself, or the interpolant of
+    an AnalyticSolution."""
+    return sol.interpolant if isinstance(sol, AnalyticSolution) else sol
 
 
 def solve_second(mesh: Mesh, tol: float | None = None, *,

@@ -1,11 +1,11 @@
 """Zero sets of u and of derivative fields, traced as embedded planar graphs.
 
-A ScalarField wraps evaluation of u, of a constant-direction derivative
-L_psi u = cos(psi) du/dx + sin(psi) du/dy, or of the rotational-field
-derivative R_w u = -(y - w_y) du/dx + (x - w_x) du/dy over a solution.
-``trace`` extracts Z(field) by marching squares on a background grid with
-quadtree subdivision of boundary cells, snaps curve ends to boundary roots,
-and classifies whether arcs end at polygon vertices.
+A ScalarField wraps u, a constant-direction derivative
+L_psi u = cos(psi) du/dx + sin(psi) du/dy, or the rotational-field
+derivative R_w u = -(y - w_y) du/dx + (x - w_x) du/dy over a solution, as
+point evaluation and as a P2 dof vector.  ``trace`` extracts Z(field) by
+marching triangles on the P2 sub-triangulation with those dof values, and
+classifies whether arcs end at polygon vertices.
 
 The arc-at-vertex question is answered two ways: geometrically, by probing
 the field on shrinking circular arcs inside the vertex wedge, and
@@ -15,12 +15,14 @@ angle).  Callers get both verdicts plus an agreement flag.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .config import DEFAULTS
+from .eigensolver import P2Space, p2_field
 from .geometry import Polygon
 from . import bessel as _bessel
 
@@ -34,45 +36,61 @@ TWO_PI = 2 * math.pi
 class ScalarField:
     """Evaluation handle for u or a first-order derivative field of u."""
 
-    def __init__(self, sol, kind: str, *, psi: float | None = None, w=None,
-                 recovered: bool = True):
+    def __init__(self, sol, kind: str, *, psi: float | None = None, w=None):
         self.sol = sol
         self.kind = kind
         self.psi = psi
         self.w = None if w is None else np.asarray(w, dtype=float)
-        self.recovered = recovered
-        self._scale = None
 
     @staticmethod
     def u(sol) -> "ScalarField":
         return ScalarField(sol, "u")
 
     @staticmethod
-    def directional(sol, psi: float, recovered: bool = True) -> "ScalarField":
-        return ScalarField(sol, "L", psi=float(psi), recovered=recovered)
+    def directional(sol, psi: float) -> "ScalarField":
+        return ScalarField(sol, "L", psi=float(psi))
 
     @staticmethod
-    def side_directional(sol, side: int, recovered: bool = True) -> "ScalarField":
+    def side_directional(sol, side: int) -> "ScalarField":
         t = sol.polygon.side_tangents[side % sol.polygon.n]
-        return ScalarField(sol, "L", psi=math.atan2(t[1], t[0]), recovered=recovered)
+        return ScalarField(sol, "L", psi=math.atan2(t[1], t[0]))
 
     @staticmethod
-    def rotational(sol, w, recovered: bool = True) -> "ScalarField":
-        return ScalarField(sol, "R", w=w, recovered=recovered)
+    def rotational(sol, w) -> "ScalarField":
+        return ScalarField(sol, "R", w=w)
+
+    def _combine(self, pts, gx, gy) -> np.ndarray:
+        if self.kind == "L":
+            return math.cos(self.psi) * gx + math.sin(self.psi) * gy
+        if self.kind == "R":
+            return -(pts[:, 1] - self.w[1]) * gx + (pts[:, 0] - self.w[0]) * gy
+        raise ValueError(f"unknown field kind {self.kind}")
 
     def eval(self, pts) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.kind == "u":
             return self.sol.eval(pts, strict=False)
-        if self.recovered:
-            g = self.sol.eval_grad_recovered(pts, strict=False)
+        g = self.sol.eval_grad_recovered(pts, strict=False)
+        return self._combine(pts, g[:, 0], g[:, 1])
+
+    @functools.cached_property
+    def dofs(self) -> tuple[P2Space, np.ndarray]:
+        """The field as a P2 dof vector on the solution's space.
+
+        u is ``coef``; a derivative field combines the recovered-gradient dof
+        vectors (for an AnalyticSolution, its gradient at the interpolant's
+        dof points) at the dof points.
+        """
+        fem = p2_field(self.sol)
+        space = fem.space
+        if self.kind == "u":
+            return space, fem.coef
+        pts = space.dof_points()
+        if fem is self.sol:
+            gx, gy = fem._recovered
         else:
-            g = self.sol.eval_grad(pts, strict=False)
-        if self.kind == "L":
-            return math.cos(self.psi) * g[:, 0] + math.sin(self.psi) * g[:, 1]
-        if self.kind == "R":
-            return -(pts[:, 1] - self.w[1]) * g[:, 0] + (pts[:, 0] - self.w[0]) * g[:, 1]
-        raise ValueError(f"unknown field kind {self.kind}")
+            gx, gy = self.sol.eval_grad(pts).T
+        return space, self._combine(pts, gx, gy)
 
     @property
     def tag(self) -> dict:
@@ -85,19 +103,8 @@ class ScalarField:
 
     @property
     def scale(self) -> float:
-        if self._scale is None:
-            P = self.sol.polygon
-            v = P.vertices
-            lo, hi = v.min(axis=0), v.max(axis=0)
-            xs = np.linspace(lo[0], hi[0], 48)
-            ys = np.linspace(lo[1], hi[1], 48)
-            X, Y = np.meshgrid(xs, ys)
-            pts = np.column_stack([X.ravel(), Y.ravel()])
-            pts = pts[P.contains(pts, include_boundary=False)]
-            vals = self.eval(pts)
-            vals = vals[np.isfinite(vals)]
-            self._scale = float(np.abs(vals).max()) if len(vals) else 1.0
-        return self._scale
+        """max |dof value| of the field."""
+        return float(np.abs(self.dofs[1]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -184,229 +191,6 @@ class NodalGraph:
             "n_unresolved": len(self.unresolved),
             "euler": self.euler_data(),
         }
-
-
-# ---------------------------------------------------------------------------
-# marching squares with boundary subdivision
-# ---------------------------------------------------------------------------
-
-def _cell_segments(x0, y0, dx, dy, v, center_val):
-    """Segments of the zero contour inside one cell.
-
-    v = values at (bl, br, tr, tl); center_val resolves the two ambiguous
-    sign patterns (evaluated lazily by the caller only when needed).
-    """
-    s = [1 if val > 0 else 0 for val in v]
-    idx = s[0] | (s[1] << 1) | (s[2] << 2) | (s[3] << 3)
-    if idx in (0, 15):
-        return []
-
-    def interp(a, b, va, vb):
-        t = va / (va - vb)
-        return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
-
-    bl, br, tr, tl = (x0, y0), (x0 + dx, y0), (x0 + dx, y0 + dy), (x0, y0 + dy)
-    eb = lambda: interp(bl, br, v[0], v[1])
-    er = lambda: interp(br, tr, v[1], v[2])
-    et = lambda: interp(tl, tr, v[3], v[2])
-    el = lambda: interp(bl, tl, v[0], v[3])
-
-    table = {
-        1: [(el, eb)], 14: [(el, eb)],
-        2: [(eb, er)], 13: [(eb, er)],
-        4: [(er, et)], 11: [(er, et)],
-        8: [(et, el)], 7: [(et, el)],
-        3: [(el, er)], 12: [(el, er)],
-        6: [(eb, et)], 9: [(eb, et)],
-    }
-    if idx in table:
-        return [(f(), g()) for f, g in table[idx]]
-    # ambiguous: 5 = bl,tr positive; 10 = br,tl positive
-    cpos = center_val > 0
-    if idx == 5:
-        pairs = [(el, et), (eb, er)] if cpos else [(el, eb), (er, et)]
-    else:
-        pairs = [(eb, el), (er, et)] if not cpos else [(eb, er), (et, el)]
-    return [(f(), g()) for f, g in pairs]
-
-
-def _march(field: ScalarField, P: Polygon, res: int, max_depth: int):
-    v = P.vertices
-    lo, hi = v.min(axis=0), v.max(axis=0)
-    span = hi - lo
-    pad = 1e-6 * max(span)
-    lo, hi = lo - pad, hi + pad
-    xs = np.linspace(lo[0], hi[0], res + 1)
-    ys = np.linspace(lo[1], hi[1], res + 1)
-    dx, dy = xs[1] - xs[0], ys[1] - ys[0]
-
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    inside = P.contains(pts).reshape(res + 1, res + 1)
-    vals = np.full((res + 1, res + 1), np.nan)
-    ii = np.nonzero(inside.ravel())[0]
-    got = field.eval(pts[ii])
-    vals.ravel()[ii] = got
-    fscale = field.scale
-    tiny = 1e-13 * fscale
-    vals = np.where(np.abs(vals) < tiny, tiny, vals)
-
-    segments: list[tuple[tuple, tuple]] = []
-
-    # full interior cells with a sign change
-    c = np.stack([vals[:-1, :-1], vals[1:, :-1], vals[1:, 1:], vals[:-1, 1:]])  # bl,br,tr,tl
-    finite = np.all(np.isfinite(c), axis=0)
-    pos = c > 0
-    mixed = finite & ~(np.all(pos, axis=0) | np.all(~pos | ~np.isfinite(c), axis=0))
-    act_i, act_j = np.nonzero(mixed)
-    # batch centers for ambiguous cells
-    amb_centers = {}
-    amb_list = []
-    for i, j in zip(act_i, act_j):
-        vv = (vals[i, j], vals[i + 1, j], vals[i + 1, j + 1], vals[i, j + 1])
-        s = [1 if val > 0 else 0 for val in vv]
-        idx = s[0] | (s[1] << 1) | (s[2] << 2) | (s[3] << 3)
-        if idx in (5, 10):
-            amb_list.append((i, j))
-    if amb_list:
-        cpts = np.array([[xs[i] + dx / 2, ys[j] + dy / 2] for i, j in amb_list])
-        cvals = field.eval(cpts)
-        amb_centers = {ij: cv for ij, cv in zip(amb_list, cvals)}
-    for i, j in zip(act_i, act_j):
-        vv = (vals[i, j], vals[i + 1, j], vals[i + 1, j + 1], vals[i, j + 1])
-        segs = _cell_segments(xs[i], ys[j], dx, dy, vv, amb_centers.get((i, j), 0.0))
-        segments.extend(segs)
-
-    # boundary cells: quadtree subdivision, keep fully-inside subcells
-    bd_i, bd_j = np.nonzero(~finite & np.any(np.isfinite(c), axis=0))
-    queue = [(xs[i], ys[j], dx, dy, 0) for i, j in zip(bd_i, bd_j)]
-    while queue:
-        batch = queue
-        queue = []
-        # evaluate all corners of this generation at once
-        corner_pts = []
-        for (cx, cy, w, h, d) in batch:
-            corner_pts.extend([(cx, cy), (cx + w, cy), (cx + w, cy + h), (cx, cy + h),
-                               (cx + w / 2, cy + h / 2)])
-        corner_pts = np.asarray(corner_pts)
-        cin = P.contains(corner_pts)
-        cvals = np.full(len(corner_pts), np.nan)
-        kk = np.nonzero(cin)[0]
-        if len(kk):
-            cvals[kk] = field.eval(corner_pts[kk])
-        cvals = np.where(np.abs(cvals) < tiny, np.where(np.isnan(cvals), np.nan, tiny), cvals)
-        for bi, (cx, cy, w, h, d) in enumerate(batch):
-            vv = cvals[5 * bi: 5 * bi + 4]
-            cen = cvals[5 * bi + 4]
-            if np.all(np.isfinite(vv)):
-                pos_ = vv > 0
-                if not (np.all(pos_) or np.all(~pos_)):
-                    segments.extend(_cell_segments(cx, cy, w, h, vv,
-                                                   cen if np.isfinite(cen) else 0.0))
-                continue
-            if not np.any(np.isfinite(vv)) and not np.isfinite(cen):
-                continue
-            if d < max_depth:
-                w2, h2 = w / 2, h / 2
-                queue.extend([(cx, cy, w2, h2, d + 1), (cx + w2, cy, w2, h2, d + 1),
-                              (cx, cy + h2, w2, h2, d + 1), (cx + w2, cy + h2, w2, h2, d + 1)])
-    return segments, (dx, dy)
-
-
-def _assemble_polylines(segments, quantum):
-    """Join segments sharing endpoints into ordered polylines."""
-    def key(p):
-        return (round(p[0] / quantum), round(p[1] / quantum))
-
-    adj: dict[tuple, list[int]] = {}
-    for si, (a, b) in enumerate(segments):
-        adj.setdefault(key(a), []).append(si)
-        adj.setdefault(key(b), []).append(si)
-    used = [False] * len(segments)
-    polylines = []
-
-    def walk(si, start_key):
-        pts = []
-        cur = si
-        ck = start_key
-        while True:
-            used[cur] = True
-            a, b = segments[cur]
-            if key(a) == ck:
-                nxt_pt, nxt_key = b, key(b)
-                pts.append(a)
-            else:
-                nxt_pt, nxt_key = a, key(a)
-                pts.append(b)
-            cand = [s for s in adj.get(nxt_key, []) if not used[s]]
-            if not cand:
-                pts.append(nxt_pt)
-                return pts
-            cur, ck = cand[0], nxt_key
-
-    # open chains first (endpoints with odd incidence), then remaining loops
-    for k, lst in adj.items():
-        if len(lst) % 2 == 1:
-            for si in lst:
-                if not used[si]:
-                    polylines.append(walk(si, k))
-    for si in range(len(segments)):
-        if not used[si]:
-            polylines.append(walk(si, key(segments[si][0])))
-    return [np.asarray(pl) for pl in polylines if len(pl) >= 2]
-
-
-def _stitch_polylines(polylines, tol):
-    """Merge chains whose ends fall within tol (quadtree T-junction gaps)."""
-    pls = [np.asarray(pl) for pl in polylines]
-    merged = True
-    while merged and len(pls) > 1:
-        merged = False
-        best = None
-        for i in range(len(pls)):
-            for j in range(i + 1, len(pls)):
-                for ei, pi in ((0, pls[i][0]), (1, pls[i][-1])):
-                    for ej, pj in ((0, pls[j][0]), (1, pls[j][-1])):
-                        d = float(np.linalg.norm(pi - pj))
-                        if d < tol and (best is None or d < best[0]):
-                            best = (d, i, j, ei, ej)
-        if best is not None:
-            _, i, j, ei, ej = best
-            a = pls[i] if ei == 1 else pls[i][::-1]   # a ends at junction
-            b = pls[j] if ej == 0 else pls[j][::-1]   # b starts at junction
-            pls[i] = np.vstack([a, b])
-            del pls[j]
-            merged = True
-    return pls
-
-
-def _side_roots(field: ScalarField, P: Polygon, side: int, n_samples: int,
-                zero_rtol: float):
-    """Roots of the field restricted to one side; or 'whole side vanishes'."""
-    L = P.side_lengths[side]
-    s = np.linspace(0.0, 1.0, n_samples)
-    pts = P.vertices[side][None, :] + s[:, None] * P.side_vectors[side][None, :]
-    f = field.eval(pts)
-    ok = np.isfinite(f)
-    fscale = field.scale
-    if np.all(np.abs(f[ok]) < zero_rtol * fscale):
-        return None  # side lies in the zero set
-    roots = []
-    fi = np.where(ok, f, 0.0)
-    for k in range(n_samples - 1):
-        if not (ok[k] and ok[k + 1]):
-            continue
-        if fi[k] * fi[k + 1] < 0:
-            a, b, fa = s[k], s[k + 1], fi[k]
-            for _ in range(45):
-                m = 0.5 * (a + b)
-                fm = float(field.eval((P.vertices[side] + m * P.side_vectors[side])[None, :])[0])
-                if fa * fm <= 0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            roots.append(0.5 * (a + b))
-    return [P.vertices[side] + r * P.side_vectors[side] for r in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -638,125 +422,182 @@ def arc_ends_at_vertex(field: ScalarField, vid: int, *, expansion=None,
 # trace
 # ---------------------------------------------------------------------------
 
-def trace(field: ScalarField, *, resolution: int | None = None,
-          max_depth: int | None = None, side_zero_rtol: float | None = None,
-          boundary_samples: int = 400, check_vertex_arcs: bool = True) -> NodalGraph:
+def _quadratic_root(A, B, C) -> np.ndarray:
+    """Root in [0, 1] of the quadratic with values A, C, B at 0, 1/2, 1,
+    where A and B have opposite signs (so the root is unique)."""
+    b = 4 * C - 3 * A - B
+    a = 2 * A + 2 * B - 4 * C
+    q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4 * a * A, 0.0)), b))
+    with np.errstate(divide="ignore", invalid="ignore"):   # a = 0: linear, t = A/q
+        t1, t2 = A / q, q / a
+    return np.clip(np.where((t1 >= 0) & (t1 <= 1), t1, t2), 0.0, 1.0)
+
+
+def _sub_edges(space: P2Space, vals: np.ndarray):
+    """Sub-edges of the P2 sub-triangulation (4 P1 triangles per element).
+
+    Mesh edge e with mid dof k is split into half-edges 2e = (lo, k) and
+    2e + 1 = (k, hi); element j adds the sub-edges 2E + 3j + (0, 1, 2) between
+    its mid dofs (m01, m12), (m12, m20), (m20, m01).  Returns each sub-edge's
+    end dofs (S, 2), the field's value at its midpoint (S,), and the three
+    sub-edges of each sub-triangle (4m, 3).
+    """
+    n = space.mesh.n_nodes
+    lo, hi = space.edge_nodes.T
+    E, d = len(lo), space.dof
+    mid = n + np.arange(E)
+    ends = np.concatenate([np.column_stack([lo, mid, mid, hi]).reshape(-1, 2),
+                           d[:, [3, 4, 4, 5, 5, 3]].reshape(-1, 2)])
+    # the quadratic restricted to a half-edge: 3/8, 3/4, -1/8 of its near
+    # node, mid dof and far node; to a mid-dof sub-edge: 1/2, 1/2, 1/4 of the
+    # three mid dofs and -1/8 of the two nodes it does not face
+    v = vals[d]
+    half = np.column_stack([0.375 * vals[lo] + 0.75 * vals[mid] - 0.125 * vals[hi],
+                            0.375 * vals[hi] + 0.75 * vals[mid] - 0.125 * vals[lo]])
+    inner = (0.5 * (v[:, [3, 4, 5]] + v[:, [4, 5, 3]]) + 0.25 * v[:, [5, 3, 4]]
+             - 0.125 * (v[:, [0, 1, 2]] + v[:, [2, 0, 1]]))
+    midval = np.concatenate([half.ravel(), inner.ravel()])
+
+    def halfedge(slot, node):
+        e = d[:, slot] - n
+        return 2 * e + (d[:, node] == hi[e])
+
+    inn = 2 * E + 3 * np.arange(len(d))[:, None] + np.arange(3)
+    sub = np.stack([
+        np.column_stack([halfedge(3, 0), inn[:, 2], halfedge(5, 0)]),
+        np.column_stack([halfedge(4, 1), inn[:, 0], halfedge(3, 1)]),
+        np.column_stack([halfedge(5, 2), inn[:, 1], halfedge(4, 2)]),
+        inn], axis=1).reshape(-1, 3)
+    return ends, midval, sub
+
+
+def _chains(nbr: np.ndarray) -> list[list[int]]:
+    """Maximal paths of a graph of maximum degree two, given each node's
+    neighbours (-1 = none): open chains from their ends first, then closed
+    loops, which repeat their first node at the end."""
+    deg = (nbr >= 0).sum(axis=1)
+    nbr = nbr.tolist()
+    seen = [False] * len(nbr)
+    chains = []
+    for start in np.concatenate([np.nonzero(deg == 1)[0], np.nonzero(deg == 2)[0]]).tolist():
+        if seen[start]:
+            continue
+        seen[start] = True
+        chain, prev, cur = [start], -1, start
+        while True:
+            a, b = nbr[cur]
+            nxt = a if a != prev else b
+            if nxt < 0:
+                break
+            chain.append(nxt)
+            if seen[nxt]:
+                break
+            seen[nxt] = True
+            prev, cur = cur, nxt
+        chains.append(chain)
+    return chains
+
+
+def trace(field: ScalarField, *, side_zero_rtol: float | None = None,
+          check_vertex_arcs: bool = True) -> NodalGraph:
     """Trace Z(field) on the solution's polygon as an embedded graph.
 
-    Boundary-lying components (sides where the field restriction vanishes
-    identically, e.g. Z(L_psi u) containing a side orthogonal to psi) are
-    recorded in ``zero_sides`` and excluded from the interior graph.
+    Marching triangles on the P2 sub-triangulation with the field's dof
+    values: a crossing is the root of the field's quadratic restriction to a
+    sub-edge, and crossings are chained through the sub-triangles.  A chain
+    end on a boundary sub-edge carries that edge's side; it is reported at a
+    polygon vertex when its sub-edge touches the vertex and the vertex
+    verdict holds (u_h(v) = 0 for u, the wedge probe for a derivative field).
+
+    Boundary-lying components (sides where every dof of the field is below
+    ``side_zero_rtol * scale``, e.g. Z(L_psi u) containing a side orthogonal
+    to psi) are recorded in ``zero_sides``; their dofs carry no sign.
     """
-    if resolution is None:
-        resolution = DEFAULTS.trace_resolution
-    if max_depth is None:
-        max_depth = DEFAULTS.trace_max_depth
     if side_zero_rtol is None:
         side_zero_rtol = DEFAULTS.side_zero_rtol
     P = field.sol.polygon
-    diam = P.diameter
+    space, vals = field.dofs
+    mesh = space.mesh
+    scale = field.scale
+    tiny = 1e-13 * scale
+    be, bmid = mesh.boundary_edges, space.boundary_mid_dofs
 
-    segments, (dx, dy) = _march(field, P, resolution, max_depth)
-    cell = max(dx, dy)
-    polylines = _assemble_polylines(segments, quantum=1e-9 * diam)
-    polylines = _stitch_polylines(polylines, tol=0.6 * cell)
-    polylines = [pl for pl in polylines
-                 if np.sum(np.linalg.norm(np.diff(pl, axis=0), axis=1)) > 0.25 * cell]
-
-    # boundary restriction per side
+    signless = ~np.isfinite(vals)
     zero_sides = []
-    side_root_pts = []
     for i in range(P.n):
-        r = _side_roots(field, P, i, boundary_samples, side_zero_rtol)
-        if r is None:
+        rows = be[:, 2] == i
+        on_side = np.concatenate([be[rows, 0], be[rows, 1], bmid[rows]])
+        if np.all(np.abs(vals[on_side]) < side_zero_rtol * scale):
             zero_sides.append(i)
-        else:
-            side_root_pts.extend((np.asarray(p), i) for p in r)
+            signless[on_side] = True
+    vanish = np.abs(vals) < tiny
+    vals = np.where(vanish, tiny, vals)
 
-    # drop noise polylines that hug a vanished side
-    band = 2.5 * cell
-    kept = []
-    for pl in polylines:
-        drop = False
-        for i in zero_sides:
-            d = np.array([P.distance_to_side(p, i) for p in pl[:: max(1, len(pl) // 8)]])
-            if np.all(d < band):
-                drop = True
-                break
-        if not drop and len(pl) == 2 and np.linalg.norm(pl[1] - pl[0]) < 0.1 * cell:
-            drop = True
-        if not drop:
-            kept.append(pl)
-    polylines = kept
+    ends, midval, sub = _sub_edges(space, vals)
+    A, B = vals[ends[:, 0]], vals[ends[:, 1]]
+    cross = ((A > 0) != (B > 0)) & ~signless[ends[:, 0]] & ~signless[ends[:, 1]]
+    ci = np.nonzero(cross)[0]
+    t = _quadratic_root(A[ci], B[ci], midval[ci])
+    dp = space.dof_points()
+    X = dp[ends[ci, 0]] + t[:, None] * (dp[ends[ci, 1]] - dp[ends[ci, 0]])
 
-    # vertex arc detection (geometric), used to terminate polylines at vertices
-    vertex_arc = {}
-    if check_vertex_arcs and field.kind != "u":
-        for vid in range(P.n):
-            probe = wedge_probe(field, P, vid)
-            vertex_arc[vid] = probe.ends_at_vertex
-    elif check_vertex_arcs and field.kind == "u":
-        # Z(u) reaches a vertex only if u(v) = 0
-        vv = field.eval(P.vertices)
-        for vid in range(P.n):
-            vertex_arc[vid] = bool(np.isfinite(vv[vid])
-                                   and abs(vv[vid]) < 10 * side_zero_rtol * field.scale)
+    # sub-triangles with two crossings link them; each crossing has <= 2 links
+    local = np.full(len(ends), -1)
+    local[ci] = np.arange(len(ci))
+    loc = local[sub]
+    links = np.sort(loc[(loc >= 0).sum(axis=1) == 2], axis=1)[:, 1:]
+    nbr = np.full((len(ci), 2), -1)
+    flat, partner = links.ravel(), links[:, ::-1].ravel()
+    order = np.argsort(flat, kind="stable")
+    flat, partner = flat[order], partner[order]
+    second = np.r_[False, flat[1:] == flat[:-1]]
+    nbr[flat, second.astype(int)] = partner
 
-    # build nodes: merge polyline endpoints, snap to boundary roots and vertices
+    side_of = np.full(len(ends), -1)
+    e_b = bmid - mesh.n_nodes
+    side_of[2 * e_b] = side_of[2 * e_b + 1] = be[:, 2]
+    vertex_of = np.full(space.ndof, -1)
+    vertex_of[mesh.vertex_map] = np.arange(P.n)
+
+    @functools.cache
+    def ends_at_vertex(vid: int) -> bool:
+        if field.kind == "u":
+            return bool(vanish[mesh.vertex_map[vid]])
+        return bool(wedge_probe(field, P, vid).ends_at_vertex)
+
     nodes: list[GraphNode] = []
     unresolved: list[np.ndarray] = []
-    merge_r = 1.2 * cell
-    snap_r = 3.0 * cell
+    vertex_nodes: dict[int, int] = {}
 
-    def add_node(pt, locus):
-        for n in nodes:
-            if np.linalg.norm(n.point - pt) < merge_r and n.locus == locus:
-                return n.id
-        nid = len(nodes)
-        nodes.append(GraphNode(nid, np.asarray(pt, dtype=float), locus))
-        return nid
+    def new_node(pt, locus) -> int:
+        nodes.append(GraphNode(len(nodes), np.array(pt, dtype=float), locus))
+        return nodes[-1].id
+
+    def end_node(k: int) -> tuple[int, np.ndarray | None]:
+        """Node of the chain end at crossing k, and the vertex it reaches."""
+        s = ci[k]
+        if side_of[s] < 0:
+            unresolved.append(X[k].copy())
+            return new_node(X[k], "interior"), None
+        vid = int(vertex_of[ends[s]].max())
+        if vid >= 0 and check_vertex_arcs and ends_at_vertex(vid):
+            if vid not in vertex_nodes:
+                vertex_nodes[vid] = new_node(P.vertices[vid], ("vertex", vid))
+            return vertex_nodes[vid], P.vertices[vid]
+        return new_node(X[k], ("side", int(side_of[s]))), None
 
     edges = []
-    for pl in polylines:
-        ends = []
-        for endpt, other in ((pl[0], pl[-1]), (pl[-1], pl[0])):
-            locus = "interior"
-            target = endpt
-            # vertex snap first (vertices are also near sides)
-            best_v, best_vd = None, np.inf
-            for vid in range(P.n):
-                d = np.linalg.norm(endpt - P.vertices[vid])
-                if d < best_vd:
-                    best_v, best_vd = vid, d
-            r_v = max(snap_r, 1.5 * DEFAULTS.annulus_inner * _bessel.annulus_reference(P, best_v))
-            if best_vd < r_v and vertex_arc.get(best_v):
-                locus = ("vertex", best_v)
-                target = P.vertices[best_v]
-            else:
-                best_s, best_sd, best_side = None, np.inf, None
-                for rp, i in side_root_pts:
-                    d = np.linalg.norm(endpt - rp)
-                    if d < best_sd:
-                        best_s, best_sd, best_side = rp, d, i
-                if best_s is not None and best_sd < snap_r:
-                    locus = ("side", best_side)
-                    target = best_s
-                elif P.boundary_distance(endpt[None, :])[0] < snap_r:
-                    # close to the boundary but no root: unresolved termination
-                    unresolved.append(endpt)
-            ends.append((target, locus))
-        a_id = add_node(ends[0][0], ends[0][1])
-        pl_full = np.vstack([[ends[0][0]], pl, [ends[1][0]]])
-        # closed loop: same endpoint
-        b_id = add_node(ends[1][0], ends[1][1])
-        edges.append((a_id, b_id, pl_full))
-
-    for a, b, _ in edges:
-        nodes[a].degree += 1
-        if b != a:
-            nodes[b].degree += 1
+    for chain in _chains(nbr):
+        pl = X[chain]
+        if chain[0] == chain[-1]:
+            a = b = new_node(pl[0], "interior")
         else:
-            nodes[a].degree += 1
+            a, va = end_node(chain[0])
+            b, vb = end_node(chain[-1])
+            pl = np.vstack([p for p in (va, pl, vb) if p is not None])
+        edges.append((a, b, pl))
+        nodes[a].degree += 1
+        nodes[b].degree += 1
 
     return NodalGraph(nodes=nodes, edges=edges, zero_sides=zero_sides,
                       unresolved=unresolved, field_tag=field.tag)

@@ -57,7 +57,7 @@ class TestCommands:
     def test_nodal_svg(self, square_spec, tmp_path):
         out = str(tmp_path / "out")
         assert main(["nodal", "--spec", square_spec, "--h", "0.1", "--svg",
-                     "--resolution", "128", "--out", out]) == 0
+                     "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "nodal.svg"))
         svg = open(os.path.join(out, "nodal.svg")).read()
         assert svg.startswith("<svg") and "polyline" in svg or "polygon" in svg

@@ -159,6 +159,18 @@ class TestEval:
         rec = square_sol.eval_grad_recovered(pts)
         assert np.abs(raw - rec).max() < 5e-2
 
+    def test_recovery_exact_on_quadratics(self):
+        # the P2 interpolant of a quadratic has an affine gradient, which lies
+        # in the P2 space, so its L2 projection must return it at every dof
+        T = triangle_from_angles(math.radians(30), math.radians(35))
+        space = P2Space(triangulate(T, T.diameter / 12))
+        x, y = space.dof_points().T
+        coef = 1 + 2 * x - y + 0.5 * x * x + 0.3 * x * y - 0.7 * y * y
+        gx, gy = space.project_gradient(coef)
+        ex, ey = 2 + x + 0.3 * y, -1 + 0.3 * x - 1.4 * y
+        err = max(np.abs(gx - ex).max(), np.abs(gy - ey).max())
+        assert err <= 1e-10 * max(np.abs(ex).max(), np.abs(ey).max())
+
     def test_outside_point_raises(self, square_sol):
         with pytest.raises(OutsideDomainError):
             square_sol.eval(np.array([[2.0, 2.0]]))
@@ -193,3 +205,22 @@ class TestAnalyticSolution:
         g = sol.eval_grad(np.array([[0.25, 0.5]]))[0]
         assert abs(g[0] + math.pi * math.sin(math.pi / 4)) < 1e-15
         assert sol.scale <= 1.0 + 1e-12
+
+    def test_interpolant_built_once(self, monkeypatch):
+        from hotspots.critical import find_critical_points
+        from hotspots.nodal import ScalarField, trace
+        calls = []
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return triangulate(*args, **kw)
+
+        monkeypatch.setattr(eigensolver, "triangulate", counting)
+        sol = AnalyticSolution(unit_square(), PI2, lambda p: np.cos(math.pi * p[:, 0]),
+                               lambda p: np.column_stack([-math.pi * np.sin(math.pi * p[:, 0]),
+                                                          np.zeros(len(p))]),
+                               h_nominal=0.1)
+        find_critical_points(sol)
+        find_critical_points(sol)
+        trace(ScalarField.u(sol))
+        assert len(calls) == 1

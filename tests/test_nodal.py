@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from hotspots.geometry import Polygon, unit_square, isosceles_triangle, triangle_from_angles
-from hotspots.eigensolver import AnalyticSolution
+from hotspots.corpus import random_simple_polygon
+from hotspots.eigensolver import AnalyticSolution, solve_second
+from hotspots.mesh import triangulate
 from hotspots.bessel import bessel_j
 from hotspots.nodal import (ScalarField, trace, arc_ends_at_vertex, degree_one_vertices,
                             wedge_probe, analytic_arc_verdict, NodalGraph)
@@ -105,6 +107,51 @@ class TestTraceFEM:
         assert any(n.locus == ("vertex", 2) for n in deg1)       # apex, off the base
         pts = g.polyline_points()
         assert np.abs(pts[:, 0] - 0.5).max() < 0.02              # the axis
+
+
+class TestTraceOracles:
+    """Exactness of the mesh-native tracer on the obtuse 30/35 deg solution."""
+
+    @pytest.fixture(scope="class")
+    def sol(self, solve_cached):
+        T = triangle_from_angles(math.radians(30), math.radians(35))
+        return solve_cached(T, 0.035)
+
+    def test_traced_points_are_zeros_of_u_h(self, sol):
+        pts = trace(ScalarField.u(sol)).polyline_points()
+        assert len(pts) > 0
+        assert np.abs(sol.eval(pts, strict=False)).max() <= 1e-10 * np.abs(sol.coef).max()
+
+    def test_side_ends_lie_on_their_side(self, sol):
+        P = sol.polygon
+        for fld in (ScalarField.u(sol), ScalarField.rotational(sol, (0.3, 0.1)),
+                    ScalarField.directional(sol, 0.4)):
+            for n in trace(fld).degree_one_nodes():
+                if isinstance(n.locus, tuple) and n.locus[0] == "side":
+                    assert P.distance_to_side(n.point, n.locus[1]) <= 1e-12 * P.diameter
+
+    def test_trace_is_deterministic(self, sol):
+        for make in (ScalarField.u, lambda s: ScalarField.rotational(s, s.polygon.centroid)):
+            g1, g2 = trace(make(sol)), trace(make(sol))
+            assert [(n.locus, n.degree) for n in g1.nodes] == \
+                [(n.locus, n.degree) for n in g2.nodes]
+            assert np.array_equal(np.array([n.point for n in g1.nodes]),
+                                  np.array([n.point for n in g2.nodes]))
+            assert [(a, b) for a, b, _ in g1.edges] == [(a, b) for a, b, _ in g2.edges]
+            assert all(np.array_equal(p1, p2) for (_, _, p1), (_, _, p2)
+                       in zip(g1.edges, g2.edges))
+
+    def test_corpus_end_near_a_small_vertex_value(self):
+        # the tenth polygon drawn with seed 1 the way the corpus draws them:
+        # u_h is small but nonzero at vertex 1, so Z(u) ends on side 1, not there
+        rng = np.random.default_rng(1)
+        for _ in range(10):
+            n = int(rng.integers(5, 8))
+            P = random_simple_polygon(rng, n)
+        sol = solve_second(triangulate(P, P.diameter / 26))
+        rep = trace(ScalarField.u(sol)).simple_arc_report()
+        assert rep["is_simple_arc"], rep
+        assert rep["endpoint_sides"] == [1, 3]
 
 
 class TestArcAtVertex:
