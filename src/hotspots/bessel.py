@@ -6,10 +6,9 @@ the expansion
     u(r e^{i theta}) = sum_n c_n J_{n nu}(sqrt(mu) r) cos(n nu theta),
     nu = pi / beta,
 
-in the local frame of the vertex.  This module evaluates J_nu by the
-ascending power series (leading term through log-Gamma, successive terms by
-the exact term recurrence) and extracts c_0..c_K from point samples of a
-computed eigenfunction by least squares over a polar annulus.
+in the local frame of the vertex.  This module evaluates J_nu through
+``scipy.special.jv`` and extracts c_0..c_K from point samples of a computed
+eigenfunction by least squares over a polar annulus.
 
 The factorization J_nu(sqrt(mu) r) = r^nu * g_nu(r^2) is exposed through
 ``g_amplitude``; g_nu(0) and g_0'(0) feed the right-angle index test.
@@ -18,14 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, getcontext
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import jv
 
 from .config import DEFAULTS
 
-_SERIES_X_MAX = 12.0   # beyond this the float64 series loses digits to cancellation
 _KMAX = 48
 
 
@@ -37,56 +34,15 @@ class UndefinedLeadingCoefficient(ValueError):
     """beta = pi/2: neither c0 nor c1 is the leading coefficient."""
 
 
-def _series_float(nu: float, x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    zero = x == 0
-    if nu == 0:
-        out[zero] = 1.0
-    pos = ~zero
-    if np.any(pos):
-        xp = x[pos]
-        q = 0.25 * xp * xp
-        t = np.exp(nu * np.log(0.5 * xp) - gammaln(nu + 1.0))
-        s = t.copy()
-        for k in range(_KMAX):
-            t = -t * q / ((k + 1.0) * (k + nu + 1.0))
-            s += t
-        out[pos] = s
-    return out
-
-
-def _series_decimal(nu: float, x: float) -> float:
-    # term recurrence in 50-digit arithmetic; the float leading term only
-    # contributes a global relative factor of machine size
-    getcontext().prec = 50
-    xd = Decimal(x)
-    q = xd * xd / 4
-    nud = Decimal(nu)
-    t = Decimal(math.exp(nu * math.log(0.5 * x) - math.lgamma(nu + 1.0)))
-    s = t
-    k = 0
-    while True:
-        t = -t * q / ((k + 1) * (k + 1 + nud))
-        s += t
-        k += 1
-        if abs(t) < Decimal("1e-45") * (abs(s) + Decimal(1e-300)) or k > 400:
-            break
-    return float(s)
-
-
 def bessel_j(nu: float, x) -> np.ndarray | float:
-    """J_nu(x) for real nu >= 0 and x >= 0 by the ascending series."""
+    """J_nu(x) for real nu >= 0 and x >= 0 (``scipy.special.jv``)."""
     if nu < 0:
         raise ValueError("order must be nonnegative")
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    xa = np.asarray(x, dtype=float)
     if np.any(xa < 0):
         raise ValueError("argument must be nonnegative")
-    out = np.empty_like(xa)
-    small = xa <= _SERIES_X_MAX
-    out[small] = _series_float(nu, xa[small])
-    for i in np.nonzero(~small)[0]:
-        out[i] = _series_decimal(nu, float(xa[i]))
-    return out if np.asarray(x).ndim else float(out[0])
+    out = jv(nu, xa)
+    return out if xa.ndim else float(out)
 
 
 def g_amplitude(nu: float, mu: float, s) -> np.ndarray | float:

@@ -3,9 +3,10 @@
 ``track`` solves the eigenproblem along a DeformationPath on an adaptively
 refined t-grid, matches critical points between consecutive samples, and
 halves the step whenever the matching breaks (total-index change inside a
-tracking disk), a point moves too fast, or the eigenvalue gap collapses.
-At the step floor a violation is recorded as an event, never silently
-accepted.
+tracking disk), a point moves too fast, the eigenvalue gap collapses, or
+the sample fails to mesh or solve.  At the step floor a violation is
+recorded as an event, never silently accepted; a failed sample is stepped
+past without being appended.
 
 On top of the tracker:
   * ``lip1_no_hotspots`` verifies that a Lip-1 polygon without orthogonal
@@ -27,8 +28,8 @@ from .config import DEFAULTS
 from .geometry import (Polygon, DeformationPath, GeometryError,
                        lip1_classify, lip1_reduction_path, orthogonal_side_pairs,
                        breaking_family)
-from .mesh import triangulate
-from .eigensolver import solve_second, EigenSolution
+from .mesh import triangulate, MeshingError
+from .eigensolver import solve_second, EigenSolution, SolverError
 from .critical import (find_critical_points, estimate_hessian, CriticalSet,
                        cusp_diagnostic, _side_tangential_roots, _grad_scale)
 from .nodal import analytic_arc_verdict
@@ -198,35 +199,40 @@ def track(path: DeformationPath, steps: int | None = None, *,
     dt = dt0
     while t < 1.0 - 1e-12:
         t_next = min(t + dt, 1.0)
-        cand = _solve_sample(path, t_next, h, samples[-1], threshold, mesh_seed)
-        prev = samples[-1]
-        unmatched, max_move = _match_points(prev, cand, DEFAULTS.match_radius_factor)
-        unresolved = len(cand.critical.unresolved_points())
         trouble = []
-        if unmatched:
-            trouble.append("index-sum change: " + "; ".join(unmatched))
-        if max_move > DEFAULTS.probe_radius_factor:
-            trouble.append(f"critical point moved {max_move:.1f} h")
-        if cand.gap < DEFAULTS.gap_floor:
-            trouble.append(f"eigenvalue gap {cand.gap:.2e} below floor")
-        if unresolved:
-            trouble.append(f"{unresolved} unresolved critical points")
+        try:
+            cand = _solve_sample(path, t_next, h, samples[-1], threshold, mesh_seed)
+        except (MeshingError, SolverError) as e:
+            cand = None
+            trouble.append(f"sample failed: {type(e).__name__}: {e}")
+        else:
+            unmatched, max_move = _match_points(samples[-1], cand,
+                                                DEFAULTS.match_radius_factor)
+            unresolved = len(cand.critical.unresolved_points())
+            if unmatched:
+                trouble.append("index-sum change: " + "; ".join(unmatched))
+            if max_move > DEFAULTS.probe_radius_factor:
+                trouble.append(f"critical point moved {max_move:.1f} h")
+            if cand.gap < DEFAULTS.gap_floor:
+                trouble.append(f"eigenvalue gap {cand.gap:.2e} below floor")
+            if unresolved:
+                trouble.append(f"{unresolved} unresolved critical points")
         if trouble and (t_next - t) > dt_floor * (1 + 1e-9):
             dt = 0.5 * (t_next - t)
             continue
-        if trouble:
-            for msg in trouble:
-                kind = msg.split(":")[0] if ":" in msg else msg
-                events.append(PathEvent(t, t_next, kind, msg))
-        for cp in cand.critical.nonzero_index_points():
-            if cp.kind == "vertex":
-                continue
-            vd = float(np.linalg.norm(cp.location - cand.polygon.vertices, axis=1).min())
-            if vd < 2.5 * float(cand.sol.h_at(cp.location[None, :])[0]):
-                events.append(PathEvent(t_next, t_next, "vertex-approach",
-                                        f"{cp.locus} index {cp.index} within "
-                                        f"{vd:.3g} of a vertex"))
-        samples.append(cand)
+        for msg in trouble:
+            kind = msg.split(":")[0] if ":" in msg else msg
+            events.append(PathEvent(t, t_next, kind, msg))
+        if cand is not None:
+            for cp in cand.critical.nonzero_index_points():
+                if cp.kind == "vertex":
+                    continue
+                vd = float(np.linalg.norm(cp.location - cand.polygon.vertices, axis=1).min())
+                if vd < 2.5 * float(cand.sol.h_at(cp.location[None, :])[0]):
+                    events.append(PathEvent(t_next, t_next, "vertex-approach",
+                                            f"{cp.locus} index {cp.index} within "
+                                            f"{vd:.3g} of a vertex"))
+            samples.append(cand)
         t = t_next
         dt = min(dt0, 2 * dt)
     return PathRun(path=path, samples=samples, events=events,

@@ -281,35 +281,26 @@ def classify_vertex(sol, vid: int, *, expansion=None,
 # hessian estimate (nondegeneracy checks)
 # ---------------------------------------------------------------------------
 
-def estimate_hessian(sol, p, delta: float | None = None, side: int | None = None) -> np.ndarray:
-    """Finite-difference Hessian from the element gradient.
+def estimate_hessian(sol, p, side: int | None = None) -> np.ndarray:
+    """Hessian of u_h at p: the constant Hessian of the P2 element holding p.
 
-    For a point on side ``side`` the estimate is one-sided in the inward
-    normal; the Neumann condition kills the mixed tangential-normal entry, so
-    the Hessian is diagonal in the side frame (returned in world coordinates).
+    On an element the reference gradient is r0 + A xi, so the Hessian is
+    Jinv^T A Jinv (symmetrised).  For a point on side ``side`` the Neumann
+    condition kills the mixed tangential-normal entry, so only the
+    tangential and normal entries are kept (returned in world coordinates).
     """
-    p = np.asarray(p, dtype=float)
-    if delta is None:
-        delta = 0.5 * float(sol.h_at(p[None, :])[0])
+    fem = p2_field(sol)
+    space = fem.space
+    (e,), _ = space.locate(np.asarray(p, dtype=float)[None, :])
+    _, A = space.affine_gradients(fem.coef)
+    Jinv = space.Jinv[e]
+    H = Jinv.T @ A[e] @ Jinv
+    H = 0.5 * (H + H.T)
     if side is None:
-        H = np.zeros((2, 2))
-        for a, e in enumerate((np.array([delta, 0.0]), np.array([0.0, delta]))):
-            gp = sol.eval_grad(p[None, :] + e, strict=False)[0]
-            gm = sol.eval_grad(p[None, :] - e, strict=False)[0]
-            H[:, a] = (gp - gm) / (2 * delta)
-        return 0.5 * (H + H.T)
+        return H
     P = sol.polygon
-    t = P.side_tangents[side]
-    n_in = -P.side_normals[side]
-    gp = sol.eval_grad(p[None, :] + delta * t[None, :], strict=False)[0]
-    gm = sol.eval_grad(p[None, :] - delta * t[None, :], strict=False)[0]
-    h_tt = float((gp - gm) @ t) / (2 * delta)
-    g0 = sol.eval_grad(p[None, :], strict=False)[0]
-    g1 = sol.eval_grad(p[None, :] + delta * n_in[None, :], strict=False)[0]
-    g2 = sol.eval_grad(p[None, :] + 2 * delta * n_in[None, :], strict=False)[0]
-    h_nn = float((-3 * (g0 @ n_in) + 4 * (g1 @ n_in) - (g2 @ n_in))) / (2 * delta)
-    R = np.column_stack([t, n_in])
-    return R @ np.diag([h_tt, h_nn]) @ R.T
+    R = np.column_stack([P.side_tangents[side], -P.side_normals[side]])
+    return R @ np.diag(np.diag(R.T @ H @ R)) @ R.T
 
 
 # ---------------------------------------------------------------------------

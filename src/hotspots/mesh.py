@@ -123,14 +123,7 @@ class Mesh:
         return float(self.triangle_min_angles().min())
 
     def triangle_min_angles(self) -> np.ndarray:
-        p = self.nodes[self.triangles]
-        out = np.full(len(p), np.inf)
-        for k in range(3):
-            a = p[:, (k + 1) % 3] - p[:, k]
-            b = p[:, (k + 2) % 3] - p[:, k]
-            cosang = np.sum(a * b, axis=1) / (np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
-            out = np.minimum(out, np.degrees(np.arccos(np.clip(cosang, -1, 1))))
-        return out
+        return _min_angles(self.nodes, self.triangles)
 
     def edges(self) -> np.ndarray:
         return _unique_edges(self.triangles, self.n_nodes)
@@ -539,45 +532,40 @@ def structured_triangle_mesh(T: Polygon, k: int) -> Mesh:
 
 
 def refine(mesh: Mesh) -> Mesh:
-    """Regular 4-way refinement; exact on straight sides, quality preserved."""
+    """Regular 4-way refinement; exact on straight sides, quality preserved.
+
+    Edge midpoints are numbered in the order the triangles first reach them:
+    edges (a,b), (b,c), (c,a) of each triangle in turn.
+    """
     nodes = mesh.nodes
     t = mesh.triangles
-    edge_mid: dict[tuple[int, int], int] = {}
-    new_nodes = [nodes]
-    next_id = len(nodes)
+    n, m = len(nodes), len(t)
+    keys = _edge_keys(t, n).reshape(3, m).T.ravel()      # triangle-major
+    uniq, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)                            # first encounter
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    mids = (n + rank[inv]).reshape(m, 3)
+    a, b = np.divmod(uniq[order], n)
+    all_nodes = np.vstack([nodes, 0.5 * (nodes[a] + nodes[b])])
 
-    def mid(a: int, b: int) -> int:
-        nonlocal next_id
-        key = (a, b) if a < b else (b, a)
-        if key not in edge_mid:
-            edge_mid[key] = next_id
-            new_nodes.append(0.5 * (nodes[a] + nodes[b])[None, :])
-            next_id += 1
-        return edge_mid[key]
+    # columns a, b, c, mab, mbc, mca -> (a,mab,mca), (b,mbc,mab), (c,mca,mbc), (mab,mbc,mca)
+    corners = np.column_stack([t, mids])
+    new_tris = corners[:, [0, 3, 5, 1, 4, 3, 2, 5, 4, 3, 4, 5]].reshape(-1, 3)
 
-    new_tris = np.empty((4 * len(t), 3), dtype=int)
-    for k, (a, b, c) in enumerate(t):
-        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
-        new_tris[4 * k + 0] = (a, mab, mca)
-        new_tris[4 * k + 1] = (b, mbc, mab)
-        new_tris[4 * k + 2] = (c, mca, mbc)
-        new_tris[4 * k + 3] = (mab, mbc, mca)
-
-    all_nodes = np.vstack(new_nodes)
-    new_bedges = []
-    for a, b, sid in mesh.boundary_edges:
-        m = mid(int(a), int(b))
+    be = mesh.boundary_edges
+    bkeys = np.minimum(be[:, 0], be[:, 1]) * n + np.maximum(be[:, 0], be[:, 1])
+    bmid = n + rank[np.searchsorted(uniq, bkeys)]
+    for m_id, sid in zip(bmid, be[:, 2]):
         # snap the midpoint exactly onto the polygon side
         va = mesh.polygon.vertices[sid]
         sv = mesh.polygon.side_vectors[sid]
-        s = np.dot(all_nodes[m] - va, sv) / np.dot(sv, sv)
-        all_nodes[m] = va + s * sv
-        new_bedges.append((int(a), m, int(sid)))
-        new_bedges.append((m, int(b), int(sid)))
+        s = np.dot(all_nodes[m_id] - va, sv) / np.dot(sv, sv)
+        all_nodes[m_id] = va + s * sv
+    new_bedges = np.column_stack([be[:, 0], bmid, be[:, 2],
+                                  bmid, be[:, 1], be[:, 2]]).reshape(-1, 3)
 
-    out = Mesh(nodes=all_nodes, triangles=new_tris,
-               boundary_edges=np.asarray(new_bedges, dtype=int),
-               vertex_map=mesh.vertex_map.copy(), polygon=mesh.polygon,
-               h=mesh.h, grade=mesh.grade, size_fn=mesh.size_fn,
-               level=mesh.level + 1)
-    return out
+    return Mesh(nodes=all_nodes, triangles=new_tris, boundary_edges=new_bedges,
+                vertex_map=mesh.vertex_map.copy(), polygon=mesh.polygon,
+                h=mesh.h, grade=mesh.grade, size_fn=mesh.size_fn,
+                level=mesh.level + 1)

@@ -31,7 +31,7 @@ class TestBesselJ:
 
     @pytest.mark.parametrize("x", [15.0, 22.0, 29.5])
     def test_half_order_large_argument(self, x):
-        # above the float-series cutoff the extended-precision path takes over
+        # far beyond the fit arguments, where J_nu oscillates
         exact = half_order_closed_form(x)
         assert abs(bessel_j(0.5, x) - exact) <= 1e-12 * abs(exact)
 

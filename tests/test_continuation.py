@@ -67,6 +67,28 @@ class TestTrack:
         assert all(a * b > 0 for a, b in zip(vals[:-1], vals[1:]))
 
 
+class TestTrackFailedSample:
+    def test_failed_samples_become_events(self, monkeypatch):
+        import hotspots.continuation as cont
+        from hotspots.eigensolver import SolverError
+
+        solve = cont._solve_sample
+
+        def flaky(path, t, *args, **kw):
+            if 0.25 <= t <= 0.75:
+                raise SolverError(f"injected failure at t={t}")
+            return solve(path, t, *args, **kw)
+
+        monkeypatch.setattr(cont, "_solve_sample", flaky)
+        T = triangle_from_angles(math.radians(30), math.radians(35))
+        run = track(DeformationPath.constant(T), steps=4, max_halvings=1,
+                    h=lambda P: P.diameter / 12)
+        failed = run.events_of("sample failed")
+        assert failed and all("SolverError" in e.detail for e in failed)
+        assert all(not 0.25 <= s.t <= 0.75 for s in run.samples)
+        assert run.samples[-1].t == 1.0
+
+
 class TestTrackRecord:
     def test_samples_record_mesh_h(self):
         T0 = triangle_from_angles(math.radians(30), math.radians(35))

@@ -286,3 +286,13 @@ class TestHessian:
         sol = AnalyticSolution(P, 1.0, f, gf, h_nominal=0.02)
         H = estimate_hessian(sol, np.array([0.5, 0.0]), side=0)
         assert np.allclose(H, np.diag([4.0, -6.0]), atol=1e-6)
+
+    def test_interior_mixed_term(self):
+        # the P2 interpolant of a quadratic is exact, so is its element Hessian
+        P = unit_square()
+        f = lambda p: 2 * p[:, 0] ** 2 + 1.5 * p[:, 0] * p[:, 1] - 3 * p[:, 1] ** 2
+        gf = lambda p: np.column_stack([4 * p[:, 0] + 1.5 * p[:, 1],
+                                        1.5 * p[:, 0] - 6 * p[:, 1]])
+        sol = AnalyticSolution(P, 1.0, f, gf, h_nominal=0.02)
+        H = estimate_hessian(sol, np.array([0.37, 0.61]))
+        assert np.allclose(H, [[4.0, 1.5], [1.5, -6.0]], rtol=0, atol=1e-10)

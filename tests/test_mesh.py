@@ -92,6 +92,36 @@ class TestRefine:
         pts = np.array([[0.5, 0.5]])
         assert abs(m2.h_at(pts)[0] - square_mesh.h_at(pts)[0] / 2) < 1e-12
 
+    def test_matches_first_encounter_loop(self, square_mesh):
+        # reference: midpoints numbered as the triangles first reach them
+        nodes = square_mesh.nodes
+        mid_of: dict[tuple[int, int], int] = {}
+        new_nodes = [p for p in nodes]
+
+        def mid(a, b):
+            key = (min(a, b), max(a, b))
+            if key not in mid_of:
+                mid_of[key] = len(new_nodes)
+                new_nodes.append(0.5 * (nodes[a] + nodes[b]))
+            return mid_of[key]
+
+        tris = []
+        for a, b, c in square_mesh.triangles.tolist():
+            mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
+            tris += [(a, mab, mca), (b, mbc, mab), (c, mca, mbc), (mab, mbc, mca)]
+        bedges = []
+        P = square_mesh.polygon
+        for a, b, sid in square_mesh.boundary_edges.tolist():
+            m = mid(a, b)
+            va, sv = P.vertices[sid], P.side_vectors[sid]
+            new_nodes[m] = va + np.dot(new_nodes[m] - va, sv) / np.dot(sv, sv) * sv
+            bedges += [(a, m, sid), (m, b, sid)]
+
+        m2 = refine(square_mesh)
+        assert np.array_equal(m2.nodes, np.array(new_nodes))
+        assert np.array_equal(m2.triangles, np.array(tris))
+        assert np.array_equal(m2.boundary_edges, np.array(bedges))
+
 
 class TestStructured:
     def test_symmetric_lattice(self):
