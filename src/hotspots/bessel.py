@@ -92,14 +92,6 @@ class BesselExpansion:
             return None
         return 0 if self.beta < math.pi / 2 else 1
 
-    @property
-    def leading_coefficient(self) -> float:
-        idx = self.leading_index
-        if idx is None:
-            raise UndefinedLeadingCoefficient(
-                f"vertex {self.vertex}: beta = pi/2 has no leading coefficient")
-        return float(self.coeffs[idx])
-
     def magnitude(self, n: int) -> float:
         """Contribution of mode n relative to the annulus scale of u."""
         return float(self.contributions[n] / max(self.scale, 1e-300))

@@ -8,6 +8,16 @@ the sample fails to mesh or solve.  At the step floor a violation is
 recorded as an event, never silently accepted; a failed sample is stepped
 past without being appended.
 
+Each sample after the first is meshed with ``triangulate(...,
+warm_start=...)`` from the mesh of the last accepted sample: its nodes are
+carried onto the new polygon (boundary nodes keep their fraction along their
+side, interior nodes follow the harmonic extension of that move) and its
+triangles are kept.  ``triangulate`` meshes afresh when the vertex count or
+the grading changes, a triangle turns over, or the minimum angle falls below
+its quality bound.  Every sample records the route in ``to_dict()["mesh"]``
+("warm" or "fresh"); a rejected step is retried from the same accepted mesh,
+so a run stays deterministic.
+
 On top of the tracker:
   * ``lip1_no_hotspots`` verifies that a Lip-1 polygon without orthogonal
     sides has exactly the two acute vertices as critical points, by reducing
@@ -61,7 +71,8 @@ class PathSample:
     sol: EigenSolution = dc_field(repr=False, default=None)
 
     def to_dict(self) -> dict:
-        return {"t": self.t, "h": self.sol.mesh.h, "mu": self.mu, "gap": self.gap,
+        return {"t": self.t, "h": self.sol.mesh.h, "mesh": self.sol.mesh.origin,
+                "mu": self.mu, "gap": self.gap,
                 "S": self.S, "V": self.V,
                 "leading_ratios": {str(k): v for k, v in self.leading_ratios.items()},
                 "arc_vertices": list(self.arc_vertices),
@@ -123,7 +134,8 @@ def _solve_sample(path: DeformationPath, t: float, h, prev: PathSample | None,
                   threshold: float, mesh_seed: int = 0) -> PathSample:
     P = path.polygon_at(t)
     h_val = h(P) if callable(h) else h
-    mesh = triangulate(P, h_val, seed=mesh_seed)
+    mesh = triangulate(P, h_val, seed=mesh_seed,
+                       warm_start=None if prev is None else prev.sol.mesh)
     sol = solve_second(mesh)
     if prev is not None:
         if sol.neighbor_coef is not None and sol.gap < DEFAULTS.gap_floor:

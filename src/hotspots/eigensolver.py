@@ -18,7 +18,7 @@ from scipy.spatial import cKDTree
 
 from .config import DEFAULTS
 from .geometry import Polygon
-from .mesh import Mesh, _unique_edges, triangulate
+from .mesh import Mesh, _unique_edges, refine, triangulate
 
 
 class SolverError(RuntimeError):
@@ -355,8 +355,12 @@ class AnalyticSolution:
     @cached_property
     def interpolant(self) -> EigenSolution:
         """P2 interpolant on a mesh at ``h_nominal`` (coefficients = u at the
-        dof points), built once."""
-        space = P2Space(triangulate(self.polygon, self.h_nominal))
+        dof points), built once.  The mesh is ``triangulate`` at 8 h_nominal
+        refined three times: uniform, as ``h_at`` is."""
+        mesh = triangulate(self.polygon, 8 * self.h_nominal)
+        for _ in range(3):
+            mesh = refine(mesh)
+        space = P2Space(mesh)
         return EigenSolution(space, self.mu, self.eval(space.dof_points()), self.gap,
                              self.residual)
 

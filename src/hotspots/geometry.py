@@ -183,10 +183,6 @@ class Polygon:
                 if _segments_properly_intersect(p1, p2, q1, q2):
                     raise GeometryError(f"self-intersecting chain: sides {i} and {j} cross")
 
-    @property
-    def is_convex(self) -> bool:
-        return bool(np.all(self.angles <= math.pi + DEFAULTS.angle_tol))
-
     def contains(self, points, *, include_boundary: bool = True, boundary_tol: float | None = None):
         """Vectorized point-in-polygon (crossing number)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -19,6 +19,19 @@ vertex order of its triangle, which a fresh call may rotate; only a centroid
 within one rounding of the carve threshold could tell.)  The repair loop
 and the final mesh always use a fresh triangulation, whose triangle order
 they depend on.
+
+Along a deformation path the polygons of neighbouring samples barely differ,
+so ``triangulate(P, h, warm_start=mesh)`` carries a mesh of a nearby polygon
+over to P instead of meshing afresh.  The warm mesh keeps its triangles,
+boundary edges and vertex map; only its nodes move.  Polygon vertices go to
+the new vertices, each boundary node keeps its fraction along its side, and
+interior nodes follow the harmonic extension of that boundary move (one
+sparse solve with the mesh's graph Laplacian over the interior nodes).  The
+result is the warm mesh's node density on P.  ``triangulate`` meshes afresh,
+exactly as without a warm start, when the vertex count or the grading
+differs, when the warm mesh is refined, when a triangle turns over, or when
+the minimum angle falls below the bound a fresh mesh must meet.
+``Mesh.origin`` records which route built the mesh.
 """
 from __future__ import annotations
 
@@ -26,6 +39,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 from scipy.spatial import Delaunay
 
 from .config import DEFAULTS
@@ -106,6 +121,7 @@ class Mesh:
     grade: np.ndarray
     size_fn: _SizeFunction = field(repr=False)
     level: int = 0                    # refinement level
+    origin: str = "fresh"             # "fresh" (meshed) or "warm" (transported)
 
     @property
     def n_nodes(self) -> int:
@@ -135,9 +151,6 @@ class Mesh:
     def h_at(self, points) -> np.ndarray:
         """Local target size at the given points (scaled by refinement level)."""
         return self.size_fn(points) / (2 ** self.level)
-
-    def boundary_nodes(self) -> np.ndarray:
-        return np.unique(self.boundary_edges[:, :2].ravel())
 
     def to_dict(self) -> dict:
         return {
@@ -282,8 +295,15 @@ def _carve(P: Polygon, pts: np.ndarray, geps: float, t: np.ndarray | None = None
 
 def triangulate(P: Polygon, h: float, grade=None, *,
                 min_angle: float | None = None, seed: int | None = None,
-                relax_iters: int | None = None) -> Mesh:
-    """Graded conforming triangulation with a minimum-angle quality bound."""
+                relax_iters: int | None = None, warm_start: Mesh | None = None) -> Mesh:
+    """Graded conforming triangulation with a minimum-angle quality bound.
+
+    With ``warm_start``, the nodes of that mesh (of a nearby polygon, meshed
+    at a comparable h) are carried onto P and its connectivity is kept; the
+    module docstring gives the transport and the cases that mesh afresh
+    instead.  ``h``, ``grade`` and the size function are set as without a
+    warm start, and the quality bound is the same.
+    """
     if h <= 0:
         raise MeshingError("h must be positive")
     if grade is None:
@@ -303,6 +323,10 @@ def triangulate(P: Polygon, h: float, grade=None, *,
 
     h = min(h, 0.9 * float(P.side_lengths.min()))
     size = _SizeFunction(P, h, grade)
+    if warm_start is not None:
+        mesh = _transported(warm_start, P, h, grade, size, min_angle)
+        if mesh is not None:
+            return mesh
     rng = np.random.default_rng(seed)
 
     stations = _boundary_stations(P, size)
@@ -426,6 +450,42 @@ def triangulate(P: Polygon, h: float, grade=None, *,
     return mesh
 
 
+def _transported(warm: Mesh, P: Polygon, h: float, grade: np.ndarray,
+                 size: _SizeFunction, min_angle: float) -> Mesh | None:
+    """``warm`` with its nodes carried onto P, or None when the transport does
+    not apply or breaks the quality bound."""
+    if warm.polygon.n != P.n or warm.level != 0 or not np.array_equal(warm.grade, grade):
+        return None
+    W, t = warm.polygon, warm.triangles
+    # every boundary node starts exactly one chain edge
+    bnd, sid = warm.boundary_edges[:, 0], warm.boundary_edges[:, 2]
+    sv = W.side_vectors[sid]
+    frac = np.sum((warm.nodes[bnd] - W.vertices[sid]) * sv, axis=1) / np.sum(sv * sv, axis=1)
+    nodes = warm.nodes.copy()
+    nodes[bnd] = P.vertices[sid] + frac[:, None] * P.side_vectors[sid]
+    nodes[warm.vertex_map] = P.vertices
+    inner = np.ones(len(nodes), dtype=bool)
+    inner[bnd] = False
+    if inner.any():
+        n = len(nodes)
+        e = warm.edges()
+        adj = sp.csr_matrix((np.ones(2 * len(e)), (e.T.ravel(), e[:, ::-1].T.ravel())),
+                            shape=(n, n))
+        lap = (sp.diags(np.bincount(e.ravel(), minlength=n).astype(float)) - adj).tocsr()
+        inner_ids = np.nonzero(inner)[0]
+        rhs = -(lap[inner_ids][:, bnd] @ (nodes[bnd] - warm.nodes[bnd]))
+        nodes[inner_ids] += splu(lap[inner_ids][:, inner_ids].tocsc()).solve(rhs)
+    p = nodes[t]
+    if (np.any(_cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]) <= 0)
+            or _min_angles(nodes, t).min() < min_angle):
+        return None
+    mesh = Mesh(nodes=nodes, triangles=t.copy(), boundary_edges=warm.boundary_edges.copy(),
+                vertex_map=warm.vertex_map.copy(), polygon=P, h=h, grade=grade,
+                size_fn=size, origin="warm")
+    _check_conforming(mesh)
+    return mesh
+
+
 def _min_angles(pts, t) -> np.ndarray:
     p = pts[t]
     out = np.full(len(p), np.inf)
@@ -462,19 +522,27 @@ def _boundary_chain(P: Polygon, side_station_idx, remap) -> np.ndarray:
 
 def _check_conforming(mesh: Mesh):
     """Boundary edges of the triangulation must be exactly the polygon chain."""
-    uniq, counts = _unique_edges(mesh.triangles, mesh.n_nodes, return_counts=True)
-    tri_boundary = {tuple(row) for row in uniq[counts == 1]}
-    declared = {tuple(sorted((a, b))) for a, b, _ in mesh.boundary_edges}
-    if tri_boundary != declared:
-        missing = declared - tri_boundary
-        extra = tri_boundary - declared
+    n = mesh.n_nodes
+    keys, counts = np.unique(_edge_keys(mesh.triangles, n), return_counts=True)
+    tri_boundary = keys[counts == 1]
+    be = mesh.boundary_edges
+    declared = np.unique(np.minimum(be[:, 0], be[:, 1]) * n + np.maximum(be[:, 0], be[:, 1]))
+    if not np.array_equal(tri_boundary, declared):
+        missing = np.setdiff1d(declared, tri_boundary)
+        extra = np.setdiff1d(tri_boundary, declared)
         raise MeshingError(f"non-conforming mesh: {len(missing)} chain edges missing, "
                            f"{len(extra)} stray boundary edges")
-    # boundary nodes must sit on their assigned side
-    for a, b, sid in mesh.boundary_edges:
-        for nid in (a, b):
-            if mesh.polygon.distance_to_side(mesh.nodes[nid], int(sid)) > 1e-12 * mesh.polygon.diameter:
-                raise MeshingError(f"boundary node {nid} off side {sid}")
+    # boundary nodes must sit on their assigned side: point-to-segment
+    # distances of both ends of every chain edge, in row order
+    P = mesh.polygon
+    nid, sid = be[:, :2].ravel(), np.repeat(be[:, 2], 2)
+    a, sv = P.vertices[sid], P.side_vectors[sid]
+    d = mesh.nodes[nid] - a
+    s = np.clip(np.sum(d * sv, axis=1) / np.sum(sv * sv, axis=1), 0.0, 1.0)
+    off = np.nonzero(np.linalg.norm(d - s[:, None] * sv, axis=1) > 1e-12 * P.diameter)[0]
+    if len(off):
+        k = off[0]
+        raise MeshingError(f"boundary node {nid[k]} off side {sid[k]}")
 
 
 def structured_triangle_mesh(T: Polygon, k: int) -> Mesh:
@@ -534,6 +602,8 @@ def structured_triangle_mesh(T: Polygon, k: int) -> Mesh:
 def refine(mesh: Mesh) -> Mesh:
     """Regular 4-way refinement; exact on straight sides, quality preserved.
 
+    ``h`` halves with each level, as ``h_at`` does.
+
     Edge midpoints are numbered in the order the triangles first reach them:
     edges (a,b), (b,c), (c,a) of each triangle in turn.
     """
@@ -567,5 +637,5 @@ def refine(mesh: Mesh) -> Mesh:
 
     return Mesh(nodes=all_nodes, triangles=new_tris, boundary_edges=new_bedges,
                 vertex_map=mesh.vertex_map.copy(), polygon=mesh.polygon,
-                h=mesh.h, grade=mesh.grade, size_fn=mesh.size_fn,
-                level=mesh.level + 1)
+                h=mesh.h / 2, grade=mesh.grade, size_fn=mesh.size_fn,
+                level=mesh.level + 1, origin=mesh.origin)

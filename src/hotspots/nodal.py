@@ -130,9 +130,6 @@ class NodalGraph:
     def degree_one_nodes(self) -> list[GraphNode]:
         return [n for n in self.nodes if n.degree == 1]
 
-    def nodes_at_vertex(self, vid: int) -> list[GraphNode]:
-        return [n for n in self.nodes if n.locus == ("vertex", vid)]
-
     def n_components(self) -> int:
         parent = {n.id: n.id for n in self.nodes}
 
@@ -152,12 +149,6 @@ class NodalGraph:
         if not self.edges:
             return np.zeros((0, 2))
         return np.vstack([pl for _, _, pl in self.edges])
-
-    def total_length(self) -> float:
-        tot = 0.0
-        for _, _, pl in self.edges:
-            tot += float(np.sum(np.linalg.norm(np.diff(pl, axis=0), axis=1)))
-        return tot
 
     def simple_arc_report(self) -> dict:
         """Check the single-simple-arc structure expected of Z(u)."""

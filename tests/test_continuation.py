@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hotspots.geometry import (Polygon, DeformationPath, GeometryError, unit_squ
                                isosceles_triangle, equilateral_triangle,
                                triangle_from_angles)
 from hotspots.bessel import bessel_j, fit_sector_coefficients, leading_coefficient_test
+from hotspots.report import to_jsonable
 from hotspots.continuation import (track, lip1_no_hotspots, n_membership,
                                    breaking_experiment)
 
@@ -101,6 +103,27 @@ class TestTrackRecord:
         assert len(rec) == len(run.samples) >= 3
         for s, d in zip(run.samples, rec):
             assert d["h"] == s.sol.mesh.h == s.polygon.diameter / 12
+
+
+class TestTrackWarmStart:
+    @pytest.fixture(scope="class")
+    def path(self):
+        T0 = triangle_from_angles(math.radians(30), math.radians(35))
+        T1 = triangle_from_angles(math.radians(33), math.radians(33))
+        return DeformationPath.from_breakpoints("vertex-lerp", [0, 1],
+                                                [T0.vertices, T1.vertices])
+
+    def test_samples_record_the_mesh_route(self, path):
+        run = track(path, steps=3, h=lambda P: P.diameter / 14)
+        routes = [d["mesh"] for d in run.to_dict()["samples"]]
+        assert routes == [s.sol.mesh.origin for s in run.samples]
+        assert routes[0] == "fresh" and "warm" in routes[1:]
+        assert set(routes) <= {"fresh", "warm"}
+
+    def test_runs_are_deterministic(self, path):
+        runs = [track(path, steps=3, h=lambda P: P.diameter / 14) for _ in range(2)]
+        a, b = (json.dumps(to_jsonable(r.to_dict()), sort_keys=True) for r in runs)
+        assert a == b
 
 
 class TestLip1NoHotspots:

@@ -5,7 +5,8 @@ import pytest
 from scipy.spatial import Delaunay
 
 import hotspots.mesh as mesh_mod
-from hotspots.geometry import Polygon, unit_square, isosceles_triangle
+from hotspots.geometry import (Polygon, unit_square, isosceles_triangle,
+                               triangle_from_angles, breaking_family)
 from hotspots.mesh import (triangulate, refine, structured_triangle_mesh,
                            default_grading, MeshingError, _Topology, _unique_edges)
 from hotspots.corpus import random_simple_polygon
@@ -86,6 +87,12 @@ class TestRefine:
         P = m2.polygon
         for a, b, sid in m2.boundary_edges:
             assert P.distance_to_side(m2.nodes[a], sid) <= 1e-12
+
+    def test_h_halves_per_level(self, square_mesh):
+        m2 = refine(square_mesh)
+        m3 = refine(m2)
+        assert m2.h == square_mesh.h / 2 and m3.h == square_mesh.h / 4
+        assert (m2.level, m3.level) == (1, 2)
 
     def test_h_at_scales(self, square_mesh):
         m2 = refine(square_mesh)
@@ -238,3 +245,80 @@ class TestUniqueEdges:
         assert np.array_equal(got, uniq)
         assert np.array_equal(got_inv, inv.ravel())
         assert np.array_equal(got_counts, counts)
+
+
+def _same_mesh(a, b) -> bool:
+    return (a.nodes.tobytes() == b.nodes.tobytes()
+            and a.triangles.tobytes() == b.triangles.tobytes()
+            and a.boundary_edges.tobytes() == b.boundary_edges.tobytes()
+            and a.vertex_map.tobytes() == b.vertex_map.tobytes()
+            and a.h == b.h and a.origin == b.origin)
+
+
+class TestWarmStart:
+    """``triangulate(P, h, warm_start=m)`` carries m onto a nearby polygon."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        T = isosceles_triangle(math.radians(50))
+        e = 0
+        a, sv = T.vertices[e], T.side_vectors[e]
+        path = breaking_family(T, e, (a + 0.3 * sv, a + 0.7 * sv),
+                               0.01 * float(T.side_lengths[e]))
+        P0, P1 = path.polygon_at(0.2), path.polygon_at(0.3)
+        h = P1.diameter / 21
+        m0 = triangulate(P0, P0.diameter / 20)
+        return P1, h, m0, triangulate(P1, h, warm_start=m0)
+
+    def test_warm_mesh_is_conforming_on_the_new_polygon(self, pair):
+        P, h, m0, m = pair
+        assert m0.origin == "fresh" and m.origin == "warm"
+        mesh_mod._check_conforming(m)
+        assert np.array_equal(m.nodes[m.vertex_map], P.vertices)
+        for a, b, sid in m.boundary_edges:
+            for nid in (a, b):
+                assert P.distance_to_side(m.nodes[nid], sid) <= 1e-12 * P.diameter
+        assert abs(m.triangle_areas().sum() - P.area) < 1e-10 * P.area
+
+    def test_meets_angle_bound_and_keeps_connectivity(self, pair):
+        P, h, m0, m = pair
+        assert np.all(m.triangle_areas() > 0)
+        bound = min(20.0, 0.9 * math.degrees(float(P.angles.min())))
+        assert m.min_angle() >= bound
+        assert np.array_equal(m.triangles, m0.triangles)
+        assert np.array_equal(m.boundary_edges, m0.boundary_edges)
+        assert np.array_equal(m.vertex_map, m0.vertex_map)
+        assert not np.array_equal(m.nodes, m0.nodes)
+
+    def test_h_grade_and_size_are_the_requested_ones(self, pair):
+        P, h, m0, m = pair
+        assert m.h == h != m0.h
+        assert m.level == 0 and m.size_fn.h == h and m.size_fn.P is P
+        assert np.array_equal(m.grade, default_grading(P))
+
+    def test_vertex_count_change_meshes_afresh(self, pair):
+        P, h, m0, m = pair
+        T = isosceles_triangle(math.radians(50))
+        fresh = triangulate(T, T.diameter / 20)
+        assert _same_mesh(triangulate(T, T.diameter / 20, warm_start=m), fresh)
+        assert fresh.origin == "fresh"
+
+    def test_grade_change_or_refined_mesh_meshes_afresh(self, pair):
+        P, h, m0, m = pair
+        grade = np.full(P.n, 0.1)
+        assert _same_mesh(triangulate(P, h, grade, warm_start=m0), triangulate(P, h, grade))
+        assert _same_mesh(triangulate(P, h, warm_start=refine(m0)), triangulate(P, h))
+
+    def test_failed_angle_bound_meshes_afresh(self):
+        far = triangle_from_angles(math.radians(60), math.radians(60))
+        T = triangle_from_angles(math.radians(12), math.radians(28))
+        warm = triangulate(far, far.diameter / 12)
+        # the carried mesh keeps every triangle's orientation but not the bound
+        nodes = warm.nodes.copy()
+        size = mesh_mod._SizeFunction(T, T.diameter / 12, np.zeros(3))
+        carried = mesh_mod._transported(warm, T, T.diameter / 12, np.zeros(3), size, 0.0)
+        assert np.all(carried.triangle_areas() > 0)
+        assert carried.min_angle() < min(20.0, 0.9 * 12.0)
+        assert np.array_equal(warm.nodes, nodes)
+        assert _same_mesh(triangulate(T, T.diameter / 12, warm_start=warm),
+                          triangulate(T, T.diameter / 12))
