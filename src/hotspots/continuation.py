@@ -13,8 +13,9 @@ warm_start=...)`` from the mesh of the last accepted sample: its nodes are
 carried onto the new polygon (boundary nodes keep their fraction along their
 side, interior nodes follow the harmonic extension of that move) and its
 triangles are kept.  ``triangulate`` meshes afresh when the vertex count or
-the grading changes, a triangle turns over, or the minimum angle falls below
-its quality bound.  Every sample records the route in ``to_dict()["mesh"]``
+the grading changes, a side's node count no longer fits h (it must be within
+one of the number of target-size segments along the side), a triangle turns
+over, or the minimum angle falls below its quality bound.  Every sample records the route in ``to_dict()["mesh"]``
 ("warm" or "fresh"); a rejected step is retried from the same accepted mesh,
 so a run stays deterministic.
 

@@ -26,11 +26,15 @@ over to P instead of meshing afresh.  The warm mesh keeps its triangles,
 boundary edges and vertex map; only its nodes move.  Polygon vertices go to
 the new vertices, each boundary node keeps its fraction along its side, and
 interior nodes follow the harmonic extension of that boundary move (one
-sparse solve with the mesh's graph Laplacian over the interior nodes).  The
-result is the warm mesh's node density on P.  ``triangulate`` meshes afresh,
-exactly as without a warm start, when the vertex count or the grading
-differs, when the warm mesh is refined, when a triangle turns over, or when
-the minimum angle falls below the bound a fresh mesh must meet.
+sparse solve with the mesh's graph Laplacian over the interior nodes).
+``triangulate`` meshes afresh, exactly as without a warm start, when the
+vertex count or the grading differs, when a side of the warm mesh has a node
+count a fresh mesh of P at h could not round to (it holds the number of
+target-size segments that fit along the side; the count must be one of the
+two whole numbers next to it), when a triangle turns over, or when the
+minimum angle falls below the bound a fresh mesh must meet.  The count rule
+keeps the density that h asks for: a polygon scaled at constant h, a coarser
+warm mesh or a refined one all mesh afresh.
 ``Mesh.origin`` records which route built the mesh.
 """
 from __future__ import annotations
@@ -163,9 +167,11 @@ class Mesh:
         }
 
 
-def _boundary_stations(P: Polygon, size: _SizeFunction) -> list[np.ndarray]:
-    """Per side: arclength fractions (excluding endpoints) of boundary nodes."""
-    out = []
+def _boundary_stations(P: Polygon, size: _SizeFunction) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per side: arclength fractions (excluding endpoints) of boundary nodes,
+    and the number of target-size segments that fit along the side (the
+    side's node count is that number rounded)."""
+    out, totals = [], np.empty(P.n)
     for i in range(P.n):
         a = P.vertices[i]
         sv = P.side_vectors[i]
@@ -180,7 +186,8 @@ def _boundary_stations(P: Polygon, size: _SizeFunction) -> list[np.ndarray]:
         targets = np.arange(1, n_seg) * (total / n_seg)
         fr = np.interp(targets, cum, s)
         out.append(fr)
-    return out
+        totals[i] = total
+    return out, totals
 
 
 def _hex_seeds(P: Polygon, size: _SizeFunction, rng: np.random.Generator) -> np.ndarray:
@@ -323,13 +330,13 @@ def triangulate(P: Polygon, h: float, grade=None, *,
 
     h = min(h, 0.9 * float(P.side_lengths.min()))
     size = _SizeFunction(P, h, grade)
+    stations, segments = _boundary_stations(P, size)
     if warm_start is not None:
-        mesh = _transported(warm_start, P, h, grade, size, min_angle)
+        mesh = _transported(warm_start, P, h, grade, size, segments, min_angle)
         if mesh is not None:
             return mesh
     rng = np.random.default_rng(seed)
 
-    stations = _boundary_stations(P, size)
     fixed_pts = [P.vertices.copy()]
     side_station_idx: list[np.ndarray] = []
     idx = P.n
@@ -451,10 +458,19 @@ def triangulate(P: Polygon, h: float, grade=None, *,
 
 
 def _transported(warm: Mesh, P: Polygon, h: float, grade: np.ndarray,
-                 size: _SizeFunction, min_angle: float) -> Mesh | None:
+                 size: _SizeFunction, segments: np.ndarray,
+                 min_angle: float) -> Mesh | None:
     """``warm`` with its nodes carried onto P, or None when the transport does
-    not apply or breaks the quality bound."""
-    if warm.polygon.n != P.n or warm.level != 0 or not np.array_equal(warm.grade, grade):
+    not apply or breaks the quality bound.
+
+    ``segments[i]`` is the number of target-size segments that fit along side
+    i of P; a fresh mesh gives the side that number rounded.  The transport
+    applies only when each side of ``warm`` has one of the two whole numbers
+    next to it, so the carried mesh keeps the node density ``h`` asks for.
+    """
+    if warm.polygon.n != P.n or not np.array_equal(warm.grade, grade):
+        return None
+    if np.any(np.abs(np.bincount(warm.boundary_edges[:, 2], minlength=P.n) - segments) >= 1):
         return None
     W, t = warm.polygon, warm.triangles
     # every boundary node starts exactly one chain edge

@@ -265,8 +265,8 @@ class TestWarmStart:
         a, sv = T.vertices[e], T.side_vectors[e]
         path = breaking_family(T, e, (a + 0.3 * sv, a + 0.7 * sv),
                                0.01 * float(T.side_lengths[e]))
-        P0, P1 = path.polygon_at(0.2), path.polygon_at(0.3)
-        h = P1.diameter / 21
+        P0, P1 = path.polygon_at(0.2), path.polygon_at(0.25)
+        h = P1.diameter / 20.5
         m0 = triangulate(P0, P0.diameter / 20)
         return P1, h, m0, triangulate(P1, h, warm_start=m0)
 
@@ -295,6 +295,10 @@ class TestWarmStart:
         assert m.h == h != m0.h
         assert m.level == 0 and m.size_fn.h == h and m.size_fn.P is P
         assert np.array_equal(m.grade, default_grading(P))
+        # each side keeps a node count within one of what h asks for
+        segments = mesh_mod._boundary_stations(P, m.size_fn)[1]
+        counts = np.bincount(m.boundary_edges[:, 2], minlength=P.n)
+        assert np.all(np.abs(counts - segments) < 1)
 
     def test_vertex_count_change_meshes_afresh(self, pair):
         P, h, m0, m = pair
@@ -310,15 +314,31 @@ class TestWarmStart:
         assert _same_mesh(triangulate(P, h, warm_start=refine(m0)), triangulate(P, h))
 
     def test_failed_angle_bound_meshes_afresh(self):
-        far = triangle_from_angles(math.radians(60), math.radians(60))
-        T = triangle_from_angles(math.radians(12), math.radians(28))
-        warm = triangulate(far, far.diameter / 12)
-        # the carried mesh keeps every triangle's orientation but not the bound
+        # a rhombus with the unit square's sides: every side gets the same
+        # node count, so only the angle bound can refuse the carried mesh
+        a = math.radians(35)
+        R = Polygon([[0, 0], [1, 0], [1 + math.cos(a), math.sin(a)], [math.cos(a), math.sin(a)]])
+        warm = triangulate(unit_square(), 0.2)
         nodes = warm.nodes.copy()
-        size = mesh_mod._SizeFunction(T, T.diameter / 12, np.zeros(3))
-        carried = mesh_mod._transported(warm, T, T.diameter / 12, np.zeros(3), size, 0.0)
+        size = mesh_mod._SizeFunction(R, 0.2, np.zeros(4))
+        segments = mesh_mod._boundary_stations(R, size)[1]
+        carried = mesh_mod._transported(warm, R, 0.2, np.zeros(4), size, segments, 0.0)
         assert np.all(carried.triangle_areas() > 0)
-        assert carried.min_angle() < min(20.0, 0.9 * 12.0)
+        assert carried.min_angle() < 20.0
         assert np.array_equal(warm.nodes, nodes)
-        assert _same_mesh(triangulate(T, T.diameter / 12, warm_start=warm),
-                          triangulate(T, T.diameter / 12))
+        assert _same_mesh(triangulate(R, 0.2, warm_start=warm), triangulate(R, 0.2))
+
+    @pytest.mark.parametrize("scale", [1.2, 2.0])
+    def test_scaled_polygon_at_constant_h_meshes_afresh(self, scale):
+        # angles and vertex count stay, so only the side node counts tell
+        # that the warm mesh is coarser than h asks for
+        S = unit_square()
+        P = Polygon(scale * S.vertices)
+        fresh = triangulate(P, 0.1)
+        assert _same_mesh(triangulate(P, 0.1, warm_start=triangulate(S, 0.1)), fresh)
+        assert fresh.origin == "fresh"
+
+    def test_coarser_warm_mesh_meshes_afresh(self):
+        S = unit_square()
+        assert _same_mesh(triangulate(S, 0.05, warm_start=triangulate(S, 0.2)),
+                          triangulate(S, 0.05))
