@@ -328,17 +328,13 @@ class TestWarmStart:
         assert np.array_equal(warm.nodes, nodes)
         assert _same_mesh(triangulate(R, 0.2, warm_start=warm), triangulate(R, 0.2))
 
-    @pytest.mark.parametrize("scale", [1.2, 2.0])
-    def test_scaled_polygon_at_constant_h_meshes_afresh(self, scale):
+    @pytest.mark.parametrize("scale, warm_h", [(1.2, 0.1), (2.0, 0.1), (1.0, 0.25)])
+    def test_coarser_warm_mesh_meshes_afresh(self, scale, warm_h):
+        # a scaled polygon at constant h, or a warm mesh built at a larger h:
         # angles and vertex count stay, so only the side node counts tell
         # that the warm mesh is coarser than h asks for
         S = unit_square()
         P = Polygon(scale * S.vertices)
         fresh = triangulate(P, 0.1)
-        assert _same_mesh(triangulate(P, 0.1, warm_start=triangulate(S, 0.1)), fresh)
+        assert _same_mesh(triangulate(P, 0.1, warm_start=triangulate(S, warm_h)), fresh)
         assert fresh.origin == "fresh"
-
-    def test_coarser_warm_mesh_meshes_afresh(self):
-        S = unit_square()
-        assert _same_mesh(triangulate(S, 0.05, warm_start=triangulate(S, 0.2)),
-                          triangulate(S, 0.05))
