@@ -99,13 +99,12 @@ class BesselExpansion:
     def magnitudes(self) -> np.ndarray:
         return self.contributions / max(self.scale, 1e-300)
 
-    def smallest_nonvanishing_k(self, threshold: float | None = None) -> int | None:
-        """Smallest n >= 1 whose relative contribution exceeds the threshold."""
-        if threshold is None:
-            threshold = DEFAULTS.vanish_threshold
+    def smallest_nonvanishing_k(self) -> int | None:
+        """Smallest n >= 1 whose relative contribution exceeds
+        ``DEFAULTS.vanish_threshold``."""
         mags = self.magnitudes()
         for n in range(1, self.K + 1):
-            if mags[n] > threshold:
+            if mags[n] > DEFAULTS.vanish_threshold:
                 return n
         return None
 
@@ -228,15 +227,13 @@ class LeadingCoefficientTest:
     threshold: float
 
 
-def leading_coefficient_test(exp: BesselExpansion,
-                             threshold: float | None = None) -> LeadingCoefficientTest:
-    """Does the leading coefficient vanish, at the given relative threshold?
+def leading_coefficient_test(exp: BesselExpansion) -> LeadingCoefficientTest:
+    """Does the leading coefficient vanish, at ``DEFAULTS.vanish_threshold``?
 
     Returns the raw ratio as well so callers can follow trends along a
     deformation path instead of trusting one hard verdict.
     """
-    if threshold is None:
-        threshold = DEFAULTS.vanish_threshold
+    threshold = DEFAULTS.vanish_threshold
     idx = exp.leading_index
     if idx is None:
         raise UndefinedLeadingCoefficient(

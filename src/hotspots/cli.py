@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -204,20 +204,18 @@ def main(argv=None) -> int:
                                              "solve, analyze, trace, run experiments.")
     ap.add_argument("command", choices=COMMANDS)
     ap.add_argument("--spec", required=True, help="polygon or path spec file (JSON)")
-    ap.add_argument("--h", type=float, default=0.05, help="target mesh edge length")
-    ap.add_argument("--tol", type=float, default=DEFAULTS.solver_tol)
-    ap.add_argument("--out", default="hotspots-out")
+    ap.add_argument("--h", type=float, default=RunConfig.h, help="target mesh edge length")
+    ap.add_argument("--tol", type=float, default=RunConfig.tol)
+    ap.add_argument("--out", default=RunConfig.out)
     ap.add_argument("--svg", action="store_true", help="emit SVG plots")
-    ap.add_argument("--steps", type=int, default=12)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--K", type=int, default=DEFAULTS.bessel_K)
-    ap.add_argument("--field", default="u", help="nodal field: u, L:<deg>, side:<i>, R:<x>,<y>")
-    ap.add_argument("--eps", type=float, default=0.01, help="relative break distance")
+    ap.add_argument("--steps", type=int, default=RunConfig.steps)
+    ap.add_argument("--seed", type=int, default=RunConfig.seed)
+    ap.add_argument("--K", type=int, default=RunConfig.K)
+    ap.add_argument("--field", default=RunConfig.field,
+                    help="nodal field: u, L:<deg>, side:<i>, R:<x>,<y>")
+    ap.add_argument("--eps", type=float, default=RunConfig.eps, help="relative break distance")
     ap.add_argument("--dump-mesh", action="store_true", help="write mesh.json (solve)")
-    ns = ap.parse_args(argv)
-    cfg = RunConfig(command=ns.command, spec=ns.spec, h=ns.h, tol=ns.tol, out=ns.out,
-                    svg=ns.svg, steps=ns.steps, seed=ns.seed, K=ns.K, field=ns.field,
-                    eps=ns.eps, dump_mesh=ns.dump_mesh)
+    cfg = RunConfig(**vars(ap.parse_args(argv)))
     try:
         return run(cfg)
     except (GeometryError, MeshingError, SolverError, FitError, ValueError,

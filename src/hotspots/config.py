@@ -1,7 +1,9 @@
 """Central defaults for tolerances and discretization knobs.
 
-Every threshold that a verdict depends on lives here so that runs are
-reproducible from a config record alone.
+Every threshold that a verdict depends on lives here, and only here: the
+library reads these values where it uses them and offers no per-call
+override, so runs are reproducible from a config record alone (the run
+settings a call takes, such as h and steps, plus ``DEFAULTS.to_dict()``).
 """
 from __future__ import annotations
 
@@ -51,9 +53,6 @@ class Defaults:
     gap_floor: float = 1e-5
     match_radius_factor: float = 5.0   # critical-point matching radius = factor * h
     w_margin: float = 0.1              # break-point path keeps this * |e| away from p
-
-    # nodal arc / grad floor along Z(u)
-    grad_floor_rel: float = 1e-3       # floor = rel * sqrt(mu) * max|u|
 
     def to_dict(self) -> dict:
         return asdict(self)

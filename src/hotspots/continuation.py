@@ -41,8 +41,7 @@ from .geometry import (Polygon, DeformationPath, GeometryError,
                        breaking_family)
 from .mesh import triangulate, MeshingError
 from .eigensolver import solve_second, EigenSolution, SolverError
-from .critical import (find_critical_points, estimate_hessian, CriticalSet,
-                       cusp_diagnostic, _side_tangential_roots, _grad_scale)
+from .critical import find_critical_points, estimate_hessian, CriticalSet, cusp_diagnostic
 from .nodal import analytic_arc_verdict
 
 
@@ -102,8 +101,7 @@ class PathRun:
                 "events": [e.to_dict() for e in self.events]}
 
 
-def _vertex_arc_count(sample_polygon: Polygon, vertex_table: dict,
-                      threshold: float) -> tuple[int, list[int]]:
+def _vertex_arc_count(sample_polygon: Polygon, vertex_table: dict) -> tuple[int, list[int]]:
     """V: vertices (angle != pi) where some side-direction field has a nodal
     arc ending there, decided by the interval criteria on fitted coefficients."""
     P = sample_polygon
@@ -121,8 +119,7 @@ def _vertex_arc_count(sample_polygon: Polygon, vertex_table: dict,
         hit = False
         for e in range(P.n):
             psi = math.atan2(tangents[e][1], tangents[e][0])
-            verdict, margin, near, note = analytic_arc_verdict(
-                exp, psi_local=psi - alpha, threshold=threshold)
+            verdict, margin, near, note = analytic_arc_verdict(exp, psi_local=psi - alpha)
             if verdict:
                 hit = True
                 break
@@ -131,21 +128,19 @@ def _vertex_arc_count(sample_polygon: Polygon, vertex_table: dict,
     return len(arc_vertices), arc_vertices
 
 
-def _solve_sample(path: DeformationPath, t: float, h, prev: PathSample | None,
-                  threshold: float, mesh_seed: int = 0) -> PathSample:
+def _solve_sample(path: DeformationPath, t: float, h, prev: PathSample | None) -> PathSample:
     P = path.polygon_at(t)
     h_val = h(P) if callable(h) else h
-    mesh = triangulate(P, h_val, seed=mesh_seed,
-                       warm_start=None if prev is None else prev.sol.mesh)
+    mesh = triangulate(P, h_val, warm_start=None if prev is None else prev.sol.mesh)
     sol = solve_second(mesh)
     if prev is not None:
         if sol.neighbor_coef is not None and sol.gap < DEFAULTS.gap_floor:
             sol = sol.select_from_pair(lambda pts: prev.sol.eval(pts, strict=False))
         sol = sol.align_sign_with(prev.sol)
-    cset = find_critical_points(sol, threshold=threshold)
+    cset = find_critical_points(sol)
     leading = {vid: info.get("leading_ratio")
                for vid, info in cset.vertex_table.items()}
-    V, arc_vs = _vertex_arc_count(P, cset.vertex_table, threshold)
+    V, arc_vs = _vertex_arc_count(P, cset.vertex_table)
     return PathSample(t=t, polygon=P, mu=sol.mu, gap=sol.gap, S=cset.S, V=V,
                       critical=cset, leading_ratios=leading, arc_vertices=arc_vs,
                       sol=sol)
@@ -192,29 +187,26 @@ def _match_points(a: PathSample, b: PathSample, radius_factor: float):
 
 
 def track(path: DeformationPath, steps: int | None = None, *,
-          h=None, max_halvings: int | None = None,
-          threshold: float | None = None, mesh_seed: int = 0) -> PathRun:
+          h=None, max_halvings: int | None = None) -> PathRun:
     """Solve and analyze along the path with adaptive step halving."""
     if steps is None:
         steps = DEFAULTS.track_steps
     if max_halvings is None:
         max_halvings = DEFAULTS.track_max_halvings
-    if threshold is None:
-        threshold = DEFAULTS.vanish_threshold
     if h is None:
         h = lambda P: P.diameter / 24
     dt0 = 1.0 / steps
     dt_floor = dt0 / (2 ** max_halvings)
     events: list[PathEvent] = []
 
-    samples = [_solve_sample(path, 0.0, h, None, threshold, mesh_seed)]
+    samples = [_solve_sample(path, 0.0, h, None)]
     t = 0.0
     dt = dt0
     while t < 1.0 - 1e-12:
         t_next = min(t + dt, 1.0)
         trouble = []
         try:
-            cand = _solve_sample(path, t_next, h, samples[-1], threshold, mesh_seed)
+            cand = _solve_sample(path, t_next, h, samples[-1])
         except (MeshingError, SolverError) as e:
             cand = None
             trouble.append(f"sample failed: {type(e).__name__}: {e}")
@@ -250,7 +242,7 @@ def track(path: DeformationPath, steps: int | None = None, *,
         dt = min(dt0, 2 * dt)
     return PathRun(path=path, samples=samples, events=events,
                    config={"steps": steps, "max_halvings": max_halvings,
-                           "threshold": threshold})
+                           "threshold": DEFAULTS.vanish_threshold})
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +316,13 @@ class NMembership:
                 "saddle_side": self.saddle_side}
 
 
-def n_membership(T: Polygon, *, h=None, threshold: float | None = None) -> NMembership:
+def n_membership(T: Polygon, *, h=None) -> NMembership:
     """Numerical check of: every vertex a local extremum, exactly one
     nonvertex critical point, that point nondegenerate."""
     if T.n != 3:
         raise GeometryError("n_membership expects a triangle")
     if np.any(T.angles >= math.pi / 2 - 1e-9):
         raise GeometryError("n_membership expects an acute triangle")
-    if threshold is None:
-        threshold = DEFAULTS.vanish_threshold
     h_val = (h(T) if callable(h) else h) if h is not None else T.diameter / 28
     mesh = triangulate(T, h_val)
     sol = solve_second(mesh)
@@ -340,7 +330,7 @@ def n_membership(T: Polygon, *, h=None, threshold: float | None = None) -> NMemb
     if sol.multiplicity_flag:
         evidence["note"] = "second eigenvalue nearly multiple (equilateral-like)"
         return NMembership(False, evidence)
-    cset = find_critical_points(sol, threshold=threshold)
+    cset = find_critical_points(sol)
     vert_ext = [p for p in cset.points if p.kind == "vertex" and p.index == 1]
     nonvertex = [p for p in cset.points if p.kind != "vertex"]
     evidence["n_vertex_extrema"] = len(vert_ext)
@@ -395,25 +385,22 @@ class BreakingReport:
                 "notes": self.notes, "run": self.run.to_dict()}
 
 
-def breaking_experiment(T: Polygon, *, eps_rel: float = 0.01,
-                        w_offset_frac: float = 0.2, steps: int = 12,
-                        h=None, threshold: float | None = None,
-                        max_eps_shrinks: int = 3) -> BreakingReport:
+def breaking_experiment(T: Polygon, *, eps_rel: float = 0.01, steps: int = 12,
+                        h=None) -> BreakingReport:
     """Break the saddle side of an N-triangle and watch the index -1 point.
 
-    The break point travels from one side of the saddle p to the other while
-    the break amplitude follows eps * sin(pi t), so both endpoints are the
-    original triangle.  Per sample the blocking hypotheses are re-verified:
+    The break point travels from one side of the saddle p to the other, 0.2
+    of the side length either way (less near a side end), while the break
+    amplitude follows eps * sin(pi t), so both endpoints are the original
+    triangle.  Per sample the blocking hypotheses are re-verified:
     nonzero-index points only at vertices or on the sides adjacent to the
     obtuse vertex, acute vertices stay extrema, and the sides away from the
-    break stay critical-point-free (if not, eps is shrunk and the family is
-    rerun).  The report brackets the window where the -1 point changes sides
+    break stay critical-point-free (if not, eps is halved and the family is
+    rerun, at most three times).  The report brackets the window where the -1 point changes sides
     and lists every index event inside it, or reports the
     interior-critical-point branch if one appears.
     """
-    if threshold is None:
-        threshold = DEFAULTS.vanish_threshold
-    nm = n_membership(T, h=h, threshold=threshold)
+    nm = n_membership(T, h=h)
     if not nm.in_N:
         raise GeometryError(f"triangle fails the N-membership checks: {nm.evidence}")
     e = nm.saddle_side
@@ -422,7 +409,7 @@ def breaking_experiment(T: Polygon, *, eps_rel: float = 0.01,
     tvec = T.side_tangents[e]
     a = T.vertices[e]
     s_p = float(np.dot(p - a, tvec)) / L
-    d = max(w_offset_frac, DEFAULTS.w_margin)
+    d = max(0.2, DEFAULTS.w_margin)
     s0, s1 = s_p - d, s_p + d
     if s0 < 0.05 or s1 > 0.95:
         d = min(s_p - 0.05, 0.95 - s_p)
@@ -436,9 +423,9 @@ def breaking_experiment(T: Polygon, *, eps_rel: float = 0.01,
         h = lambda P: P.diameter / 24
 
     notes = []
-    for attempt in range(max_eps_shrinks + 1):
+    for attempt in range(4):
         family = breaking_family(T, e, (w0, w1), eps)
-        run = track(family, steps=steps, h=h, threshold=threshold)
+        run = track(family, steps=steps, h=h)
         w_vid = (e + 1) % 4           # vertex index of the break point in Q
         left_side, right_side = e, (e + 1) % 4
         conditions = []
@@ -468,14 +455,9 @@ def breaking_experiment(T: Polygon, *, eps_rel: float = 0.01,
                 # the saddle may sit within mesh resolution of the obtuse
                 # vertex: record the nearest raw tangential-derivative root
                 w_pt = s.polygon.vertices[w_vid]
-                gsc = _grad_scale(s.sol)
                 best = np.inf
-                sides = (left_side, right_side)
-                side_roots = _side_tangential_roots(s.sol, sides,
-                                                    zero_rtol=DEFAULTS.grad_zero_rtol,
-                                                    gscale=gsc)
-                for sd, (roots, _) in zip(sides, side_roots):
-                    for r in roots or []:
+                for sd in (left_side, right_side):
+                    for r in s.critical.side_roots[sd] or []:
                         q = s.polygon.vertices[sd] + r * s.polygon.side_vectors[sd]
                         best = min(best, float(np.linalg.norm(q - w_pt)))
                 if np.isfinite(best):
@@ -497,7 +479,7 @@ def breaking_experiment(T: Polygon, *, eps_rel: float = 0.01,
                                "saddle_to_vertex_dist": p_near_w,
                                "index_zero_events": cusp_info,
                                "w_leading_ratio": s.leading_ratios.get(w_vid)})
-        if shrink and attempt < max_eps_shrinks:
+        if shrink and attempt < 3:
             eps *= 0.5
             notes.append(f"critical point on a non-adjacent side: eps shrunk to {eps:.3e}")
             continue

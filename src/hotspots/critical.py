@@ -65,6 +65,8 @@ class DegenerateLocus:
 class CriticalSet:
     points: list[CriticalPoint]
     vertex_table: dict                 # vid -> {'expansion', 'index', 'note', ...}
+    side_roots: list                   # per side: raw tangential-derivative roots
+                                       # (fractions along it), None on a degenerate side
     degenerate_loci: list[DegenerateLocus] = dc_field(default_factory=list)
     notes: list[str] = dc_field(default_factory=list)
 
@@ -129,12 +131,11 @@ class IndexResult:
     note: str = ""
 
 
-def _probe_index(sol, p, locus, *, radii=None, m=None) -> IndexResult:
+def _probe_index(sol, p, locus, *, radii=None) -> IndexResult:
     """Arc count on two probe radii; locus decides the arc span and formula."""
     P = sol.polygon
     p = np.asarray(p, dtype=float)
-    if m is None:
-        m = DEFAULTS.probe_samples
+    m = DEFAULTS.probe_samples
     h = float(sol.h_at(p[None, :])[0])
     if radii is None:
         r1 = DEFAULTS.probe_radius_factor * h
@@ -190,18 +191,16 @@ def _probe_index(sol, p, locus, *, radii=None, m=None) -> IndexResult:
     return IndexResult(idx, n, counts, list(radii))
 
 
-def index_of(sol, p, locus="interior", *, radii=None) -> IndexResult:
+def index_of(sol, p, locus="interior") -> IndexResult:
     """Poincare-Hopf index of an isolated critical point by probe-circle counts."""
-    return _probe_index(sol, p, locus, radii=radii)
+    return _probe_index(sol, p, locus)
 
 
 # ---------------------------------------------------------------------------
 # vertex classification through the expansion
 # ---------------------------------------------------------------------------
 
-def classify_vertex(sol, vid: int, *, expansion=None,
-                    threshold: float | None = None,
-                    probe_radii=None, composite: bool = False) -> dict:
+def classify_vertex(sol, vid: int, *, probe_radii=None, composite: bool = False) -> dict:
     """Vertex index from the fitted expansion, with the probe cross-check.
 
     When probe and expansion give different resolved answers, the probe wins:
@@ -210,16 +209,13 @@ def classify_vertex(sol, vid: int, *, expansion=None,
     structure gets absorbed into the vertex count).  The expansion-route
     index is kept in the diagnostics.
     """
-    if threshold is None:
-        threshold = DEFAULTS.vanish_threshold
     P = sol.polygon
     vid = vid % P.n
-    if expansion is None:
-        expansion = _bessel.fit_coefficients(sol, vid)
+    expansion = _bessel.fit_coefficients(sol, vid)
     beta = expansion.beta
     mags = expansion.magnitudes()
-    sig0 = mags[0] > threshold
-    k = expansion.smallest_nonvanishing_k(threshold)
+    sig0 = mags[0] > DEFAULTS.vanish_threshold
+    k = expansion.smallest_nonvanishing_k()
     note = ""
     unresolved = False
     a_val = None
@@ -371,17 +367,15 @@ def _side_tangential_roots(sol, sides, *, zero_rtol: float, gscale: float):
     return out
 
 
-def find_critical_points(sol, *, threshold: float | None = None,
-                         expansions: dict | None = None) -> CriticalSet:
+def find_critical_points(sol) -> CriticalSet:
     """All critical points: interior gradient zeros, side tangential zeros,
     and vertices classified through their expansions.
 
     Non-isolated critical behavior (a side on which the tangential derivative
     vanishes identically, or many collinear interior zeros) is reported as a
-    degenerate locus instead of a point list.
+    degenerate locus instead of a point list.  ``side_roots`` keeps every
+    side's raw tangential-derivative roots, before vertex absorption.
     """
-    if threshold is None:
-        threshold = DEFAULTS.vanish_threshold
     P = sol.polygon
     fem = p2_field(sol)
     gscale = _grad_scale(fem)
@@ -469,10 +463,8 @@ def find_critical_points(sol, *, threshold: float | None = None,
         if radii is not None:
             r_cap = 0.5 * _bessel.annulus_reference(P, vid)
             radii = [min(r, r_cap) for r in radii]
-        exp = None if expansions is None else expansions.get(vid)
         try:
-            info = classify_vertex(sol, vid, expansion=exp, threshold=threshold,
-                                   probe_radii=radii, composite=composite)
+            info = classify_vertex(sol, vid, probe_radii=radii, composite=composite)
         except _bessel.FitError as e:
             info = {"vertex": vid, "index": None, "unresolved": True,
                     "note": f"fit failed: {e}", "expansion": None,
@@ -494,6 +486,7 @@ def find_critical_points(sol, *, threshold: float | None = None,
                                          "note": info.get("note", "")}))
 
     return CriticalSet(points=points, vertex_table=vertex_table,
+                       side_roots=[roots for roots, _ in side_roots],
                        degenerate_loci=degenerate, notes=notes)
 
 
@@ -557,7 +550,7 @@ class CuspDiagnostic:
     note: str = ""
 
 
-def cusp_diagnostic(sol, cp: CriticalPoint, *, r_max: float | None = None) -> CuspDiagnostic:
+def cusp_diagnostic(sol, cp: CriticalPoint) -> CuspDiagnostic:
     """Fit the normal-form behavior u - u(p) ~ c (y^2 - x^k rho(x)) at an
     index-zero side critical point: quadratic transversally, odd-order sign
     change along the side, level set a cusp tangent to the side."""
@@ -571,10 +564,9 @@ def cusp_diagnostic(sol, cp: CriticalPoint, *, r_max: float | None = None) -> Cu
     n_in = -P.side_normals[i]
     p = cp.location
     h = float(sol.h_at(p[None, :])[0])
-    if r_max is None:
-        others = [P.distance_to_side(p, j) for j in range(P.n) if j != i]
-        vdist = [np.linalg.norm(p - P.vertices[k]) for k in range(P.n)]
-        r_max = min(0.5 * min(others), 0.5 * min(vdist))
+    others = [P.distance_to_side(p, j) for j in range(P.n) if j != i]
+    vdist = [np.linalg.norm(p - P.vertices[k]) for k in range(P.n)]
+    r_max = min(0.5 * min(others), 0.5 * min(vdist))
     u0 = float(sol.eval(p[None, :], strict=False)[0])
 
     # transverse: u(p + y n) - u0 ~ c y^2

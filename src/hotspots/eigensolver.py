@@ -156,7 +156,7 @@ class P2Space:
         return n + np.searchsorted(keys, be.min(axis=1) * n + be.max(axis=1))
 
     # -- point location ---------------------------------------------------------
-    def locate(self, pts: np.ndarray, *, tol: float = 1e-9, strict: bool = True):
+    def locate(self, pts: np.ndarray, *, strict: bool = True):
         """Triangle index and reference coordinates for each point."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         npts = len(pts)
@@ -175,7 +175,7 @@ class P2Space:
                 ti = cand[:, c]
                 loc = np.einsum("pab,pb->pa", self.Jinv[ti], pts[pend] - self._p0[ti])
                 lam0 = 1.0 - loc[:, 0] - loc[:, 1]
-                ok = (loc[:, 0] >= -tol) & (loc[:, 1] >= -tol) & (lam0 >= -tol)
+                ok = (loc[:, 0] >= -1e-9) & (loc[:, 1] >= -1e-9) & (lam0 >= -1e-9)
                 hit = pend[ok]
                 tri[hit] = ti[ok]
                 xi[hit] = np.clip(loc[ok], 0.0, 1.0)
@@ -299,13 +299,16 @@ class EigenSolution:
         """Combination of the near-degenerate pair closest to a target function.
 
         target_eval is a callable points -> values; the combination maximizes
-        the mass-weighted overlap and is renormalized to max |u| = 1.
+        the mass-weighted overlap and is renormalized to max |u| = 1.  The
+        overlaps run over the dof points where the target is finite (a
+        target evaluated off its own domain is NaN there).
         """
         if self.neighbor_coef is None:
             return self
         _, M = self.space.matrices
         pts = self.space.dof_points()
         tvals = np.asarray(target_eval(pts), dtype=float)
+        tvals = np.where(np.isfinite(tvals), tvals, 0.0)
         c1, c2 = self.coef, self.neighbor_coef
         a1 = float(tvals @ (M @ c1))
         a2 = float(tvals @ (M @ c2))
@@ -381,8 +384,7 @@ def p2_field(sol) -> EigenSolution:
     return sol.interpolant if isinstance(sol, AnalyticSolution) else sol
 
 
-def solve_second(mesh: Mesh, tol: float | None = None, *,
-                 maxiter: int | None = None, n_extra: int = 2) -> EigenSolution:
+def solve_second(mesh: Mesh, tol: float | None = None) -> EigenSolution:
     """Eigenpair for the smallest nonzero Neumann eigenvalue.
 
     The constant mode is deflated by projection; the relative gap to the next
@@ -392,19 +394,17 @@ def solve_second(mesh: Mesh, tol: float | None = None, *,
     """
     if tol is None:
         tol = DEFAULTS.solver_tol
-    if maxiter is None:
-        maxiter = DEFAULTS.solver_maxiter
     space = P2Space(mesh)
     K, M = space.matrices
     n = space.ndof
     mu_scale = (2 * math.pi / mesh.polygon.diameter) ** 2
     sigma = -0.25 * mu_scale
     v0 = np.cos(0.7 * np.arange(n))
-    k = 2 + max(1, n_extra)
+    k = 4                             # constant mode, mu_2 and two neighbours
     route = "eigsh"
     try:
         vals, vecs = spla.eigsh(K, k=k, M=M, sigma=sigma, which="LM",
-                                v0=v0, maxiter=maxiter, tol=tol)
+                                v0=v0, maxiter=DEFAULTS.solver_maxiter, tol=tol)
     except spla.ArpackError as err:   # ArpackNoConvergence included
         if n > 4000:
             raise SolverError("eigensolver failed to converge") from err
@@ -424,8 +424,8 @@ def solve_second(mesh: Mesh, tol: float | None = None, *,
 
     mu2 = float(vals[1])
     c2 = deflate(vecs[:, 1])
-    mu3 = float(vals[2]) if len(vals) > 2 else np.inf
-    gap = (mu3 - mu2) / mu2 if np.isfinite(mu3) else np.inf
+    mu3 = float(vals[2])
+    gap = (mu3 - mu2) / mu2
 
     # static sign rule: first polygon vertex with |u| > 0.5 positive, else max u = +1
     vv = c2[mesh.vertex_map]
@@ -440,11 +440,10 @@ def solve_second(mesh: Mesh, tol: float | None = None, *,
     residual = float(np.linalg.norm(r) / (mu2 * np.linalg.norm(M @ c2)))
 
     multiple = gap < DEFAULTS.degenerate_gap
-    neighbor_mu = mu3 if np.isfinite(mu3) else None
-    neighbor_coef = deflate(vecs[:, 2]) if (len(vals) > 2 and multiple) else None
+    neighbor_coef = deflate(vecs[:, 2]) if multiple else None
     diag = {"spectrum_head": [float(v) for v in vals],
             "ndof": n, "residual": residual, "gap": gap,
             "mass_total": mass_total, "route": route}
     return EigenSolution(space, mu2, c2, gap, residual,
-                         neighbor_mu=neighbor_mu, neighbor_coef=neighbor_coef,
+                         neighbor_mu=mu3, neighbor_coef=neighbor_coef,
                          multiplicity_flag=bool(multiple), diagnostics=diag)

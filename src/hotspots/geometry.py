@@ -64,7 +64,7 @@ def _segments_properly_intersect(p1, p2, q1, q2) -> bool:
 class Polygon:
     """Simple counterclockwise polygon with derived side and angle data."""
 
-    def __init__(self, vertices, *, labels: Sequence[str] | None = None, validate: bool = True):
+    def __init__(self, vertices, *, labels: Sequence[str] | None = None):
         v = _as_points(vertices)
         if _signed_area(v) < 0:
             v = v[::-1].copy()
@@ -73,8 +73,7 @@ class Polygon:
         self._v = v
         self._v.setflags(write=False)
         self.labels = list(labels) if labels is not None else None
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- construction helpers -------------------------------------------------
     @staticmethod
@@ -183,7 +182,7 @@ class Polygon:
                 if _segments_properly_intersect(p1, p2, q1, q2):
                     raise GeometryError(f"self-intersecting chain: sides {i} and {j} cross")
 
-    def contains(self, points, *, include_boundary: bool = True, boundary_tol: float | None = None):
+    def contains(self, points, *, include_boundary: bool = True):
         """Vectorized point-in-polygon (crossing number)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         v = self._v
@@ -198,8 +197,7 @@ class Polygon:
                 xint = (x1 - x0) * (y - y0) / (y1 - y0) + x0
             inside ^= crosses & (x < xint)
         if include_boundary:
-            tol = boundary_tol if boundary_tol is not None else 1e-12 * self.diameter
-            inside |= self.boundary_distance(pts) <= tol
+            inside |= self.boundary_distance(pts) <= 1e-12 * self.diameter
         return inside if np.asarray(points).ndim == 2 else bool(inside[0])
 
     def boundary_distance(self, points) -> np.ndarray:
@@ -336,8 +334,8 @@ class DeformationPath:
         V = P.vertices.copy()
         return DeformationPath.from_breakpoints(kind, [0.0, 1.0], [V, V])
 
-    def polygon_at(self, t: float, *, validate: bool = True) -> Polygon:
-        return Polygon(self._fn(t), validate=validate)
+    def polygon_at(self, t: float) -> Polygon:
+        return Polygon(self._fn(t))
 
     def sample(self, m: int) -> list[Polygon]:
         return [self.polygon_at(t) for t in np.linspace(0.0, 1.0, m)]
@@ -370,17 +368,17 @@ class Lip1Result:
         return self.is_lip1
 
 
-def lip1_classify(P: Polygon, tol: float | None = None) -> Lip1Result:
+def lip1_classify(P: Polygon) -> Lip1Result:
     """Decide whether P is isometric to a Lip-1 domain.
 
     Searches every contiguous bipartition of the cyclic side list for one
     where outward normals satisfy n.n' >= 0 within a class and <= 0 across
     classes.  The partition witness is the first one found in side order;
     the criterion does not single out a unique partition, so the number of
-    valid bipartitions is reported as well.
+    valid bipartitions is reported as well.  The sign tests allow a slack of
+    ``DEFAULTS.lip1_tol``.
     """
-    if tol is None:
-        tol = DEFAULTS.lip1_tol
+    tol = DEFAULTS.lip1_tol
     N = P.side_normals
     n = P.n
     D = N @ N.T
@@ -405,16 +403,14 @@ def lip1_classify(P: Polygon, tol: float | None = None) -> Lip1Result:
     return Lip1Result(first is not None, first, count)
 
 
-def orthogonal_side_pairs(P: Polygon, tau: float | None = None) -> list[tuple[int, int]]:
-    """Pairs of sides whose normals are orthogonal within tolerance."""
-    if tau is None:
-        tau = DEFAULTS.tau_orth
+def orthogonal_side_pairs(P: Polygon) -> list[tuple[int, int]]:
+    """Pairs of sides whose normals are orthogonal within ``DEFAULTS.tau_orth``."""
     N = P.side_normals
     D = N @ N.T
     out = []
     for i in range(P.n):
         for j in range(i + 1, P.n):
-            if abs(D[i, j]) <= tau:
+            if abs(D[i, j]) <= DEFAULTS.tau_orth:
                 out.append((i, j))
     return out
 
@@ -425,15 +421,16 @@ def _runs_with_normals(P: Polygon):
     return runs, normals
 
 
-def lip1_reduction_path(P: Polygon, *, samples_per_leg: int = 9) -> DeformationPath:
+def lip1_reduction_path(P: Polygon) -> DeformationPath:
     """Path from P to an obtuse triangle through Lip-1 polygons.
 
     Repeatedly picks two adjacent same-class effective sides with distinct
     normals and moves their shared vertex to the midpoint of the segment
     joining their far endpoints, which straightens the corner into an
     angle-pi vertex.  Angle-pi vertices created earlier ride along their
-    straight runs so the vertex count stays fixed.  Every sampled polygon is
-    re-checked for the Lip-1 property and for absence of orthogonal sides.
+    straight runs so the vertex count stays fixed.  Nine evenly spaced
+    polygons of every leg are re-checked for the Lip-1 property and for
+    absence of orthogonal sides.
     """
     res = lip1_classify(P)
     if not res.is_lip1:
@@ -499,7 +496,7 @@ def lip1_reduction_path(P: Polygon, *, samples_per_leg: int = 9) -> DeformationP
             V1[c] = target + s * (b - target)
 
         leg = DeformationPath.from_breakpoints("vertex-lerp", [0.0, 1.0], [V0, V1])
-        for t in np.linspace(0.0, 1.0, samples_per_leg):
+        for t in np.linspace(0.0, 1.0, 9):
             Q = leg.polygon_at(t)
             if not lip1_classify(Q).is_lip1:
                 raise ReductionFailure(f"Lip-1 lost at leg parameter {t}")
@@ -545,14 +542,13 @@ def break_triangle(T: Polygon, e: int, w, eps: float) -> Polygon:
     n_w = T.side_normals[e]
     w_eps = w + eps * n_w
     V = np.insert(T.vertices, e + 1, w_eps, axis=0)
-    Q = Polygon(V, validate=True)
+    Q = Polygon(V)
     if np.any(Q.angles > math.pi + DEFAULTS.angle_tol):
         raise GeometryError("eps too large: hull description loses convexity")
     return Q
 
 
-def breaking_family(T: Polygon, e: int, w_path, eps: float, *,
-                    profile: Callable[[float], float] | None = None) -> DeformationPath:
+def breaking_family(T: Polygon, e: int, w_path, eps: float) -> DeformationPath:
     """Family t -> Q(T, w_t, eps*sin(pi t)) of broken triangles.
 
     ``w_path`` is either a callable t -> point on side e or a pair (w0, w1)
@@ -568,8 +564,6 @@ def breaking_family(T: Polygon, e: int, w_path, eps: float, *,
         w0 = np.asarray(w_path[0], dtype=float)
         w1 = np.asarray(w_path[1], dtype=float)
         wfn = lambda t: (1 - t) * w0 + t * w1
-    if profile is None:
-        profile = lambda t: math.sin(math.pi * t)
 
     a = T.vertices[e]
     sv = T.side_vectors[e]
@@ -581,7 +575,7 @@ def breaking_family(T: Polygon, e: int, w_path, eps: float, *,
         if not (1e-9 < s < 1 - 1e-9):
             raise GeometryError(f"w path leaves the interior of side {e} at t={t}")
         w = a + s * sv  # snap to the side exactly
-        eps_t = eps * profile(t)
+        eps_t = eps * math.sin(math.pi * t)
         return np.insert(T.vertices, e + 1, w + eps_t * T.side_normals[e], axis=0)
 
     return DeformationPath("breaking", vertex_fn,

@@ -96,12 +96,12 @@ def default_grading(P: Polygon) -> np.ndarray:
 class _SizeFunction:
     """Target edge length field h * min_v clamp(r_v / diam)^g_v."""
 
-    def __init__(self, P: Polygon, h: float, grade: np.ndarray, floor: float = 0.2):
+    def __init__(self, P: Polygon, h: float, grade: np.ndarray):
         self.P = P
         self.h = float(h)
         self.grade = np.asarray(grade, dtype=float)
         self.diam = P.diameter
-        self.floor = floor
+        self.floor = 0.2
         self._graded = np.nonzero(self.grade > 1e-12)[0]
 
     def __call__(self, points) -> np.ndarray:
@@ -300,9 +300,8 @@ def _carve(P: Polygon, pts: np.ndarray, geps: float, t: np.ndarray | None = None
     return t
 
 
-def triangulate(P: Polygon, h: float, grade=None, *,
-                min_angle: float | None = None, seed: int | None = None,
-                relax_iters: int | None = None, warm_start: Mesh | None = None) -> Mesh:
+def triangulate(P: Polygon, h: float, grade=None, *, seed: int | None = None,
+                warm_start: Mesh | None = None) -> Mesh:
     """Graded conforming triangulation with a minimum-angle quality bound.
 
     With ``warm_start``, the nodes of that mesh (of a nearby polygon, meshed
@@ -318,15 +317,11 @@ def triangulate(P: Polygon, h: float, grade=None, *,
     grade = np.asarray(grade, dtype=float)
     if grade.shape != (P.n,):
         raise MeshingError("grade must give one exponent per polygon vertex")
-    if min_angle is None:
-        min_angle = DEFAULTS.mesh_quality_min_angle
     # corner elements cannot beat the polygon's own sharpest angle; thin-wedge
     # ladders realize a fixed fraction of it
-    min_angle = min(min_angle, 0.9 * math.degrees(float(P.angles.min())))
+    min_angle = min(DEFAULTS.mesh_quality_min_angle, 0.9 * math.degrees(float(P.angles.min())))
     if seed is None:
         seed = DEFAULTS.mesh_seed
-    if relax_iters is None:
-        relax_iters = DEFAULTS.mesh_relax_iters
 
     h = min(h, 0.9 * float(P.side_lengths.min()))
     size = _SizeFunction(P, h, grade)
@@ -389,7 +384,7 @@ def triangulate(P: Polygon, h: float, grade=None, *,
         return pts
 
     pts = np.vstack([fixed, interior]) if len(interior) else fixed.copy()
-    pts = relax(pts, relax_iters)
+    pts = relax(pts, DEFAULTS.mesh_relax_iters)
 
     # repair loop: first restore any boundary chain edge the Delaunay dropped
     # (evict interior nodes from its diametral disk), then fix bad triangles

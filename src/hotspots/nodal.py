@@ -23,7 +23,6 @@ import numpy as np
 
 from .config import DEFAULTS
 from .eigensolver import P2Space, p2_field
-from .geometry import Polygon
 from . import bessel as _bessel
 
 TWO_PI = 2 * math.pi
@@ -201,21 +200,23 @@ class WedgeProbe:
         return [len(r) for r in self.root_thetas]
 
 
-def wedge_probe(field: ScalarField, P: Polygon, vid: int, *,
-                radii=None, n_theta: int = 241, pad_frac: float = 0.04) -> WedgeProbe:
+def wedge_probe(field: ScalarField, vid: int) -> WedgeProbe:
     """Probe sign changes of the field on shrinking arcs inside a vertex wedge.
 
-    An arc of the zero set ends at the vertex iff crossings persist at every
-    radius (no critical points sit near the vertex, so a zero curve entering
-    the wedge either terminates at the vertex or leaves through the probe
-    circle).  Crossings confined to the thin bands along the two sides are
-    reported separately: they belong to boundary-lying components.
+    The arcs have radii r0, r0/2 and r0/4, with r0 the inner radius of the
+    vertex's fit annulus, and 241 samples each.  An arc of the zero set ends
+    at the vertex iff crossings persist at every radius (no critical points
+    sit near the vertex, so a zero curve entering the wedge either terminates
+    at the vertex or leaves through the probe circle).  Crossings within
+    0.04 beta of either side are reported separately: they belong to
+    boundary-lying components.
     """
+    P = field.sol.polygon
     apex, alpha, beta = P.vertex_frame(vid)
-    if radii is None:
-        r0 = DEFAULTS.annulus_inner * _bessel.annulus_reference(P, vid)
-        radii = [r0, 0.5 * r0, 0.25 * r0]
-    pad = pad_frac * beta
+    r0 = DEFAULTS.annulus_inner * _bessel.annulus_reference(P, vid)
+    radii = [r0, 0.5 * r0, 0.25 * r0]
+    n_theta = 241
+    pad = 0.04 * beta
     fscale = field.scale
     root_thetas = []
     band_hit = False
@@ -247,7 +248,7 @@ def wedge_probe(field: ScalarField, P: Polygon, vid: int, *,
         verdict = None
     else:
         verdict = all(len(r) >= 1 for r in root_thetas)
-    return WedgeProbe(vertex=vid, radii=list(radii), root_thetas=root_thetas,
+    return WedgeProbe(vertex=vid, radii=radii, root_thetas=root_thetas,
                       boundary_band=band_hit, ends_at_vertex=verdict)
 
 
@@ -278,20 +279,19 @@ class ArcVerdict:
 
 
 def analytic_arc_verdict(expansion, psi_local: float | None = None,
-                         w_local_angle: float | None = None,
-                         threshold: float | None = None,
-                         band: float | None = None):
+                         w_local_angle: float | None = None):
     """Interval criterion for 'an arc of Z(field u) ends at this vertex'.
 
     ``psi_local`` is the field direction measured in the vertex frame for a
     constant field; ``w_local_angle`` the angular position of the rotation
-    center for a rotational field.  Returns (verdict, margin, near_boundary,
-    note); verdict None when the criteria do not apply.
+    center for a rotational field.  A coefficient vanishes below
+    ``DEFAULTS.vanish_threshold``; an angular margin within
+    ``DEFAULTS.psi_boundary_band`` is near the interval boundary.  Returns
+    (verdict, margin, near_boundary, note); verdict None when the criteria do
+    not apply.
     """
-    if threshold is None:
-        threshold = DEFAULTS.vanish_threshold
-    if band is None:
-        band = DEFAULTS.psi_boundary_band
+    threshold = DEFAULTS.vanish_threshold
+    band = DEFAULTS.psi_boundary_band
     beta = expansion.beta
     mags = expansion.magnitudes()
     sig0 = mags[0] > threshold
@@ -348,51 +348,46 @@ def analytic_arc_verdict(expansion, psi_local: float | None = None,
     return v, margin, near, note
 
 
-def arc_ends_at_vertex(field: ScalarField, vid: int, *, expansion=None,
-                       method: str = "both", threshold: float | None = None) -> ArcVerdict:
+def arc_ends_at_vertex(field: ScalarField, vid: int) -> ArcVerdict:
     """Does an arc of Z(field) end at polygon vertex vid?
 
-    method 'geometric' probes the traced field in the vertex wedge;
-    'analytic' applies the coefficient interval criteria; 'both' (default)
-    runs the two and flags disagreement as inconclusive.
+    Two routes answer it: the wedge probe of the traced field (geometric),
+    and the interval criteria on the fitted vertex expansion (analytic).
+    Where both resolve and disagree, the verdict is inconclusive.
     """
     sol = field.sol
     P = sol.polygon
     vid = vid % P.n
-    geo = ana = None
+    ana = None
     margin = None
     near = False
     notes = []
 
-    if method in ("geometric", "both"):
-        probe = wedge_probe(field, P, vid)
-        geo = probe.ends_at_vertex
-        if probe.boundary_band:
-            notes.append("boundary-band crossings present")
+    probe = wedge_probe(field, vid)
+    geo = probe.ends_at_vertex
+    if probe.boundary_band:
+        notes.append("boundary-band crossings present")
 
-    if method in ("analytic", "both"):
-        apex, alpha, beta = P.vertex_frame(vid)
-        if abs(beta - math.pi / 2) <= DEFAULTS.angle_tol and field.kind != "u":
-            notes.append("beta = pi/2: analytic criteria undefined")
+    apex, alpha, beta = P.vertex_frame(vid)
+    if abs(beta - math.pi / 2) <= DEFAULTS.angle_tol and field.kind != "u":
+        notes.append("beta = pi/2: analytic criteria undefined")
+    else:
+        expansion = _bessel.fit_coefficients(sol, vid)
+        if field.kind == "L":
+            ana, margin, near, note = analytic_arc_verdict(expansion,
+                                                           psi_local=field.psi - alpha)
+        elif field.kind == "R":
+            wl = math.atan2(field.w[1] - apex[1], field.w[0] - apex[0]) - alpha
+            ana, margin, near, note = analytic_arc_verdict(expansion, w_local_angle=wl)
+            if near:
+                # w on the doubled-sector boundary: measure-zero case is
+                # reported inconclusive, not resolved by convention
+                ana = None
+                note = (note + "; " if note else "") + "w on sector boundary: inconclusive"
         else:
-            if expansion is None:
-                expansion = _bessel.fit_coefficients(sol, vid)
-            if field.kind == "L":
-                ana, margin, near, note = analytic_arc_verdict(
-                    expansion, psi_local=field.psi - alpha, threshold=threshold)
-            elif field.kind == "R":
-                wl = math.atan2(field.w[1] - apex[1], field.w[0] - apex[0]) - alpha
-                ana, margin, near, note = analytic_arc_verdict(
-                    expansion, w_local_angle=wl, threshold=threshold)
-                if near:
-                    # w on the doubled-sector boundary: measure-zero case is
-                    # reported inconclusive, not resolved by convention
-                    ana = None
-                    note = (note + "; " if note else "") + "w on sector boundary: inconclusive"
-            else:
-                ana, note = None, "analytic criterion applies to derivative fields"
-            if note:
-                notes.append(note)
+            ana, note = None, "analytic criterion applies to derivative fields"
+        if note:
+            notes.append(note)
 
     if geo is not None and ana is not None:
         agree = geo == ana
@@ -489,8 +484,7 @@ def _chains(nbr: np.ndarray) -> list[list[int]]:
     return chains
 
 
-def trace(field: ScalarField, *, side_zero_rtol: float | None = None,
-          check_vertex_arcs: bool = True) -> NodalGraph:
+def trace(field: ScalarField) -> NodalGraph:
     """Trace Z(field) on the solution's polygon as an embedded graph.
 
     Marching triangles on the P2 sub-triangulation with the field's dof
@@ -501,11 +495,10 @@ def trace(field: ScalarField, *, side_zero_rtol: float | None = None,
     verdict holds (u_h(v) = 0 for u, the wedge probe for a derivative field).
 
     Boundary-lying components (sides where every dof of the field is below
-    ``side_zero_rtol * scale``, e.g. Z(L_psi u) containing a side orthogonal
-    to psi) are recorded in ``zero_sides``; their dofs carry no sign.
+    ``DEFAULTS.side_zero_rtol * scale``, e.g. Z(L_psi u) containing a side
+    orthogonal to psi) are recorded in ``zero_sides``; their dofs carry no
+    sign.
     """
-    if side_zero_rtol is None:
-        side_zero_rtol = DEFAULTS.side_zero_rtol
     P = field.sol.polygon
     space, vals = field.dofs
     mesh = space.mesh
@@ -518,7 +511,7 @@ def trace(field: ScalarField, *, side_zero_rtol: float | None = None,
     for i in range(P.n):
         rows = be[:, 2] == i
         on_side = np.concatenate([be[rows, 0], be[rows, 1], bmid[rows]])
-        if np.all(np.abs(vals[on_side]) < side_zero_rtol * scale):
+        if np.all(np.abs(vals[on_side]) < DEFAULTS.side_zero_rtol * scale):
             zero_sides.append(i)
             signless[on_side] = True
     vanish = np.abs(vals) < tiny
@@ -554,7 +547,7 @@ def trace(field: ScalarField, *, side_zero_rtol: float | None = None,
     def ends_at_vertex(vid: int) -> bool:
         if field.kind == "u":
             return bool(vanish[mesh.vertex_map[vid]])
-        return bool(wedge_probe(field, P, vid).ends_at_vertex)
+        return bool(wedge_probe(field, vid).ends_at_vertex)
 
     nodes: list[GraphNode] = []
     unresolved: list[np.ndarray] = []
@@ -571,7 +564,7 @@ def trace(field: ScalarField, *, side_zero_rtol: float | None = None,
             unresolved.append(X[k].copy())
             return new_node(X[k], "interior"), None
         vid = int(vertex_of[ends[s]].max())
-        if vid >= 0 and check_vertex_arcs and ends_at_vertex(vid):
+        if vid >= 0 and ends_at_vertex(vid):
             if vid not in vertex_nodes:
                 vertex_nodes[vid] = new_node(P.vertices[vid], ("vertex", vid))
             return vertex_nodes[vid], P.vertices[vid]

@@ -21,7 +21,6 @@ from hotspots.nodal import ScalarField, trace, arc_ends_at_vertex, wedge_probe
 from hotspots.critical import find_critical_points, verify_index_formula
 from hotspots.continuation import track, breaking_experiment
 from hotspots.corpus import random_obtuse_triangle, random_simple_polygon, random_triangle
-from hotspots.config import DEFAULTS
 
 from conftest import CORPUS_SEED, solve_polygon
 
@@ -224,6 +223,7 @@ def test_criterion_6_nodal_sector_criteria():
 
 
 def test_criterion_7_simple_arc_corpus(corpus_solutions):
+    grad_floor_rel = 1e-3              # floor = rel * sqrt(mu) * max|u|
     floors = []
     for sol in corpus_solutions:
         g = trace(ScalarField.u(sol))
@@ -234,7 +234,7 @@ def test_criterion_7_simple_arc_corpus(corpus_solutions):
         pts = g.polyline_points()
         gn = np.linalg.norm(sol.eval_grad(pts, strict=False), axis=1)
         gn = gn[np.isfinite(gn)]
-        floor = DEFAULTS.grad_floor_rel * math.sqrt(sol.mu) * np.abs(sol.coef).max()
+        floor = grad_floor_rel * math.sqrt(sol.mu) * np.abs(sol.coef).max()
         assert gn.min() > floor
         floors.append(gn.min() / floor)
     report(7, f"Z(u) is a simple arc with endpoints on distinct sides on all 20 "

@@ -83,6 +83,11 @@ class TestCommands:
         err = json.load(open(os.path.join(out, "error.json")))
         assert err["error"] == "FileNotFoundError"
 
+    def test_cli_defaults_are_run_config_defaults(self, square_spec, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["lip1", "--spec", square_spec, "--out", out]) == 0
+        assert _report(out)["config"] == vars(RunConfig("lip1", square_spec, out=out))
+
     def test_invalid_config_rejected(self):
         cfg = RunConfig(command="solve", spec="x.json", h=-1.0)
         with pytest.raises(ValueError):

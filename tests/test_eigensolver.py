@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 import hotspots.eigensolver as eigensolver
 from hotspots.config import DEFAULTS
 
-from hotspots.geometry import (unit_square, rectangle, equilateral_triangle,
+from hotspots.geometry import (Polygon, unit_square, rectangle, equilateral_triangle,
                                isosceles_triangle, triangle_from_angles)
 from hotspots.mesh import triangulate, refine, structured_triangle_mesh
 from hotspots.eigensolver import (P2Space, assemble, solve_second,
@@ -188,6 +188,17 @@ class TestPairSelection:
         pts = np.random.default_rng(2).random((200, 2))
         err = np.abs(solx.eval(pts) - np.cos(math.pi * pts[:, 0])).max()
         assert err < 1e-3
+
+    def test_select_from_pair_target_off_domain(self, solve_cached):
+        # the target lives on a smaller square, so it is NaN at the dof
+        # points outside it; the overlaps use the points where it is finite
+        sol = solve_cached(unit_square(), 0.08)
+        assert sol.gap < DEFAULTS.gap_floor
+        small = solve_cached(Polygon(0.99 * unit_square().vertices), 0.08)
+        sel = sol.select_from_pair(lambda p: small.eval(p, strict=False))
+        assert np.all(np.isfinite(sel.coef))
+        pts = np.random.default_rng(3).random((200, 2)) * 0.9 + 0.02
+        assert np.abs(sel.eval(pts) - small.eval(pts)).max() < 0.05
 
     def test_align_sign(self, square_sol):
         flipped = square_sol.with_coef(-square_sol.coef)

@@ -177,8 +177,7 @@ class TestArcAtVertex:
     def test_at_most_one_arc(self):
         beta = math.pi / 3
         sol = sector_solution(beta, [1.0, 0.0, 0.2])
-        probe = wedge_probe(ScalarField.directional(sol, math.pi / 2 + beta / 2),
-                            sol.polygon, 0)
+        probe = wedge_probe(ScalarField.directional(sol, math.pi / 2 + beta / 2), 0)
         assert all(n <= 1 for n in probe.n_roots)
 
     def test_rotational_field_extremum_criterion(self, solve_cached):
