@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,7 +60,7 @@ class TestCommands:
         assert main(["nodal", "--spec", square_spec, "--h", "0.1", "--svg",
                      "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "nodal.svg"))
-        svg = open(os.path.join(out, "nodal.svg")).read()
+        svg = Path(out, "nodal.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg or "polygon" in svg
 
     def test_path_vertex_lerp(self, tmp_path):
@@ -80,7 +81,7 @@ class TestCommands:
         out = str(tmp_path / "out")
         rc = main(["solve", "--spec", str(tmp_path / "nope.json"), "--out", out])
         assert rc == 2
-        err = json.load(open(os.path.join(out, "error.json")))
+        err = json.loads(Path(out, "error.json").read_text())
         assert err["error"] == "FileNotFoundError"
 
     def test_cli_defaults_are_run_config_defaults(self, square_spec, tmp_path):
@@ -98,8 +99,8 @@ class TestCommands:
         for out in (out1, out2):
             assert main(["solve", "--spec", square_spec, "--h", "0.1",
                          "--seed", "3", "--out", out]) == 0
-        r1 = open(os.path.join(out1, "report.json")).read()
-        r2 = open(os.path.join(out2, "report.json")).read()
+        r1 = Path(out1, "report.json").read_text()
+        r2 = Path(out2, "report.json").read_text()
         r1 = r1.replace(out1, "OUT")
         r2 = r2.replace(out2, "OUT")
         assert r1 == r2

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import hotspots.eigensolver as eigensolver
@@ -11,9 +12,43 @@ from hotspots.geometry import (Polygon, unit_square, rectangle, equilateral_tria
                                isosceles_triangle, triangle_from_angles)
 from hotspots.mesh import triangulate, refine, structured_triangle_mesh
 from hotspots.eigensolver import (P2Space, assemble, solve_second,
-                                  AnalyticSolution, OutsideDomainError)
+                                  AnalyticSolution, OutsideDomainError, SolverError)
 
 PI2 = math.pi ** 2
+L_SHAPE = Polygon([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]])
+
+
+def _scatter(space, Ae):
+    rows = np.repeat(space.dof, 6, axis=1).ravel()
+    cols = np.tile(space.dof, (1, 6)).ravel()
+    return sp.coo_matrix((Ae.ravel(), (rows, cols)), shape=(space.ndof,) * 2).tocsr()
+
+
+def _matrices_by_quadrature_points(space):
+    """Stiffness and mass summed point by point over the quadrature rules:
+    the oracle for the reference-tensor assembly."""
+    qp3, qp7 = eigensolver._QP3, eigensolver._QP7
+    Gref = eigensolver._p2_grads(qp3[:, 0], qp3[:, 1])              # (3,6,2)
+    Gphys = np.einsum("eba,qib->eqia", space.Jinv, Gref)
+    Ke = np.einsum("q,eqia,eqja,e->eij", eigensolver._QW3, Gphys, Gphys, space.detJ)
+    V = eigensolver._p2_values(qp7[:, 0], qp7[:, 1])                # (7,6)
+    Me = np.einsum("q,qi,qj,e->eij", eigensolver._QW7, V, V, space.detJ)
+    return _scatter(space, Ke), _scatter(space, Me)
+
+
+def _gradient_rhs_by_quadrature_points(space, coef):
+    """Right-hand side of the gradient recovery, point by point over the
+    7-point rule and scattered with np.add.at: the oracle for the
+    reference-moment form."""
+    qp7 = eigensolver._QP7
+    V = eigensolver._p2_values(qp7[:, 0], qp7[:, 1])
+    r0, A = space.affine_gradients(coef)
+    gref = r0[:, None, :] + np.einsum("eab,qb->eqa", A, qp7)
+    gq = np.einsum("eba,eqb->eqa", space.Jinv, gref)
+    be = np.einsum("q,qi,eqa,e->eia", eigensolver._QW7, V, gq, space.detJ)
+    b = np.zeros((space.ndof, 2))
+    np.add.at(b, space.dof.ravel(), be.reshape(-1, 2))
+    return b
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +72,17 @@ class TestAssemble:
         m = triangulate(T, 0.1)
         _, M = assemble(m)
         assert abs(M.sum() - T.area) < 1e-10 * T.area
+
+    @pytest.mark.parametrize("P, h", [
+        (triangle_from_angles(math.radians(30), math.radians(35)), 0.1),
+        (L_SHAPE, 0.2),                       # graded at the reflex corner
+    ], ids=["obtuse", "graded-L"])
+    def test_reference_tensors_match_quadrature_points(self, P, h):
+        space = P2Space(triangulate(P, h))
+        K, M = space.assemble()
+        K_ref, M_ref = _matrices_by_quadrature_points(space)
+        assert abs(K - K_ref).max() <= 1e-13 * abs(K_ref).max()
+        assert abs(M - M_ref).max() <= 1e-13 * abs(M_ref).max()
 
 
 class TestSolveSecond:
@@ -159,17 +205,48 @@ class TestEval:
         rec = square_sol.eval_grad_recovered(pts)
         assert np.abs(raw - rec).max() < 5e-2
 
-    def test_recovery_exact_on_quadratics(self):
+    @staticmethod
+    def _check_recovery_exact_on_quadratics(refines):
         # the P2 interpolant of a quadratic has an affine gradient, which lies
         # in the P2 space, so its L2 projection must return it at every dof
         T = triangle_from_angles(math.radians(30), math.radians(35))
-        space = P2Space(triangulate(T, T.diameter / 12))
+        mesh = triangulate(T, T.diameter / 12)
+        for _ in range(refines):
+            mesh = refine(mesh)
+        space = P2Space(mesh)
         x, y = space.dof_points().T
         coef = 1 + 2 * x - y + 0.5 * x * x + 0.3 * x * y - 0.7 * y * y
         gx, gy = space.project_gradient(coef)
         ex, ey = 2 + x + 0.3 * y, -1 + 0.3 * x - 1.4 * y
         err = max(np.abs(gx - ex).max(), np.abs(gy - ey).max())
         assert err <= 1e-10 * max(np.abs(ex).max(), np.abs(ey).max())
+
+    def test_recovery_exact_on_quadratics(self):
+        self._check_recovery_exact_on_quadratics(0)
+
+    def test_recovery_exact_on_quadratics_refined(self):
+        self._check_recovery_exact_on_quadratics(2)
+
+    def test_recovery_matches_direct_solve(self):
+        T = triangle_from_angles(math.radians(30), math.radians(35))
+        sol = solve_second(refine(refine(triangulate(T, T.diameter / 12))))
+        space = sol.space
+        _, M = space.matrices
+        b = _gradient_rhs_by_quadrature_points(space, sol.coef)
+        for g, bc in zip(space.project_gradient(sol.coef), b.T):
+            ref = spla.spsolve(M.tocsc(), bc)
+            assert np.abs(g - ref).max() <= 1e-11 * np.abs(ref).max()
+
+    def test_recovery_raises_when_cg_stops_short(self, monkeypatch):
+        space = P2Space(triangulate(unit_square(), 0.3))
+        x, y = space.dof_points().T
+
+        def stalled(A, b, **kwargs):
+            return np.zeros_like(b), kwargs["maxiter"]
+
+        monkeypatch.setattr(eigensolver.spla, "cg", stalled)
+        with pytest.raises(SolverError):
+            space.project_gradient(x * y)
 
     def test_outside_point_raises(self, square_sol):
         with pytest.raises(OutsideDomainError):
