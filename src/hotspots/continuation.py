@@ -204,30 +204,33 @@ def track(path: DeformationPath, steps: int | None = None, *,
     dt = dt0
     while t < 1.0 - 1e-12:
         t_next = min(t + dt, 1.0)
-        trouble = []
+        trouble = []    # (kind, detail) of each violation
         try:
             cand = _solve_sample(path, t_next, h, samples[-1])
         except (MeshingError, SolverError) as e:
             cand = None
-            trouble.append(f"sample failed: {type(e).__name__}: {e}")
+            trouble.append(("sample failed", f"sample failed: {type(e).__name__}: {e}"))
         else:
             unmatched, max_move = _match_points(samples[-1], cand,
                                                 DEFAULTS.match_radius_factor)
             unresolved = len(cand.critical.unresolved_points())
             if unmatched:
-                trouble.append("index-sum change: " + "; ".join(unmatched))
+                trouble.append(("index-sum change",
+                                "index-sum change: " + "; ".join(unmatched)))
             if max_move > DEFAULTS.probe_radius_factor:
-                trouble.append(f"critical point moved {max_move:.1f} h")
+                trouble.append(("critical point moved",
+                                f"critical point moved {max_move:.1f} h"))
             if cand.gap < DEFAULTS.gap_floor:
-                trouble.append(f"eigenvalue gap {cand.gap:.2e} below floor")
+                trouble.append(("eigenvalue gap below floor",
+                                f"eigenvalue gap {cand.gap:.2e} below floor"))
             if unresolved:
-                trouble.append(f"{unresolved} unresolved critical points")
+                trouble.append(("unresolved critical points",
+                                f"{unresolved} unresolved critical points"))
         if trouble and (t_next - t) > dt_floor * (1 + 1e-9):
             dt = 0.5 * (t_next - t)
             continue
-        for msg in trouble:
-            kind = msg.split(":")[0] if ":" in msg else msg
-            events.append(PathEvent(t, t_next, kind, msg))
+        for kind, detail in trouble:
+            events.append(PathEvent(t, t_next, kind, detail))
         if cand is not None:
             for cp in cand.critical.nonzero_index_points():
                 if cp.kind == "vertex":

@@ -308,21 +308,13 @@ class EigenSolution:
                              dict(self.diagnostics))
 
     def align_sign_with(self, other: "EigenSolution") -> "EigenSolution":
-        """Flip sign so u agrees with another solution at the polygon vertices."""
-        a = self.vertex_values()
-        b = other.eval(self.polygon.vertices, strict=False)
-        s = float(np.nansum(a * b))
-        if s == 0.0:
-            probe = 0.5 * (self.polygon.vertices + self.polygon.centroid)
-            s = float(np.nansum(self.eval(probe) * other.eval(probe, strict=False)))
-        return self.with_coef(-self.coef) if s < 0 else self
+        """Flip sign so u agrees with another solution at the polygon vertices.
 
-    def basis(self) -> list["EigenSolution"]:
-        """Orthogonal basis of the (near-)eigenspace: [u] or [u, u_next]."""
-        out = [self]
-        if self.neighbor_coef is not None:
-            out.append(self.with_coef(self.neighbor_coef, mu=self.neighbor_mu))
-        return out
+        Reads both solutions' vertex dofs, so ``other`` must live on a polygon
+        with the same vertex correspondence, as along a path.
+        """
+        s = float(self.vertex_values() @ other.vertex_values())
+        return self.with_coef(-self.coef) if s < 0 else self
 
     def select_from_pair(self, target_eval) -> "EigenSolution":
         """Combination of the near-degenerate pair closest to a target function.

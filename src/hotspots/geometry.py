@@ -337,9 +337,6 @@ class DeformationPath:
     def polygon_at(self, t: float) -> Polygon:
         return Polygon(self._fn(t))
 
-    def sample(self, m: int) -> list[Polygon]:
-        return [self.polygon_at(t) for t in np.linspace(0.0, 1.0, m)]
-
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "n_vertices": self.n_vertices, "params": dict(self.params)}
         if self.breakpoints is not None:

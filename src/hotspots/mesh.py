@@ -7,18 +7,12 @@ selected vertices, interior nodes start on a hexagonal lattice and relax
 under repulsive edge springs.  The contract is the mesh quality bound and
 the grading, not the particular algorithm.
 
-Between relaxation steps the nodes move little, and most steps leave the
-Delaunay triangulation as it was.  ``relax`` therefore keeps the last one
-and reuses it while it is certified to still be the Delaunay triangulation
-of the moved nodes (see ``_Topology``); otherwise it triangulates afresh.
-A certified triangulation is the unique Delaunay triangulation, so a fresh
-call would return the same triangles, and ``relax`` reads them only through
-the carve test and the sorted edge array: the output is the same as when
-every step triangulates afresh.  (The carve test sums each centroid in the
-vertex order of its triangle, which a fresh call may rotate; only a centroid
-within one rounding of the carve threshold could tell.)  The repair loop
-and the final mesh always use a fresh triangulation, whose triangle order
-they depend on.
+Between relaxation steps the nodes move little, so ``relax`` follows the
+displacement rule of distmesh (Persson & Strang, *A Simple Mesh Generator in
+MATLAB*, SIAM Review 2004): it keeps the carved triangles until some node has
+moved more than 0.1 h0 since the last triangulation, h0 being the finest
+target size, and only then triangulates afresh.  Kept triangles only steer
+the spring forces: the repair loop and the final mesh triangulate afresh.
 
 Along a deformation path the polygons of neighbouring samples barely differ,
 so ``triangulate(P, h, warm_start=mesh)`` carries a mesh of a nearby polygon
@@ -103,6 +97,8 @@ class _SizeFunction:
         self.diam = P.diameter
         self.floor = 0.2
         self._graded = np.nonzero(self.grade > 1e-12)[0]
+        # the finest target size anywhere
+        self.h0 = self.h * (self.floor if len(self._graded) else 1.0)
 
     def __call__(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -192,7 +188,7 @@ def _boundary_stations(P: Polygon, size: _SizeFunction) -> tuple[list[np.ndarray
 
 def _hex_seeds(P: Polygon, size: _SizeFunction, rng: np.random.Generator) -> np.ndarray:
     # seed at the finest local size and thin out where the target size is larger
-    h0 = size.h * (size.floor if len(size._graded) else 1.0)
+    h0 = size.h0
     v = P.vertices
     x0, y0 = v.min(axis=0) - h0
     x1, y1 = v.max(axis=0) + h0
@@ -217,79 +213,9 @@ def _hex_seeds(P: Polygon, size: _SizeFunction, rng: np.random.Generator) -> np.
     return pts[keep]
 
 
-class _Topology:
-    """Delaunay triangulation of a moving point set, kept while it is certified.
-
-    ``simplices(pts)`` returns the Delaunay simplices of ``pts``.  It returns
-    the array of the previous call again when the point count is the same and
-    the old triangulation still is the Delaunay triangulation of the moved
-    points, certified by three conditions:
-
-    - the vertices of the hull edges have not moved;
-    - every simplex keeps its orientation, with area above a relative margin;
-    - across every interior edge, the opposite vertex lies outside the
-      circumcircle by a relative margin (Lawson's local Delaunay criterion).
-
-    With a fixed boundary and no simplex turned over, the simplices still
-    triangulate the hull, and a triangulation that is strictly locally
-    Delaunay at every interior edge is the unique Delaunay triangulation.  A
-    fresh ``Delaunay`` call would return the same simplex set.  The margins
-    lie far above rounding error, so a near-degenerate configuration always
-    gets a fresh call.
-    """
-
-    _AREA_MARGIN = 1e-6        # of |u| |v| for the edge vectors u, v at vertex 0
-    _INCIRCLE_MARGIN = 1e-6    # of the in-circle determinant's magnitude bound
-
-    def __init__(self):
-        self._t = None
-
-    def simplices(self, pts: np.ndarray) -> np.ndarray:
-        if self._t is None or len(pts) != self._n or not self._certified(pts):
-            self._triangulate(pts)
-        return self._t
-
-    def _triangulate(self, pts: np.ndarray):
-        tri = Delaunay(pts)
-        t, nb = tri.simplices, tri.neighbors
-        self._t, self._n = t, len(pts)
-        # a point left out of the triangulation voids the argument above
-        self._certifiable = len(tri.coplanar) == 0
-        p = pts[t]
-        self._sign = np.sign(_cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]))
-        i, k = np.nonzero(nb < 0)
-        self._hull = np.unique([t[i, (k + 1) % 3], t[i, (k + 2) % 3]])
-        self._hull_pts = pts[self._hull].copy()
-        # each interior edge once: simplex i and the vertex of its neighbour j
-        # opposite the shared edge
-        i, k = np.nonzero(nb > np.arange(len(t))[:, None])
-        j = nb[i, k]
-        self._quad_tri = i
-        self._quad_opp = t[j, np.argmax(nb[j] == i[:, None], axis=1)]
-
-    def _certified(self, pts: np.ndarray) -> bool:
-        if not self._certifiable or not np.array_equal(pts[self._hull], self._hull_pts):
-            return False
-        p = pts[self._t]
-        u, v = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-        area = self._sign * _cross2(u, v)
-        if not np.all(area > self._AREA_MARGIN * np.linalg.norm(u, axis=1)
-                      * np.linalg.norm(v, axis=1)):
-            return False
-        q = p[self._quad_tri] - pts[self._quad_opp][:, None, :]
-        w = np.sum(q * q, axis=2)
-        det = (w[:, 0] * _cross2(q[:, 1], q[:, 2]) + w[:, 1] * _cross2(q[:, 2], q[:, 0])
-               + w[:, 2] * _cross2(q[:, 0], q[:, 1]))
-        r = np.sqrt(w)
-        bound = r[:, 0] * r[:, 1] * r[:, 2] * r.sum(axis=1)
-        return bool(np.all(self._sign[self._quad_tri] * det < -self._INCIRCLE_MARGIN * bound))
-
-
-def _carve(P: Polygon, pts: np.ndarray, geps: float, t: np.ndarray | None = None) -> np.ndarray:
-    """Simplices (fresh Delaunay ones unless given) with centroid inside P,
-    oriented positively."""
-    if t is None:
-        t = Delaunay(pts).simplices
+def _carve(P: Polygon, pts: np.ndarray, geps: float) -> np.ndarray:
+    """Delaunay simplices with centroid inside P, oriented positively."""
+    t = Delaunay(pts).simplices
     cent = pts[t].mean(axis=1)
     t = t[P.signed_distance(cent) < -geps]
     # enforce positive orientation
@@ -348,10 +274,13 @@ def triangulate(P: Polygon, h: float, grade=None, *, seed: int | None = None,
     geps = 1e-3 * h
 
     def relax(pts, n_iter):
-        topology = _Topology()
+        last = None     # the nodes at the last triangulation
         for _ in range(n_iter):
-            t = _carve(P, pts, geps, topology.simplices(pts))
-            e = _unique_edges(t, len(pts))
+            # distmesh's displacement rule (Persson & Strang 2004): keep the
+            # triangles until some node has moved more than 0.1 h0 since then
+            if last is None or np.max(np.linalg.norm(pts - last, axis=1)) > 0.1 * size.h0:
+                e = _unique_edges(_carve(P, pts, geps), len(pts))
+                last = pts
             vec = pts[e[:, 0]] - pts[e[:, 1]]
             L = np.linalg.norm(vec, axis=1)
             mid = 0.5 * (pts[e[:, 0]] + pts[e[:, 1]])
@@ -388,11 +317,15 @@ def triangulate(P: Polygon, h: float, grade=None, *, seed: int | None = None,
 
     # repair loop: first restore any boundary chain edge the Delaunay dropped
     # (evict interior nodes from its diametral disk), then fix bad triangles
-    # by dropping or inserting interior points; re-relax after each change
-    for _ in range(8):
+    # by dropping or inserting interior points; re-relax after each change.
+    # The round that finds nothing to repair is the final check; the ninth
+    # round raises instead of repairing.
+    for rnd in range(9):
         t = _carve(P, pts, geps)
         missing = _missing_chain_edges(P, side_station_idx, pts, t, n_fixed)
         if missing:
+            if rnd == 8:
+                raise MeshingError("boundary chain could not be restored")
             keep = np.ones(len(pts), dtype=bool)
             for a, b in missing:
                 mid = 0.5 * (pts[a] + pts[b])
@@ -408,6 +341,9 @@ def triangulate(P: Polygon, h: float, grade=None, *, seed: int | None = None,
         bad = np.nonzero(m < min_angle)[0]
         if len(bad) == 0:
             break
+        if rnd == 8:
+            raise MeshingError(f"quality bound not met: min angle {m.min():.2f} deg "
+                               f"< {min_angle} deg after repair")
         drop = set()
         add = []
         for bi in bad:
@@ -426,14 +362,6 @@ def triangulate(P: Polygon, h: float, grade=None, *, seed: int | None = None,
         if add:
             pts = np.vstack([pts, np.array(add)])
         pts = relax(pts, 20)
-
-    t = _carve(P, pts, geps)
-    if _missing_chain_edges(P, side_station_idx, pts, t, n_fixed):
-        raise MeshingError("boundary chain could not be restored")
-    m = _min_angles(pts, t)
-    if m.min() < min_angle:
-        raise MeshingError(f"quality bound not met: min angle {m.min():.2f} deg "
-                           f"< {min_angle} deg after repair")
 
     # prune nodes that ended up unused
     used = np.zeros(len(pts), dtype=bool)

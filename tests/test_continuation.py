@@ -91,6 +91,18 @@ class TestTrackFailedSample:
         assert run.samples[-1].t == 1.0
 
 
+class TestTrackEventKinds:
+    def test_event_kind_is_a_fixed_string(self, monkeypatch):
+        import hotspots.continuation as cont
+        monkeypatch.setattr(cont, "_match_points", lambda a, b, radius_factor: ([], 99.0))
+        T = triangle_from_angles(math.radians(30), math.radians(35))
+        run = track(DeformationPath.constant(T), steps=3, max_halvings=0,
+                    h=lambda P: P.diameter / 12)
+        moved = run.events_of("critical point moved")
+        assert len(moved) == 3 == len(run.samples) - 1
+        assert all(e.detail == "critical point moved 99.0 h" for e in moved)
+
+
 class TestTrackRecord:
     def test_samples_record_mesh_h(self):
         T0 = triangle_from_angles(math.radians(30), math.radians(35))

@@ -282,6 +282,18 @@ class TestPairSelection:
         fixed = flipped.align_sign_with(square_sol)
         assert float(fixed.coef @ square_sol.coef) > 0
 
+    def test_align_sign_on_nearby_triangles(self, solve_cached):
+        # the vertex dofs of two nearby polygons correspond, so the sign
+        # follows from them; the two fields then agree near the 30 deg vertex
+        T0 = triangle_from_angles(math.radians(30), math.radians(35))
+        T1 = triangle_from_angles(math.radians(31), math.radians(35))
+        a, b = solve_cached(T0, 0.1), solve_cached(T1, 0.1)
+        probe = np.array([[0.1, 0.02]])
+        for c in (b, b.with_coef(-b.coef)):
+            fixed = c.align_sign_with(a)
+            assert float(fixed.vertex_values() @ a.vertex_values()) > 0
+            assert fixed.eval(probe)[0] * a.eval(probe)[0] > 0
+
 
 class TestAnalyticSolution:
     def test_interface(self):

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy.spatial import Delaunay
 
 import hotspots.mesh as mesh_mod
+from hotspots.config import DEFAULTS
 from hotspots.geometry import (Polygon, unit_square, isosceles_triangle,
                                triangle_from_angles, breaking_family)
 from hotspots.mesh import (triangulate, refine, structured_triangle_mesh,
-                           default_grading, MeshingError, _Topology, _unique_edges)
+                           default_grading, MeshingError, _unique_edges)
 from hotspots.corpus import random_simple_polygon
 
 
@@ -148,66 +148,12 @@ class TestStructured:
         assert abs(m.min_angle() - math.degrees(T.angles.min())) < 1e-9
 
 
-def _simplex_set(t) -> set:
-    return {tuple(sorted(map(int, s))) for s in t}
-
-
-def _square_with_inner_quad(d_y: float) -> np.ndarray:
-    """Fixed hull corners, three inner points on a circle about (0.5, 0.5) of
-    radius 0.1 and a fourth at height d_y above the centre: outside that
-    circle the Delaunay diagonal is a-c, inside it b-d."""
-    return np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
-                     [0.4, 0.5], [0.5, 0.4], [0.6, 0.5], [0.5, d_y]])
-
-
-class TestTopologyReuse:
-    def test_small_moves_keep_the_fresh_simplex_set(self):
-        rng = np.random.default_rng(3)
-        pts = np.vstack([[[0, 0], [1, 0], [1, 1], [0, 1]],
-                         0.1 + 0.8 * rng.random((40, 2))])
-        topo = _Topology()
-        prev = topo.simplices(pts)
-        reused = 0
-        for _ in range(20):
-            pts = pts.copy()
-            pts[4:] += 1e-5 * rng.standard_normal((40, 2))
-            t = topo.simplices(pts)
-            reused += t is prev
-            assert _simplex_set(t) == _simplex_set(Delaunay(pts).simplices)
-            prev = t
-        assert reused > 0
-
-    def test_edge_flip_falls_back(self):
-        topo = _Topology()
-        before = topo.simplices(_square_with_inner_quad(0.62))
-        assert (4, 6) in {(a, b) for a, b in _unique_edges(before, 8)}
-        pts = _square_with_inner_quad(0.58)
-        t = topo.simplices(pts)
-        assert t is not before
-        assert (5, 7) in {(a, b) for a, b in _unique_edges(t, 8)}
-        assert _simplex_set(t) == _simplex_set(Delaunay(pts).simplices)
-
-    def test_inverted_triangle_falls_back(self):
-        topo = _Topology()
-        before = topo.simplices(_square_with_inner_quad(0.62))
-        pts = _square_with_inner_quad(0.45)   # d crosses the line a-c
-        t = topo.simplices(pts)
-        assert t is not before
-        assert _simplex_set(t) == _simplex_set(Delaunay(pts).simplices)
-
-    def test_point_count_or_hull_change_falls_back(self):
-        topo = _Topology()
-        pts = _square_with_inner_quad(0.62)
-        before = topo.simplices(pts)
-        assert topo.simplices(pts.copy()) is before
-        more = np.vstack([pts, [[0.8, 0.2]]])
-        t = topo.simplices(more)
-        assert len(t) == len(Delaunay(more).simplices) and t is not before
-        moved = more.copy()
-        moved[1] = [1.0, 1e-9]
-        assert topo.simplices(moved) is not t
-
-    def test_triangulate_matches_always_fresh_delaunay(self, monkeypatch):
+class TestDisplacementRule:
+    def test_few_triangulations_and_quality_on_graded_and_nonconvex_meshes(self, monkeypatch):
+        """``relax`` triangulates again only after a node has moved 0.1 h0,
+        so a mesh needs fewer ``Delaunay`` calls than relax steps, graded
+        and non-convex ones included, and still conforms and meets the
+        quality bound."""
         rng = np.random.default_rng(5)
         cases = [(unit_square(), 0.1),
                  (isosceles_triangle(math.radians(49.75)), None),
@@ -218,20 +164,13 @@ class TestTopologyReuse:
         calls = []
         real = mesh_mod.Delaunay
         monkeypatch.setattr(mesh_mod, "Delaunay", lambda p: calls.append(1) or real(p))
-
-        def run():
+        for P, h in cases:
             calls.clear()
-            out = [triangulate(P, P.diameter / 20 if h is None else h) for P, h in cases]
-            return out, len(calls)
-
-        reused, n_reused = run()
-        monkeypatch.setattr(_Topology, "_certified", lambda self, pts: False)
-        fresh, n_fresh = run()
-        assert n_reused < n_fresh
-        for a, b in zip(reused, fresh):
-            for name in ("nodes", "triangles", "boundary_edges", "vertex_map"):
-                x, y = getattr(a, name), getattr(b, name)
-                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+            m = triangulate(P, P.diameter / 20 if h is None else h)
+            mesh_mod._check_conforming(m)
+            bound = min(DEFAULTS.mesh_quality_min_angle, 0.9 * math.degrees(P.angles.min()))
+            assert m.min_angle() >= bound
+            assert len(calls) < DEFAULTS.mesh_relax_iters
 
 
 class TestUniqueEdges:
