@@ -5,9 +5,8 @@ gradient of u_h is affine, so its zero is one 2x2 solve per element, kept
 when it lies in that element.  On a boundary edge u_h is the quadratic
 through the edge's three dofs, so the tangential derivative is linear and
 its root is closed form; a sign change of the derivative across a boundary
-node is a root at that node.  A field without a mesh (AnalyticSolution) is
-located on its P2 interpolant, while probes and vertex fits read the field
-itself.
+node is a root at that node.  Probes and vertex fits read the solution's
+point evaluation, which for an AnalyticSolution is its closed form.
 
 A point p gets index 1 - n/2 (interior) or 1 - n (boundary), where n counts
 the level-set arcs of u through u(p) that emanate from p.  The count is
@@ -31,7 +30,6 @@ import numpy as np
 
 from .config import DEFAULTS
 from . import bessel as _bessel
-from .eigensolver import p2_field
 
 
 @dataclass
@@ -285,10 +283,9 @@ def estimate_hessian(sol, p, side: int | None = None) -> np.ndarray:
     condition kills the mixed tangential-normal entry, so only the
     tangential and normal entries are kept (returned in world coordinates).
     """
-    fem = p2_field(sol)
-    space = fem.space
+    space = sol.space
     (e,), _ = space.locate(np.asarray(p, dtype=float)[None, :])
-    _, A = space.affine_gradients(fem.coef)
+    _, A = space.affine_gradients(sol.coef)
     Jinv = space.Jinv[e]
     H = Jinv.T @ A[e] @ Jinv
     H = 0.5 * (H + H.T)
@@ -377,15 +374,14 @@ def find_critical_points(sol) -> CriticalSet:
     side's raw tangential-derivative roots, before vertex absorption.
     """
     P = sol.polygon
-    fem = p2_field(sol)
-    gscale = _grad_scale(fem)
+    gscale = _grad_scale(sol)
     points: list[CriticalPoint] = []
     degenerate: list[DegenerateLocus] = []
     notes: list[str] = []
     absorbed: dict[int, list[float]] = {}   # vid -> distances of absorbed roots
 
     # sides first: vertex probes adapt to nearby side structure
-    side_roots = _side_tangential_roots(fem, range(P.n),
+    side_roots = _side_tangential_roots(sol, range(P.n),
                                         zero_rtol=DEFAULTS.grad_zero_rtol, gscale=gscale)
     for i, (roots, pts) in enumerate(side_roots):
         if roots is None:
@@ -414,7 +410,7 @@ def find_critical_points(sol) -> CriticalSet:
 
     # interior
     found: list[np.ndarray] = []
-    for p in _element_gradient_zeros(fem):
+    for p in _element_gradient_zeros(sol):
         hp = float(sol.h_at(p[None, :])[0])
         if float(P.boundary_distance(p[None, :])[0]) < 1.2 * hp:
             continue  # boundary zone is handled by side/vertex detection

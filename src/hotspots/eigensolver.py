@@ -279,14 +279,6 @@ class EigenSolution:
     def _recovered(self) -> tuple[np.ndarray, np.ndarray]:
         return self.space.project_gradient(self.coef)
 
-    def eval_grad_recovered(self, pts, *, strict: bool = True):
-        gx, gy = self._recovered
-        pts_arr = np.atleast_2d(np.asarray(pts, dtype=float))
-        vx = self.space.eval(gx, pts_arr, strict=strict)
-        vy = self.space.eval(gy, pts_arr, strict=strict)
-        out = np.column_stack([vx, vy])
-        return out if np.asarray(pts).ndim == 2 else out[0]
-
     def integral(self) -> float:
         _, M = self.space.matrices
         return float(np.ones(self.space.ndof) @ (M @ self.coef))
@@ -340,24 +332,27 @@ class EigenSolution:
         return self.with_coef(comb / nrm)
 
 
-class AnalyticSolution:
-    """Closed-form stand-in with the EigenSolution evaluation interface.
+class AnalyticSolution(EigenSolution):
+    """A closed-form field f with gradient grad_f on a polygon, as a solution.
 
-    Used for manufactured fields in tests and wedge probes: any callable u
-    with gradient on a polygon, tagged with an eigenvalue-like scale mu.
+    Its P2 part interpolates f on a uniform mesh at ``h_nominal``
+    (``triangulate`` at 8 h_nominal refined three times): ``coef`` is f at
+    the dof points and the recovered gradient is grad_f there.  Point
+    evaluation reads f and grad_f exactly, so probes and vertex fits see
+    the closed form; critical points and traces are found on the P2 part.
+    ``mu`` is an eigenvalue-like scale; there is no spectral gap.
     """
 
     def __init__(self, polygon: Polygon, mu: float, f, grad_f, *, h_nominal: float | None = None):
-        self.polygon = polygon
-        self.mu = float(mu)
+        if h_nominal is None:
+            h_nominal = polygon.diameter / 64
+        mesh = triangulate(polygon, 8 * h_nominal)
+        for _ in range(3):
+            mesh = refine(mesh)
+        space = P2Space(mesh)
         self._f = f
         self._grad = grad_f
-        self.h_nominal = h_nominal if h_nominal is not None else polygon.diameter / 64
-        self.gap = np.inf
-        self.residual = 0.0
-        self.neighbor_coef = None
-        self.multiplicity_flag = False
-        self.mesh = None
+        super().__init__(space, float(mu), self.eval(space.dof_points()), np.inf, 0.0)
 
     def eval(self, pts, *, strict: bool = True):
         pts_arr = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -369,40 +364,9 @@ class AnalyticSolution:
         out = np.asarray(self._grad(pts_arr), dtype=float)
         return out if np.asarray(pts).ndim == 2 else out[0]
 
-    def eval_grad_recovered(self, pts, *, strict: bool = True):
-        return self.eval_grad(pts, strict=strict)
-
-    def h_at(self, pts) -> np.ndarray:
-        pts_arr = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.full(len(pts_arr), self.h_nominal)
-
     @cached_property
-    def interpolant(self) -> EigenSolution:
-        """P2 interpolant on a mesh at ``h_nominal`` (coefficients = u at the
-        dof points), built once.  The mesh is ``triangulate`` at 8 h_nominal
-        refined three times: uniform, as ``h_at`` is."""
-        mesh = triangulate(self.polygon, 8 * self.h_nominal)
-        for _ in range(3):
-            mesh = refine(mesh)
-        space = P2Space(mesh)
-        return EigenSolution(space, self.mu, self.eval(space.dof_points()), self.gap,
-                             self.residual)
-
-    @property
-    def scale(self) -> float:
-        rng = np.random.default_rng(7)
-        v = self.polygon.vertices
-        w = rng.dirichlet(np.ones(len(v)), size=512)
-        pts = w @ v
-        pts = pts[self.polygon.contains(pts)]
-        vals = self.eval(pts)
-        return float(np.nanmax(np.abs(vals))) if len(pts) else 1.0
-
-
-def p2_field(sol) -> EigenSolution:
-    """The P2 field behind a solution: ``sol`` itself, or the interpolant of
-    an AnalyticSolution."""
-    return sol.interpolant if isinstance(sol, AnalyticSolution) else sol
+    def _recovered(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(self.eval_grad(self.space.dof_points()).T)
 
 
 def solve_second(mesh: Mesh, tol: float | None = None) -> EigenSolution:

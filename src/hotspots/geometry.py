@@ -372,8 +372,9 @@ def lip1_classify(P: Polygon) -> Lip1Result:
     where outward normals satisfy n.n' >= 0 within a class and <= 0 across
     classes.  The partition witness is the first one found in side order;
     the criterion does not single out a unique partition, so the number of
-    valid bipartitions is reported as well.  The sign tests allow a slack of
-    ``DEFAULTS.lip1_tol``.
+    valid bipartitions is reported as well.  Each class of a bipartition is
+    a contiguous arc, so the search meets every bipartition twice, once from
+    each class.  The sign tests allow a slack of ``DEFAULTS.lip1_tol``.
     """
     tol = DEFAULTS.lip1_tol
     N = P.side_normals
@@ -381,13 +382,9 @@ def lip1_classify(P: Polygon) -> Lip1Result:
     D = N @ N.T
     first = None
     count = 0
-    seen = set()
     for start in range(n):
         for length in range(1, n):
             a = tuple(sorted((start + k) % n for k in range(length)))
-            if a in seen:
-                continue
-            seen.add(a)
             b = tuple(i for i in range(n) if i not in a)
             ia, ib = np.array(a), np.array(b)
             ok = (np.all(D[np.ix_(ia, ia)] >= -tol)
@@ -397,7 +394,7 @@ def lip1_classify(P: Polygon) -> Lip1Result:
                 count += 1
                 if first is None:
                     first = (a, b)
-    return Lip1Result(first is not None, first, count)
+    return Lip1Result(first is not None, first, count // 2)
 
 
 def orthogonal_side_pairs(P: Polygon) -> list[tuple[int, int]]:

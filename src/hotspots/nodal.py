@@ -3,9 +3,10 @@
 A ScalarField wraps u, a constant-direction derivative
 L_psi u = cos(psi) du/dx + sin(psi) du/dy, or the rotational-field
 derivative R_w u = -(y - w_y) du/dx + (x - w_x) du/dy over a solution, as
-point evaluation and as a P2 dof vector.  ``trace`` extracts Z(field) by
-marching triangles on the P2 sub-triangulation with those dof values, and
-classifies whether arcs end at polygon vertices.
+one P2 dof vector on the solution's space, which is also what it evaluates
+at points.  ``trace`` extracts Z(field) by marching triangles on the P2
+sub-triangulation with those dof values, and classifies whether arcs end at
+polygon vertices.
 
 The arc-at-vertex question is answered two ways: geometrically, by probing
 the field on shrinking circular arcs inside the vertex wedge, and
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .config import DEFAULTS
-from .eigensolver import P2Space, p2_field
+from .eigensolver import P2Space
 from . import bessel as _bessel
 
 TWO_PI = 2 * math.pi
@@ -66,30 +67,22 @@ class ScalarField:
         raise ValueError(f"unknown field kind {self.kind}")
 
     def eval(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.kind == "u":
-            return self.sol.eval(pts, strict=False)
-        g = self.sol.eval_grad_recovered(pts, strict=False)
-        return self._combine(pts, g[:, 0], g[:, 1])
+        """The P2 field of ``dofs`` at the points (NaN outside the mesh)."""
+        space, vals = self.dofs
+        return space.eval(vals, np.atleast_2d(np.asarray(pts, dtype=float)), strict=False)
 
     @functools.cached_property
     def dofs(self) -> tuple[P2Space, np.ndarray]:
         """The field as a P2 dof vector on the solution's space.
 
         u is ``coef``; a derivative field combines the recovered-gradient dof
-        vectors (for an AnalyticSolution, its gradient at the interpolant's
-        dof points) at the dof points.
+        vectors at the dof points.
         """
-        fem = p2_field(self.sol)
-        space = fem.space
+        space = self.sol.space
         if self.kind == "u":
-            return space, fem.coef
-        pts = space.dof_points()
-        if fem is self.sol:
-            gx, gy = fem._recovered
-        else:
-            gx, gy = self.sol.eval_grad(pts).T
-        return space, self._combine(pts, gx, gy)
+            return space, self.sol.coef
+        gx, gy = self.sol._recovered
+        return space, self._combine(space.dof_points(), gx, gy)
 
     @property
     def tag(self) -> dict:

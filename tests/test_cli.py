@@ -77,6 +77,50 @@ class TestCommands:
         rep = _report(out)
         assert all(row["S"] == 2 and row["V"] == 0 for row in rep["summary"])
 
+    def test_path_breaking(self, tmp_path):
+        from hotspots.geometry import isosceles_triangle
+        T = isosceles_triangle(math.radians(50))
+        spec = tmp_path / "path.json"
+        spec.write_text(json.dumps({"kind": "breaking", "triangle": T.vertices.tolist(),
+                                    "side": 0, "w0": 0.3, "w1": 0.7, "eps": 0.01}))
+        out = str(tmp_path / "out")
+        assert main(["path", "--spec", str(spec), "--steps", "2", "--h", "0.1",
+                     "--out", out]) == 0
+        rep = _report(out)
+        assert rep["track"]["path"] == {"kind": "breaking", "n_vertices": 4,
+                                        "params": {"eps": 0.01, "side": 0}}
+        rows = rep["summary"]
+        assert rows[0]["t"] == 0.0 and rows[-1]["t"] == 1.0
+        # both ends are the triangle itself, with the angle-pi vertex moved
+        assert rows[0]["mu"] == pytest.approx(rows[-1]["mu"], rel=1e-9)
+
+    def test_path_lip1_reduction(self, tmp_path):
+        from hotspots.geometry import triangle_from_angles, break_triangle
+        T = triangle_from_angles(math.radians(30), math.radians(40))
+        Q = break_triangle(T, 0, T.side_point(0, 0.5), 0.004)
+        spec = tmp_path / "path.json"
+        spec.write_text(json.dumps({"kind": "lip1-reduction",
+                                    "polygon": Q.vertices.tolist()}))
+        out = str(tmp_path / "out")
+        assert main(["path", "--spec", str(spec), "--steps", "2", "--h", "0.1",
+                     "--out", out]) == 0
+        rows = _report(out)["summary"]
+        assert [row["t"] for row in rows] == [0.0, 0.5, 1.0]
+        assert all(row["S"] == 2 and row["V"] == 0 for row in rows)
+
+    def test_break_isosceles(self, tmp_path):
+        from hotspots.geometry import isosceles_triangle
+        spec = tmp_path / "iso.json"
+        spec.write_text(json.dumps(isosceles_triangle(math.radians(50)).to_dict()))
+        out = str(tmp_path / "out")
+        assert main(["break", "--spec", str(spec), "--steps", "4", "--h", "0.08",
+                     "--out", out]) == 0
+        rep = _report(out)["breaking"]
+        assert rep["branch"] == "blocking-instability"
+        lo, hi = rep["window"]
+        assert 0.0 < lo < 0.5 < hi < 1.0
+        assert rep["membership"]["in_N"] is True
+
     def test_missing_spec_writes_error_record(self, tmp_path):
         out = str(tmp_path / "out")
         rc = main(["solve", "--spec", str(tmp_path / "nope.json"), "--out", out])

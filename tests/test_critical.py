@@ -5,6 +5,7 @@ import pytest
 
 from hotspots.geometry import (Polygon, unit_square, isosceles_triangle,
                                triangle_from_angles)
+from hotspots.config import DEFAULTS
 from hotspots.mesh import triangulate, refine
 from hotspots.eigensolver import solve_second, AnalyticSolution
 from hotspots.critical import (find_critical_points, index_of, verify_index_formula,
@@ -186,6 +187,27 @@ class TestIndexFormula:
         sol = AnalyticSolution(P, math.pi ** 2, f, gf, h_nominal=0.03)
         rep = verify_index_formula(sol)
         assert rep.passed is None and rep.degenerate
+
+
+class TestLineLocus:
+    """Positive oracle for the interior 'line' locus: cos(2 pi x) on the unit
+    square is critical on the whole segment x = 1/2."""
+
+    @pytest.mark.parametrize("h", [0.02, 0.03])
+    def test_collinear_zeros_reported_as_line(self, h):
+        f = lambda p: np.cos(2 * math.pi * p[:, 0])
+        gf = lambda p: np.column_stack([-2 * math.pi * np.sin(2 * math.pi * p[:, 0]),
+                                        np.zeros(len(p))])
+        sol = AnalyticSolution(unit_square(), 4 * math.pi ** 2, f, gf, h_nominal=h)
+        cs = find_critical_points(sol)
+        lines = [d for d in cs.degenerate_loci if d.kind == "line"]
+        assert len(lines) == 1
+        pts = lines[0].points
+        assert len(pts) >= DEFAULTS.degenerate_collinear_count
+        assert np.abs(pts[:, 0] - 0.5).max() < 1e-4
+        assert np.ptp(pts[:, 1]) > 0.5
+        assert not cs.by_kind("interior")
+        assert verify_index_formula(sol, cs).degenerate
 
 
 class TestStability:

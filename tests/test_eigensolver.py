@@ -200,9 +200,11 @@ class TestEval:
         assert np.abs(g[:, 0] + math.pi).max() < 5e-2
 
     def test_recovered_gradient_is_continuous_estimate(self, square_sol):
+        from hotspots.nodal import ScalarField
         pts = np.random.default_rng(1).random((50, 2)) * 0.8 + 0.1
         raw = square_sol.eval_grad(pts)
-        rec = square_sol.eval_grad_recovered(pts)
+        rec = np.column_stack([ScalarField.directional(square_sol, psi).eval(pts)
+                               for psi in (0.0, math.pi / 2)])
         assert np.abs(raw - rec).max() < 5e-2
 
     @staticmethod
@@ -304,7 +306,17 @@ class TestAnalyticSolution:
         assert abs(sol.eval(np.array([[0.25, 0.5]]))[0] - math.cos(math.pi / 4)) < 1e-15
         g = sol.eval_grad(np.array([[0.25, 0.5]]))[0]
         assert abs(g[0] + math.pi * math.sin(math.pi / 4)) < 1e-15
-        assert sol.scale <= 1.0 + 1e-12
+        assert isinstance(sol, eigensolver.EigenSolution)
+        assert sol.gap == np.inf and sol.residual == 0.0
+        # the P2 part interpolates f: coef is f at the dof points
+        x = sol.space.dof_points()[:, 0]
+        assert np.array_equal(sol.coef, np.cos(math.pi * x))
+        assert sol.scale == 1.0                      # max |f| over the dof points
+        # the recovered gradient is grad f at the dof points
+        gx, gy = sol._recovered
+        assert np.allclose(gx, -math.pi * np.sin(math.pi * x)) and not gy.any()
+        # h_at reads the mesh, at the nominal size on this ungraded square
+        assert np.allclose(sol.h_at(sol.mesh.nodes), unit_square().diameter / 64)
 
     def test_interpolant_built_once(self, monkeypatch):
         from hotspots.critical import find_critical_points

@@ -110,6 +110,16 @@ class TestLip1:
         assert res.is_lip1 == brute_force_lip1(P) is True
         assert res.partition is not None
 
+    def test_partition_count_counts_each_bipartition_once(self):
+        # square: {0,1}|{2,3} and {1,2}|{3,0}; obtuse triangle: the side
+        # opposite the obtuse angle against the other two
+        square = lip1_classify(unit_square())
+        assert square.partition_count == 2
+        assert square.partition == ((0, 1), (2, 3))
+        obtuse = lip1_classify(triangle_from_angles(math.radians(30), math.radians(40)))
+        assert obtuse.partition_count == 1
+        assert obtuse.partition == ((0,), (1, 2))
+
     def test_triangles_lip1_iff_not_acute(self):
         rng = np.random.default_rng(11)
         for _ in range(200):

@@ -173,6 +173,27 @@ class TestDisplacementRule:
             assert len(calls) < DEFAULTS.mesh_relax_iters
 
 
+class TestQualityRepair:
+    @pytest.mark.parametrize("apex, k", [
+        ([0.5651869653156042, 0.2170850362062705], 10),    # one repair round
+        ([0.20657750052733936, 0.3165136875195867], 26),   # drops and centroid inserts
+    ])
+    def test_repair_rounds_meet_the_angle_bound(self, monkeypatch, apex, k):
+        """Triangles whose relaxed mesh has a triangle below the quality
+        bound: the repair loop runs more than one round (each round checks
+        the boundary chain once) and ends above the bound."""
+        P = Polygon([[0, 0], [1, 0], apex])
+        rounds = []
+        real = mesh_mod._missing_chain_edges
+        monkeypatch.setattr(mesh_mod, "_missing_chain_edges",
+                            lambda *a: rounds.append(1) or real(*a))
+        m = triangulate(P, P.diameter / k)
+        mesh_mod._check_conforming(m)
+        bound = min(DEFAULTS.mesh_quality_min_angle, 0.9 * math.degrees(P.angles.min()))
+        assert len(rounds) > 1
+        assert m.min_angle() >= bound
+
+
 class TestUniqueEdges:
     def test_matches_lexicographic_unique(self, square_mesh):
         t = square_mesh.triangles
