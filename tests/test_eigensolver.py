@@ -165,6 +165,62 @@ class TestSolverRoute:
         with pytest.raises(ValueError):
             solve_second(mesh)
 
+    def test_one_unpivoted_factorization_reaches_eigsh(self, monkeypatch):
+        factored, solved = [], []
+        splu, eigsh = spla.splu, spla.eigsh
+
+        def recording_splu(A, **kwargs):
+            factored.append((kwargs["permc_spec"], kwargs["diag_pivot_thresh"]))
+            return splu(A, **kwargs)
+
+        def recording_eigsh(*args, **kwargs):
+            solved.append(kwargs["OPinv"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(eigensolver.spla, "splu", recording_splu)
+        monkeypatch.setattr(eigensolver.spla, "eigsh", recording_eigsh)
+        solve_second(triangulate(unit_square(), 0.3))
+        assert factored == [("NATURAL", 0.0)]
+        assert len(solved) == 1 and solved[0] is not None
+
+    def test_failed_factorization_raises_solver_error(self, monkeypatch):
+        mesh = triangulate(unit_square(), 0.3)
+
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(eigensolver.spla, "splu", singular)
+        with pytest.raises(SolverError, match=f"{P2Space(mesh).ndof} dofs"):
+            solve_second(mesh)
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("mesh", [
+        lambda: triangulate(unit_square(), 0.1),
+        lambda: triangulate(L_SHAPE, 0.2),                       # graded
+        lambda: structured_triangle_mesh(isosceles_triangle(math.radians(50)), 20),
+        lambda: structured_triangle_mesh(equilateral_triangle(), 2),   # 4 elements
+    ], ids=["square", "graded-L", "structured", "tiny"])
+    def test_is_a_deterministic_permutation(self, mesh):
+        space = P2Space(mesh())
+        p = eigensolver._nested_dissection(space)
+        assert np.array_equal(np.sort(p), np.arange(space.ndof))
+        assert np.array_equal(p, eigensolver._nested_dissection(P2Space(space.mesh)))
+
+    def test_cuts_fill_and_keeps_mu(self):
+        T = triangle_from_angles(math.radians(30), math.radians(35))
+        mesh = triangulate(T, T.diameter / 21)
+        for _ in range(2):
+            mesh = refine(mesh)
+        space = P2Space(mesh)
+        K, M = space.matrices
+        sigma = -0.25 * (2 * math.pi / T.diameter) ** 2
+        lu = spla.splu((K - sigma * M).tocsc())
+        sol = solve_second(mesh)
+        assert sol.diagnostics["factor_nnz"] < 0.9 * lu.nnz
+        vals = np.sort(spla.eigsh(K, k=4, M=M, sigma=sigma)[0])
+        assert abs(sol.mu - vals[1]) <= 1e-10 * vals[1]
+
 
 class TestSolverTol:
     # Shift-invert Lanczos meets any tolerance within its first factorization
