@@ -25,7 +25,6 @@ class Defaults:
 
     # eigensolver
     solver_tol: float = 1e-10
-    solver_maxiter: int = 500
     degenerate_gap: float = 1e-4    # relative gap below which a 2-dim basis is returned
 
     # vertex expansions

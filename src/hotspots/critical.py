@@ -205,7 +205,9 @@ def classify_vertex(sol, vid: int, *, probe_radii=None, composite: bool = False)
     it measures the total index of everything inside the probe disk, which is
     the quantity that is stable at mesh resolution (unresolvably close side
     structure gets absorbed into the vertex count).  The expansion-route
-    index is kept in the diagnostics.
+    index is kept in the diagnostics.  When the probe gives no index (its
+    radii disagree, say) the expansion index stands, and the note names the
+    probe's failure and its counts.
     """
     P = sol.polygon
     vid = vid % P.n
@@ -263,6 +265,9 @@ def classify_vertex(sol, vid: int, *, probe_radii=None, composite: bool = False)
                     f"probe total {probe.index} overrides expansion index {idx}"
     elif idx is None:
         unresolved = True
+    else:
+        note = (note + "; " if note else "") + \
+            f"probe {probe.note} (counts {probe.counts}): expansion index {idx} kept"
     return {"vertex": vid, "index": final, "expansion_index": idx, "k": k, "a": a_val,
             "expansion": expansion, "magnitudes": [float(x) for x in mags],
             "leading_ratio": None if expansion.leading_index is None

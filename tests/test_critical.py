@@ -210,6 +210,39 @@ class TestLineLocus:
         assert verify_index_formula(sol, cs).degenerate
 
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="9 zeros survive the dedupe, below degenerate_collinear_count")
+    def test_coarse_mesh_segment_reported_as_line(self):
+        # the P2 interpolant of cos(2 pi x) on a coarse unstructured mesh:
+        # today 9 isolated index-1 points on x = 1/2 and no line locus
+        sol = solve_second(triangulate(unit_square(), 0.05))
+        x = sol.space.dof_points()[:, 0]
+        cs = find_critical_points(sol.with_coef(np.cos(2 * math.pi * x), mu=4 * math.pi ** 2))
+        lines = [d for d in cs.degenerate_loci if d.kind == "line"]
+        assert len(lines) == 1
+        assert np.abs(lines[0].points[:, 0] - 0.5).max() < 1e-4
+        assert not cs.by_kind("interior")
+
+
+class TestProbeFallback:
+    def test_radius_disagreement_is_noted(self, solve_cached):
+        """The `corpus` benchmark workload, seed 2, polygon 7: reflex vertex 1
+        (208.4 deg) absorbs the side-0 saddle, and its two probe radii count
+        2 and 1 arcs.  The expansion index 0 stands, and the note says so."""
+        P = Polygon([[0.03826164124624677, 1.2493933149116354],
+                     [-0.41005887206307373, 0.8051275305344998],
+                     [-0.9024722369882898, 0.6609802053708982],
+                     [-1.0488636512419383, -0.1528883302744483],
+                     [0.7181342205318183, -0.8259113568251462],
+                     [0.6933198089347676, -0.4031338458114908]])
+        assert abs(math.degrees(P.vertex_frame(1)[2]) - 208.4) < 0.05
+        info = find_critical_points(solve_cached(P, P.diameter / 26)).vertex_table[1]
+        assert info["absorbed_distances"]
+        assert info["probe_index"] is None
+        assert info["index"] == info["expansion_index"] == 0
+        assert info["note"] == "probe radius disagreement (counts [2, 1]): expansion index 0 kept"
+
+
 class TestStability:
     def test_total_index_stable_under_refinement(self):
         T = isosceles_triangle(math.radians(50))

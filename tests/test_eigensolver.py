@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -139,49 +140,73 @@ class TestSolveSecond:
         assert du.max() <= 1e-6 * np.abs(sol.coef).max()
 
 
-class TestSolverRoute:
-    def test_eigsh_route_recorded(self, square_sol):
-        assert square_sol.diagnostics["route"] == "eigsh"
+def _obtuse_refined_twice():
+    T = triangle_from_angles(math.radians(30), math.radians(35))
+    return refine(refine(triangulate(T, T.diameter / 21)))      # 5305 dofs
 
-    def test_arpack_failure_takes_dense_route(self, monkeypatch):
+
+def _residual(sol, mu, c):
+    K, M = sol.space.matrices
+    return np.linalg.norm(K @ c - mu * (M @ c)) / (mu * np.linalg.norm(M @ c))
+
+
+class _CountingFactor:
+    """A SuperLU factor that records its solves."""
+
+    def __init__(self, lu, solves):
+        self.lu, self.nnz, self.solves = lu, lu.nnz, solves
+
+    def solve(self, b):
+        self.solves.append(len(b))
+        return self.lu.solve(b)
+
+
+class TestSolverRoute:
+    def test_lanczos_route_recorded(self, square_sol):
+        assert square_sol.diagnostics["route"] == "lanczos"
+        assert 2 <= square_sol.diagnostics["applications"] <= eigensolver._LANCZOS_CAP
+
+    def test_no_convergence_takes_dense_route(self, monkeypatch):
         mesh = triangulate(triangle_from_angles(math.radians(30), math.radians(35)), 0.2)
         ref = solve_second(mesh)
-
-        def no_convergence(*args, **kwargs):
-            raise spla.ArpackNoConvergence("forced", np.zeros(0), np.zeros((0, 0)))
-
-        monkeypatch.setattr(eigensolver.spla, "eigsh", no_convergence)
+        monkeypatch.setattr(eigensolver, "_LANCZOS_CAP", 2)
         sol = solve_second(mesh)
         assert sol.diagnostics["route"] == "dense-eigh"
+        assert sol.diagnostics["applications"] == 2
         assert abs(sol.mu - ref.mu) < 1e-8 * ref.mu
+        assert sol.residual <= DEFAULTS.solver_tol
+
+    def test_no_convergence_raises_above_4000_dofs(self, monkeypatch):
+        mesh = _obtuse_refined_twice()
+        monkeypatch.setattr(eigensolver, "_LANCZOS_CAP", 2)
+        with pytest.raises(SolverError, match="5305 dofs"):
+            solve_second(mesh)
 
     def test_other_errors_are_not_swallowed(self, monkeypatch):
         mesh = triangulate(unit_square(), 0.3)
 
-        def broken(*args, **kwargs):
-            raise ValueError("not an ARPACK failure")
+        class Broken:
+            nnz = 0
 
-        monkeypatch.setattr(eigensolver.spla, "eigsh", broken)
-        with pytest.raises(ValueError):
+            def solve(self, b):
+                raise ValueError("not a convergence failure")
+
+        monkeypatch.setattr(eigensolver.spla, "splu", lambda *args, **kwargs: Broken())
+        with pytest.raises(ValueError, match="not a convergence failure"):
             solve_second(mesh)
 
-    def test_one_unpivoted_factorization_reaches_eigsh(self, monkeypatch):
-        factored, solved = [], []
-        splu, eigsh = spla.splu, spla.eigsh
+    def test_one_unpivoted_factorization_per_solve(self, monkeypatch):
+        factored, solves = [], []
+        splu = spla.splu
 
         def recording_splu(A, **kwargs):
             factored.append((kwargs["permc_spec"], kwargs["diag_pivot_thresh"]))
-            return splu(A, **kwargs)
-
-        def recording_eigsh(*args, **kwargs):
-            solved.append(kwargs["OPinv"])
-            return eigsh(*args, **kwargs)
+            return _CountingFactor(splu(A, **kwargs), solves)
 
         monkeypatch.setattr(eigensolver.spla, "splu", recording_splu)
-        monkeypatch.setattr(eigensolver.spla, "eigsh", recording_eigsh)
-        solve_second(triangulate(unit_square(), 0.3))
+        sol = solve_second(triangulate(unit_square(), 0.3))
         assert factored == [("NATURAL", 0.0)]
-        assert len(solved) == 1 and solved[0] is not None
+        assert len(solves) == sol.diagnostics["applications"]
 
     def test_failed_factorization_raises_solver_error(self, monkeypatch):
         mesh = triangulate(unit_square(), 0.3)
@@ -192,6 +217,33 @@ class TestSolverRoute:
         monkeypatch.setattr(eigensolver.spla, "splu", singular)
         with pytest.raises(SolverError, match=f"{P2Space(mesh).ndof} dofs"):
             solve_second(mesh)
+
+    def test_second_zero_mode_raises(self):
+        # two disjoint copies of one mesh: a second constant mode, at mu = 0
+        m = triangulate(unit_square(), 0.3)
+        two = dataclasses.replace(m, nodes=np.vstack([m.nodes, m.nodes + [2.0, 0.0]]),
+                                  triangles=np.vstack([m.triangles, m.triangles + m.n_nodes]))
+        with pytest.raises(SolverError, match="second zero mode"):
+            solve_second(two)
+
+    def test_application_count_guard(self):
+        # 14 applications; ARPACK's default 20-vector basis took 21
+        sol = solve_second(_obtuse_refined_twice())
+        assert sol.diagnostics["applications"] <= 16
+        assert sol.residual <= DEFAULTS.solver_tol
+
+    def test_exact_double_eigenvalue(self):
+        # the symmetric lattice keeps the equilateral triangle's double mu_2
+        # to rounding; Lanczos must find both copies from one start vector
+        sol = solve_second(structured_triangle_mesh(equilateral_triangle(), 16))
+        assert sol.multiplicity_flag and sol.gap < 1e-12
+        c2, c3 = sol.coef, sol.neighbor_coef
+        assert sol.residual <= DEFAULTS.solver_tol
+        assert _residual(sol, sol.mu, c2) <= DEFAULTS.solver_tol
+        assert _residual(sol, sol.neighbor_mu, c3) <= DEFAULTS.solver_tol
+        _, M = sol.space.matrices
+        assert abs(c2 @ (M @ c3)) <= 1e-10 * math.sqrt((c2 @ (M @ c2)) * (c3 @ (M @ c3)))
+        assert sol.diagnostics["spectrum_head"] == [sol.mu, sol.neighbor_mu]
 
 
 class TestNestedDissection:
@@ -223,21 +275,14 @@ class TestNestedDissection:
 
 
 class TestSolverTol:
-    # Shift-invert Lanczos meets any tolerance within its first factorization
-    # on small meshes, so the residual cannot show tol there; check that the
-    # value reaches eigsh instead.
-    @pytest.mark.parametrize("tol, want", [(None, DEFAULTS.solver_tol), (1e-3, 1e-3)])
-    def test_tol_reaches_eigsh(self, monkeypatch, tol, want):
-        seen = []
-        eigsh = spla.eigsh
-
-        def recording(*args, **kwargs):
-            seen.append(kwargs.get("tol"))
-            return eigsh(*args, **kwargs)
-
-        monkeypatch.setattr(eigensolver.spla, "eigsh", recording)
-        solve_second(triangulate(unit_square(), 0.3), tol=tol)
-        assert seen == [want]
+    # tol bounds the residual the solution reports, and a looser one stops
+    # the Lanczos loop sooner
+    def test_loose_tol_takes_fewer_applications(self):
+        mesh = _obtuse_refined_twice()
+        tight, loose = solve_second(mesh), solve_second(mesh, tol=1e-3)
+        assert tight.residual <= DEFAULTS.solver_tol
+        assert loose.residual <= 1e-3
+        assert loose.diagnostics["applications"] < tight.diagnostics["applications"]
 
 
 class TestEval:
