@@ -284,6 +284,23 @@ class TestSolverTol:
         assert loose.residual <= 1e-3
         assert loose.diagnostics["applications"] < tight.diagnostics["applications"]
 
+    # The Lanczos stopping test compares Ritz estimates with the tol it is
+    # handed; check that the caller's tol, or the default, is what it gets.
+    # (The name is kept from the ARPACK solver, which took tol the same way.)
+    @pytest.mark.parametrize("tol, want", [(None, DEFAULTS.solver_tol), (1e-3, 1e-3)])
+    def test_tol_reaches_eigsh(self, monkeypatch, tol, want):
+        seen = []
+        lanczos = eigensolver._lanczos
+
+        def recording(solve, M, deflate, v0, tol, cap):
+            seen.append(tol)
+            return lanczos(solve, M, deflate, v0, tol, cap)
+
+        monkeypatch.setattr(eigensolver, "_lanczos", recording)
+        sol = solve_second(triangulate(unit_square(), 0.3), tol=tol)
+        assert seen == [want]
+        assert sol.residual <= want
+
 
 class TestEval:
     def test_eval_at_nodes_matches_coef(self, square_sol):
