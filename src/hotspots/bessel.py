@@ -22,6 +22,7 @@ import numpy as np
 from scipy.special import jv
 
 from .config import DEFAULTS
+from .geometry import arc_points
 
 _KMAX = 48
 
@@ -133,7 +134,9 @@ def fit_sector_coefficients(u_eval, mu: float, apex, alpha: float, beta: float,
     """Least-squares Fourier-Bessel fit over a polar grid in a vertex frame.
 
     ``u_eval`` maps an (n,2) array of points to values; ``alpha`` is the world
-    angle of the theta=0 ray.
+    angle of the theta=0 ray.  The grid (``n_r`` radii by ``n_theta``
+    angles, from ``arc_points``) takes one ``u_eval`` call; a mode's
+    contribution is |c_n| times max |J_{n nu}(sqrt(mu) r)| over its column.
     """
     if K is None:
         K = DEFAULTS.bessel_K
@@ -147,16 +150,13 @@ def fit_sector_coefficients(u_eval, mu: float, apex, alpha: float, beta: float,
     if npts < 10 * (K + 1):
         raise FitError(f"annulus grid too sparse: {npts} points for K={K}")
 
-    apex = np.asarray(apex, dtype=float)
     radii = np.linspace(r_in, r_out, n_r)
     pad = 1e-9 * beta
     thetas = np.linspace(pad, beta - pad, n_theta)
-    R, Th = np.meshgrid(radii, thetas, indexing="ij")
-    rr, tt = R.ravel(), Th.ravel()
-    pts = apex[None, :] + np.column_stack([rr * np.cos(alpha + tt), rr * np.sin(alpha + tt)])
+    rr, tt = np.repeat(radii, n_theta), np.tile(thetas, n_r)     # radius-major
 
     try:
-        U = np.asarray(u_eval(pts), dtype=float)
+        U = np.asarray(u_eval(arc_points(apex, radii, alpha + thetas)), dtype=float)
     except Exception as e:
         raise FitError(f"annulus intersects the domain boundary: {e}") from e
     if np.any(~np.isfinite(U)):
@@ -169,7 +169,7 @@ def fit_sector_coefficients(u_eval, mu: float, apex, alpha: float, beta: float,
     for n in range(K + 1):
         jcol = bessel_j(n * nu, smu * rr)
         A[:, n] = jcol * np.cos(n * nu * tt)
-        colmax[n] = np.abs(bessel_j(n * nu, smu * radii)).max()
+        colmax[n] = np.abs(jcol).max()
     colnorm = np.linalg.norm(A, axis=0)
     if np.any(colnorm == 0):
         raise FitError("degenerate design matrix")

@@ -40,7 +40,8 @@ class Defaults:
     psi_boundary_band: float = 0.05  # rad; verdicts inside the band report raw margin
 
     # critical points
-    probe_radius_factor: float = 3.0   # probe radius = factor * local mesh size
+    probe_radius_factor: float = 3.0   # probe radius = factor * local mesh size; track also
+                                       # rejects a step whose matched points move more (in local h)
     probe_samples: int = 360
     sign_band_frac: float = 0.02       # |value| below band * max => suppressed in sign counting
     grad_zero_rtol: float = 2e-2       # |grad u(p)| below this * max|grad u| accepts a zero

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .config import DEFAULTS
+from .geometry import arc_points
 from . import bessel as _bessel
 
 
@@ -115,11 +116,6 @@ def _count_sign_changes(vals: np.ndarray, *, cyclic: bool, band: float) -> int |
     return int(changes)
 
 
-def _arc_points(p, r, phi0, phi1, m):
-    phis = np.linspace(phi0, phi1, m)
-    return p[None, :] + r * np.column_stack([np.cos(phis), np.sin(phis)])
-
-
 @dataclass
 class IndexResult:
     index: int | None
@@ -130,57 +126,47 @@ class IndexResult:
 
 
 def _probe_index(sol, p, locus, *, radii=None) -> IndexResult:
-    """Arc count on two probe radii; locus decides the arc span and formula."""
+    """Arc count of u - u(p) on two radii: a full circle at an interior point
+    (index 1 - n/2), a semicircle into the domain at a side point or the
+    wedge at a vertex (index 1 - n).  u(p) and both arcs take one ``eval``."""
     P = sol.polygon
     p = np.asarray(p, dtype=float)
     m = DEFAULTS.probe_samples
-    h = float(sol.h_at(p[None, :])[0])
+    interior = locus == "interior"
+    if interior:
+        phis = np.linspace(0.0, 2 * math.pi, m + 1)[:-1]
+    elif locus[0] == "side":
+        t = P.side_tangents[locus[1]]
+        phi_t = math.atan2(t[1], t[0])
+        phis = np.linspace(phi_t, phi_t + math.pi, max(m // 2, 90))
+    else:
+        _, alpha, beta = P.vertex_frame(locus[1])
+        phis = np.linspace(alpha, alpha + beta, max(m // 2, 90))
     if radii is None:
-        r1 = DEFAULTS.probe_radius_factor * h
-        bd = float(P.boundary_distance(p[None, :])[0])
-        if locus == "interior" or locus[0] == "interior":
-            r1 = min(r1, 0.7 * bd)
+        r1 = DEFAULTS.probe_radius_factor * float(sol.h_at(p[None, :])[0])
+        if interior:
+            r1 = min(r1, 0.7 * float(P.boundary_distance(p[None, :])[0]))
         elif locus[0] == "side":
             i = locus[1]
             others = [P.distance_to_side(p, j) for j in range(P.n) if j != i]
             vdist = [np.linalg.norm(p - P.vertices[k]) for k in range(P.n)]
             r1 = min(r1, 0.7 * min(others), 0.45 * min(vdist))
-        else:  # vertex
-            vid = locus[1]
-            r1 = min(r1, 0.5 * _bessel.annulus_reference(P, vid))
+        else:
+            r1 = min(r1, 0.5 * _bessel.annulus_reference(P, locus[1]))
         radii = [r1, 0.5 * r1]
 
-    u0 = float(sol.eval(p[None, :], strict=False)[0])
+    vals = sol.eval(np.vstack([p, arc_points(p, radii, phis)]), strict=False)
     counts = []
-    for r in radii:
-        if locus == "interior":
-            pts = _arc_points(p, r, 0.0, 2 * math.pi, m + 1)[:-1]
-            vals = sol.eval(pts, strict=False) - u0
-            band = DEFAULTS.sign_band_frac * np.nanmax(np.abs(vals)) if np.any(np.isfinite(vals)) else 0
-            counts.append(_count_sign_changes(vals, cyclic=True, band=band))
-        else:
-            if locus[0] == "side":
-                # semicircle from +tangent through the interior to -tangent
-                i = locus[1]
-                t = P.side_tangents[i]
-                phi_t = math.atan2(t[1], t[0])
-                phis = np.linspace(phi_t, phi_t + math.pi, max(m // 2, 90))
-                pts = p[None, :] + r * np.column_stack([np.cos(phis), np.sin(phis)])
-            else:
-                vid = locus[1]
-                apex, alpha, beta = P.vertex_frame(vid)
-                phis = np.linspace(alpha, alpha + beta, max(m // 2, 90))
-                pts = p[None, :] + r * np.column_stack([np.cos(phis), np.sin(phis)])
-            vals = sol.eval(pts, strict=False) - u0
-            band = DEFAULTS.sign_band_frac * np.nanmax(np.abs(vals)) if np.any(np.isfinite(vals)) else 0
-            counts.append(_count_sign_changes(vals, cyclic=False, band=band))
+    for arc in (vals[1:] - vals[0]).reshape(len(radii), -1):
+        band = DEFAULTS.sign_band_frac * np.nanmax(np.abs(arc)) if np.any(np.isfinite(arc)) else 0
+        counts.append(_count_sign_changes(arc, cyclic=interior, band=band))
 
     if any(c is None for c in counts):
         return IndexResult(None, None, counts, list(radii), "probe failed")
     if counts[0] != counts[1]:
         return IndexResult(None, None, counts, list(radii), "radius disagreement")
     n = counts[0]
-    if locus == "interior":
+    if interior:
         if n % 2 == 1:
             return IndexResult(None, n, counts, list(radii), "odd interior arc count")
         idx = 1 - n // 2
@@ -194,9 +180,21 @@ def index_of(sol, p, locus="interior") -> IndexResult:
     return _probe_index(sol, p, locus)
 
 
+def _probed_point(sol, p, locus) -> CriticalPoint:
+    res = _probe_index(sol, p, locus)
+    g = sol.eval_grad(p[None, :], strict=False)[0]
+    return CriticalPoint(p, locus, res.index, res.index == 1,
+                         {"n_arcs": res.n_arcs, "counts": res.counts, "radii": res.radii,
+                          "grad_residual": float(np.linalg.norm(g)), "note": res.note})
+
+
 # ---------------------------------------------------------------------------
 # vertex classification through the expansion
 # ---------------------------------------------------------------------------
+
+def _join(note: str, more: str) -> str:
+    return f"{note}; {more}" if note else more
+
 
 def classify_vertex(sol, vid: int, *, probe_radii=None, composite: bool = False) -> dict:
     """Vertex index from the fitted expansion, with the probe cross-check.
@@ -253,21 +251,19 @@ def classify_vertex(sol, vid: int, *, probe_radii=None, composite: bool = False)
         if idx is None:
             final = probe.index
             unresolved = False
-            note = (note + "; " if note else "") + "resolved by probe count"
+            note = _join(note, "resolved by probe count")
         elif probe.index != idx:
             final = probe.index
             if composite:
-                note = (note + "; " if note else "") + \
-                    f"composite: probe total {probe.index} absorbs sub-resolution " \
-                    f"structure (expansion index {idx})"
+                note = _join(note, f"composite: probe total {probe.index} absorbs "
+                                   f"sub-resolution structure (expansion index {idx})")
             else:
-                note = (note + "; " if note else "") + \
-                    f"probe total {probe.index} overrides expansion index {idx}"
+                note = _join(note, f"probe total {probe.index} overrides expansion index {idx}")
     elif idx is None:
         unresolved = True
     else:
-        note = (note + "; " if note else "") + \
-            f"probe {probe.note} (counts {probe.counts}): expansion index {idx} kept"
+        note = _join(note, f"probe {probe.note} (counts {probe.counts}): "
+                           f"expansion index {idx} kept")
     return {"vertex": vid, "index": final, "expansion_index": idx, "k": k, "a": a_val,
             "expansion": expansion, "magnitudes": [float(x) for x in mags],
             "leading_ratio": None if expansion.leading_index is None
@@ -405,13 +401,7 @@ def find_critical_points(sol) -> CriticalSet:
                 # too close to isolate from the vertex: absorbed into its probe
                 absorbed.setdefault(vnear, []).append(float(dists[vnear]))
                 continue
-            res = _probe_index(sol, p, ("side", i))
-            g = sol.eval_grad(p[None, :], strict=False)[0]
-            points.append(CriticalPoint(p, ("side", i), res.index, res.index == 1,
-                                        {"n_arcs": res.n_arcs, "counts": res.counts,
-                                         "radii": res.radii,
-                                         "grad_residual": float(np.linalg.norm(g)),
-                                         "note": res.note}))
+            points.append(_probed_point(sol, p, ("side", i)))
 
     # interior
     found: list[np.ndarray] = []
@@ -435,14 +425,7 @@ def find_critical_points(sol) -> CriticalSet:
             notes.append("interior: non-isolated critical locus (rectangle-like degenerate)")
             found = []
 
-    for p in found:
-        res = _probe_index(sol, p, "interior")
-        g = sol.eval_grad(p[None, :], strict=False)[0]
-        points.append(CriticalPoint(p, "interior", res.index, res.index == 1,
-                                    {"n_arcs": res.n_arcs, "counts": res.counts,
-                                     "radii": res.radii,
-                                     "grad_residual": float(np.linalg.norm(g)),
-                                     "note": res.note}))
+    points += [_probed_point(sol, p, "interior") for p in found]
 
     # vertices last: probe radii adapt to the detected structure nearby
     vertex_table = {}
@@ -472,6 +455,10 @@ def find_critical_points(sol) -> CriticalSet:
                     "leading_ratio": None}
         if composite:
             info["absorbed_distances"] = absorbed[vid]
+        if radii is not None and radii[0] == radii[1]:
+            # the two-radius agreement check then compares a circle with itself
+            info["note"] = _join(info["note"], f"probe radii collapse to one circle at the "
+                                               f"annulus cap r = {radii[0]:.5g}")
         vertex_table[vid] = info
         idx = info.get("index")
         if idx is None and info.get("unresolved"):
@@ -554,7 +541,8 @@ class CuspDiagnostic:
 def cusp_diagnostic(sol, cp: CriticalPoint) -> CuspDiagnostic:
     """Fit the normal-form behavior u - u(p) ~ c (y^2 - x^k rho(x)) at an
     index-zero side critical point: quadratic transversally, odd-order sign
-    change along the side, level set a cusp tangent to the side."""
+    change along the side, level set a cusp tangent to the side.  u(p), the
+    inward normal line and the side on both sides of p take one ``eval``."""
     if not (isinstance(cp.locus, tuple) and cp.locus[0] == "side"):
         raise ValueError("cusp diagnostic applies to side-interior critical points")
     if cp.index != 0:
@@ -568,23 +556,22 @@ def cusp_diagnostic(sol, cp: CriticalPoint) -> CuspDiagnostic:
     others = [P.distance_to_side(p, j) for j in range(P.n) if j != i]
     vdist = [np.linalg.norm(p - P.vertices[k]) for k in range(P.n)]
     r_max = min(0.5 * min(others), 0.5 * min(vdist))
-    u0 = float(sol.eval(p[None, :], strict=False)[0])
+    yy = np.linspace(0.35 * h, min(3 * h, 0.9 * r_max), 12)
+    xx = np.geomspace(max(h, 0.02 * r_max), r_max, 14)
+    vals = sol.eval(np.vstack([p, p + yy[:, None] * n_in,
+                               p + xx[:, None] * t, p - xx[:, None] * t]), strict=False)
+    u0 = vals[0]
+    tv, fvals = vals[1:13] - u0, {+1: vals[13:27] - u0, -1: vals[27:] - u0}
 
     # transverse: u(p + y n) - u0 ~ c y^2
-    yy = np.linspace(0.35 * h, min(3 * h, 0.9 * r_max), 12)
-    tv = sol.eval(p[None, :] + yy[:, None] * n_in[None, :], strict=False) - u0
     A = np.column_stack([yy ** 2])
     c_fit, *_ = np.linalg.lstsq(A, tv, rcond=None)
     c_est = float(c_fit[0])
     tres = float(np.linalg.norm(tv - A @ c_fit) / max(np.linalg.norm(tv), 1e-300))
 
     # along the side: log|f| vs log|x| slope on both sides
-    xx = np.geomspace(max(h, 0.02 * r_max), r_max, 14)
     slopes = []
-    fvals = {}
-    for sgn in (+1, -1):
-        f = sol.eval(p[None, :] + sgn * xx[:, None] * t[None, :], strict=False) - u0
-        fvals[sgn] = f
+    for f in fvals.values():
         ok = np.isfinite(f) & (np.abs(f) > 1e-14 * abs(u0 + 1e-300))
         if np.sum(ok) >= 5:
             sl = np.polyfit(np.log(xx[ok]), np.log(np.abs(f[ok])), 1)[0]

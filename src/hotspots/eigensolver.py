@@ -208,30 +208,33 @@ class P2Space:
 
     # -- point location ---------------------------------------------------------
     def locate(self, pts: np.ndarray, *, strict: bool = True):
-        """Triangle index and reference coordinates for each point."""
+        """Triangle index and reference coordinates for each point.
+
+        A point goes to the first of its nearest-centroid elements, in k-d
+        tree order, that holds it (barycentric slack 1e-9), tested for all
+        pending points at once at candidate depths 1, 8 and 64; -1 if none.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         npts = len(pts)
         tri = np.full(npts, -1, dtype=int)
         xi = np.zeros((npts, 2))
         pend = np.arange(npts)
-        for k in (8, 64):
+        for k, depths in ((8, (1, 8)), (64, (64,))):
             if len(pend) == 0:
                 break
-            kk = min(k, len(self._p0))
-            _, cand = self._tree.query(pts[pend], k=kk)
-            cand = np.atleast_2d(cand)
-            for c in range(cand.shape[1]):
-                if len(pend) == 0:
-                    break
-                ti = cand[:, c]
-                loc = np.einsum("pab,pb->pa", self.Jinv[ti], pts[pend] - self._p0[ti])
-                lam0 = 1.0 - loc[:, 0] - loc[:, 1]
-                ok = (loc[:, 0] >= -1e-9) & (loc[:, 1] >= -1e-9) & (lam0 >= -1e-9)
-                hit = pend[ok]
-                tri[hit] = ti[ok]
-                xi[hit] = np.clip(loc[ok], 0.0, 1.0)
-                pend = pend[~ok]
-                cand = cand[~ok]
+            _, cand = self._tree.query(pts[pend], k=min(k, len(self._p0)))
+            cand = cand.reshape(len(pend), -1)
+            for d in depths:
+                c = cand[:, :d]
+                loc = np.einsum("pcab,pcb->pca", self.Jinv[c], pts[pend, None] - self._p0[c])
+                lam0 = 1.0 - loc[..., 0] - loc[..., 1]
+                holds = (loc[..., 0] >= -1e-9) & (loc[..., 1] >= -1e-9) & (lam0 >= -1e-9)
+                first = holds.argmax(axis=1)
+                rows = np.arange(len(pend))
+                ok = holds[rows, first]
+                tri[pend[ok]] = c[rows, first][ok]
+                xi[pend[ok]] = np.clip(loc[rows, first][ok], 0.0, 1.0)
+                pend, cand = pend[~ok], cand[~ok]
         if len(pend) and strict:
             inside = self.mesh.polygon.contains(pts[pend])
             if np.any(~inside):

@@ -47,6 +47,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def arc_points(center, radii, phis) -> np.ndarray:
+    """Points center + r (cos phi, sin phi), radius-major: the arc of
+    radii[0] first, each arc in the order of ``phis``."""
+    ray = np.stack([np.cos(phis), np.sin(phis)], axis=-1)
+    r = np.asarray(radii, dtype=float)[:, None, None]
+    return (np.asarray(center, dtype=float) + r * ray).reshape(-1, 2)
+
+
 def _signed_area(v: np.ndarray) -> float:
     x, y = v[:, 0], v[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
@@ -99,7 +107,7 @@ class Polygon:
     def area(self) -> float:
         return _signed_area(self._v)
 
-    @property
+    @cached_property
     def diameter(self) -> float:
         v = self._v
         d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1)
@@ -109,7 +117,7 @@ class Polygon:
     def centroid(self) -> np.ndarray:
         return self._v.mean(axis=0)
 
-    # side geometry is computed once per polygon and handed out read-only
+    # side and angle data are computed once per polygon and handed out read-only
     @cached_property
     def side_vectors(self) -> np.ndarray:
         return _read_only(np.roll(self._v, -1, axis=0) - self._v)
@@ -127,13 +135,13 @@ class Polygon:
         sv = self.side_vectors
         return _read_only(np.sum(sv * sv, axis=1))
 
-    @property
+    @cached_property
     def side_normals(self) -> np.ndarray:
         # outward for a CCW polygon
         t = self.side_tangents
-        return np.column_stack([t[:, 1], -t[:, 0]])
+        return _read_only(np.column_stack([t[:, 1], -t[:, 0]]))
 
-    @property
+    @cached_property
     def angles(self) -> np.ndarray:
         """Interior angle at each vertex, in (0, 2*pi)."""
         v = self._v
@@ -142,7 +150,7 @@ class Polygon:
         cross = b[:, 0] * a[:, 1] - b[:, 1] * a[:, 0]
         dot = np.sum(a * b, axis=1)
         ang = np.arctan2(cross, dot)
-        return np.where(ang <= 0, ang + TWO_PI, ang)
+        return _read_only(np.where(ang <= 0, ang + TWO_PI, ang))
 
     def vertex_frame(self, i: int) -> tuple[np.ndarray, float, float]:
         """Local polar frame at vertex i.

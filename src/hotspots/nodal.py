@@ -24,6 +24,7 @@ import numpy as np
 
 from .config import DEFAULTS
 from .eigensolver import P2Space
+from .geometry import arc_points
 from . import bessel as _bessel
 
 TWO_PI = 2 * math.pi
@@ -197,12 +198,15 @@ def wedge_probe(field: ScalarField, vid: int) -> WedgeProbe:
     """Probe sign changes of the field on shrinking arcs inside a vertex wedge.
 
     The arcs have radii r0, r0/2 and r0/4, with r0 the inner radius of the
-    vertex's fit annulus, and 241 samples each.  An arc of the zero set ends
-    at the vertex iff crossings persist at every radius (no critical points
-    sit near the vertex, so a zero curve entering the wedge either terminates
-    at the vertex or leaves through the probe circle).  Crossings within
-    0.04 beta of either side are reported separately: they belong to
-    boundary-lying components.
+    vertex's fit annulus, and 241 samples each, all evaluated in one call; a
+    crossing is the linear interpolate between neighbouring finite samples
+    of opposite sign.  An arc of the zero set ends at the vertex iff
+    crossings persist at every radius (no critical points sit near the
+    vertex, so a zero curve entering the wedge either terminates at the
+    vertex or leaves through the probe circle).  Crossings within 0.04 beta
+    of either side are reported separately: they belong to boundary-lying
+    components.  The verdict is None when an arc has fewer than half its
+    samples finite or stays below 1e-9 of the field's scale.
     """
     P = field.sol.polygon
     apex, alpha, beta = P.vertex_frame(vid)
@@ -210,37 +214,24 @@ def wedge_probe(field: ScalarField, vid: int) -> WedgeProbe:
     radii = [r0, 0.5 * r0, 0.25 * r0]
     n_theta = 241
     pad = 0.04 * beta
+    th = np.linspace(1e-4 * beta, beta * (1 - 1e-4), n_theta)
+    arcs = field.eval(arc_points(apex, radii, alpha + th)).reshape(len(radii), n_theta)
     fscale = field.scale
     root_thetas = []
     band_hit = False
     conclusive = True
-    for rho in radii:
-        th = np.linspace(1e-4 * beta, beta * (1 - 1e-4), n_theta)
-        ppts = apex[None, :] + rho * np.column_stack([np.cos(alpha + th), np.sin(alpha + th)])
-        f = field.eval(ppts)
+    for f in arcs:
         ok = np.isfinite(f)
-        if np.sum(ok) < n_theta // 2:
+        if np.sum(ok) < n_theta // 2 or np.abs(f[ok]).max() < 1e-9 * fscale:
             conclusive = False
             root_thetas.append([])
             continue
-        fmax = np.abs(f[ok]).max()
-        if fmax < 1e-9 * fscale:
-            conclusive = False
-            root_thetas.append([])
-            continue
-        roots = []
-        for k in range(n_theta - 1):
-            if ok[k] and ok[k + 1] and f[k] * f[k + 1] < 0:
-                t = f[k] / (f[k] - f[k + 1])
-                roots.append(float(th[k] + t * (th[k + 1] - th[k])))
-        interior = [r for r in roots if pad <= r <= beta - pad]
-        if len(interior) != len(roots):
-            band_hit = True
+        k = np.nonzero(ok[:-1] & ok[1:] & (f[:-1] * f[1:] < 0))[0]
+        roots = th[k] + f[k] / (f[k] - f[k + 1]) * (th[k + 1] - th[k])
+        interior = [float(r) for r in roots if pad <= r <= beta - pad]
+        band_hit |= len(interior) != len(roots)
         root_thetas.append(interior)
-    if not conclusive:
-        verdict = None
-    else:
-        verdict = all(len(r) >= 1 for r in root_thetas)
+    verdict = all(len(r) >= 1 for r in root_thetas) if conclusive else None
     return WedgeProbe(vertex=vid, radii=radii, root_thetas=root_thetas,
                       boundary_band=band_hit, ends_at_vertex=verdict)
 

@@ -242,6 +242,21 @@ class TestProbeFallback:
         assert info["index"] == info["expansion_index"] == 0
         assert info["note"] == "probe radius disagreement (counts [2, 1]): expansion index 0 kept"
 
+    def test_radius_collapse_is_noted(self, polygon_corpus, corpus_solutions):
+        """Corpus polygon 18 (0-based): obtuse vertex 2 absorbs a side root,
+        and both of its composite probe radii hit the cap of half the
+        annulus reference, so the two probe circles are one.  The index
+        stays the probe total; the note names the collapse and the radius."""
+        from hotspots.bessel import annulus_reference
+        P = polygon_corpus[18]
+        info = find_critical_points(corpus_solutions[18]).vertex_table[2]
+        r_cap = 0.5 * annulus_reference(P, 2)
+        assert abs(r_cap - 0.15081) < 5e-6
+        assert info["absorbed_distances"]
+        assert (info["index"], info["expansion_index"], info["probe_index"]) == (1, 0, 1)
+        assert info["note"].endswith(
+            f"probe radii collapse to one circle at the annulus cap r = {r_cap:.5g}")
+
 
 class TestStability:
     def test_total_index_stable_under_refinement(self):

@@ -454,3 +454,42 @@ class TestAnalyticSolution:
         find_critical_points(sol)
         trace(ScalarField.u(sol))
         assert len(calls) == 1
+
+
+class TestLocate:
+    """``P2Space.locate`` against a brute-force barycentric scan over every
+    element, computed from the mesh nodes alone."""
+
+    @staticmethod
+    def holders(mesh, pts, slack=1e-9):
+        p = mesh.nodes[mesh.triangles]                                  # (m,3,2)
+        J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)   # (m,2,2)
+        lam = np.linalg.solve(J[None], (pts[:, None, :] - p[None, :, 0])[..., None])[..., 0]
+        bary = np.concatenate([1 - lam.sum(axis=-1, keepdims=True), lam], axis=-1)
+        return (bary >= -slack).all(axis=-1), lam                       # (n,m), (n,m,2)
+
+    @pytest.mark.parametrize("P, h", [(L_SHAPE, 0.25), (triangle_from_angles(0.5, 0.6), 0.08)])
+    def test_matches_brute_force_scan(self, P, h):
+        mesh = triangulate(P, h)
+        space = P2Space(mesh)
+        rng = np.random.default_rng(3)
+        lo, hi = P.vertices.min(axis=0), P.vertices.max(axis=0)
+        pts = np.vstack([rng.uniform(lo - 0.2, hi + 0.2, (400, 2)),   # inside and outside
+                         space.dof_points()])                         # nodes and edge midpoints
+        held, lam = self.holders(mesh, pts)
+        tri, xi = space.locate(pts, strict=False)
+        found = held.any(axis=1)
+        assert np.array_equal(tri >= 0, found)
+        assert found[:400].sum() > 40 and (~found[:400]).sum() > 40
+        k = np.nonzero(found)[0]
+        assert held[k, tri[k]].all()
+        assert np.allclose(xi[k], np.clip(lam[k, tri[k]], 0, 1), atol=1e-12)
+        single = held.sum(axis=1) == 1                  # strictly inside one element
+        assert np.array_equal(tri[single], held[single].argmax(axis=1))
+        # every node and interior edge midpoint lies in several elements;
+        # any of them gives the dof's value
+        assert (held[400:].sum(axis=1) >= 2).sum() > space.ndof // 2
+        coef = rng.standard_normal(space.ndof)
+        assert np.allclose(space.eval(coef, space.dof_points()), coef, atol=1e-12)
+        with pytest.raises(OutsideDomainError):
+            space.locate(pts[:400][~found[:400]][:3])

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hotspots.geometry import (
     Polygon, Sector, DeformationPath, GeometryError, NotLip1Error,
-    OrthogonalSidesError, angles, lip1_classify, lip1_reduction_path,
+    OrthogonalSidesError, angles, arc_points, lip1_classify, lip1_reduction_path,
     break_triangle, breaking_family, orthogonal_side_pairs,
     unit_square, regular_polygon, equilateral_triangle, isosceles_triangle,
     triangle_from_angles,
@@ -277,3 +277,31 @@ def test_side_geometry_is_cached_and_read_only():
         assert a is getattr(P, name)
         with pytest.raises(ValueError):
             a[0] = 0.0
+
+
+def test_angle_data_is_cached_and_read_only():
+    P = Polygon([[0, 0], [3, 0], [3, 1], [1, 1], [0, 2]])
+    v = P.vertices
+    a, b = np.roll(v, 1, axis=0) - v, np.roll(v, -1, axis=0) - v
+    ang = np.arctan2(b[:, 0] * a[:, 1] - b[:, 1] * a[:, 0], np.sum(a * b, axis=1))
+    assert np.array_equal(P.angles, np.where(ang <= 0, ang + 2 * math.pi, ang))
+    assert P.angles[3] > math.pi                       # the reflex corner
+    t = P.side_tangents
+    assert np.array_equal(P.side_normals, np.column_stack([t[:, 1], -t[:, 0]]))
+    assert P.diameter == max(np.linalg.norm(p - q) for p in v for q in v)
+    assert P.diameter is P.diameter
+    for name in ("angles", "side_normals"):
+        arr = getattr(P, name)
+        assert arr is getattr(P, name)
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_arc_points_are_radius_major():
+    c = np.array([1.0, -2.0])
+    phis = np.array([0.0, math.pi / 2, math.pi])
+    pts = arc_points(c, [1.0, 0.5], phis)
+    assert pts.shape == (6, 2)
+    expect = [[2, -2], [1, -1], [0, -2], [1.5, -2], [1, -1.5], [0.5, -2]]
+    assert np.allclose(pts, expect, atol=1e-15)
+    assert np.allclose(np.linalg.norm(pts - c, axis=1), [1, 1, 1, 0.5, 0.5, 0.5])

@@ -7,7 +7,7 @@ from hotspots.geometry import Polygon, unit_square, isosceles_triangle, triangle
 from hotspots.corpus import random_simple_polygon
 from hotspots.eigensolver import AnalyticSolution, solve_second
 from hotspots.mesh import triangulate
-from hotspots.bessel import bessel_j
+from hotspots.bessel import BesselExpansion, bessel_j
 from hotspots.nodal import (ScalarField, trace, arc_ends_at_vertex, degree_one_vertices,
                             wedge_probe, analytic_arc_verdict, NodalGraph)
 
@@ -177,8 +177,18 @@ class TestArcAtVertex:
     def test_at_most_one_arc(self):
         beta = math.pi / 3
         sol = sector_solution(beta, [1.0, 0.0, 0.2])
-        probe = wedge_probe(ScalarField.directional(sol, math.pi / 2 + beta / 2), 0)
+        fld = ScalarField.directional(sol, math.pi / 2 + beta / 2)
+        probe = wedge_probe(fld, 0)
         assert all(n <= 1 for n in probe.n_roots)
+        # the crossings equal a sample-by-sample loop over each arc
+        apex, alpha, _ = sol.polygon.vertex_frame(0)
+        th = np.linspace(1e-4 * beta, beta * (1 - 1e-4), 241)
+        for rho, got in zip(probe.radii, probe.root_thetas):
+            f = fld.eval(apex + rho * np.column_stack([np.cos(alpha + th), np.sin(alpha + th)]))
+            roots = [th[k] + f[k] / (f[k] - f[k + 1]) * (th[k + 1] - th[k])
+                     for k in range(240) if f[k] * f[k + 1] < 0]
+            assert got == [r for r in roots if 0.04 * beta <= r <= beta - 0.04 * beta]
+        assert probe.n_roots == [1, 1, 1]
 
     def test_rotational_field_extremum_criterion(self, solve_cached):
         # convex polygon, w interior: arc of Z(R_w u) ends at v iff v extremum
@@ -221,3 +231,89 @@ class TestAnalyticVerdict:
         v, margin, near, note = analytic_arc_verdict(exp_fit,
                                                      psi_local=math.pi / 2 + 0.01)
         assert near is True and abs(margin) <= 0.05
+
+
+def expansion(beta, mags):
+    """A vertex expansion whose mode magnitudes relative to the annulus
+    scale are ``mags``."""
+    mags = np.asarray(mags, dtype=float)
+    return BesselExpansion(vertex=0, beta=beta, nu=math.pi / beta, mu=1.0, coeffs=mags,
+                           r_in=0.05, r_out=0.4, residual=0.0, scale=1.0,
+                           contributions=mags)
+
+
+PI = math.pi
+
+
+class TestAnalyticVerdictTable:
+    """Every branch of ``analytic_arc_verdict`` on hand-built expansions:
+    (beta, magnitudes, field parameter, verdict, note)."""
+
+    @pytest.mark.parametrize("beta, mags, psi, verdict, note", [
+        # straight vertex: the arc lies on the boundary, iff psi = pi/2 mod pi
+        (PI, [1.0, 1.0], PI / 2, True, "straight vertex: boundary-lying arc"),
+        (PI, [1.0, 1.0], 0.3, False, "straight vertex: boundary-lying arc"),
+        # reflex: interval [pi/2, beta - pi/2], needs c1
+        (4 * PI / 3, [1.0, 1.0], 0.6 * PI, True, ""),
+        (4 * PI / 3, [1.0, 0.0, 1.0], 0.6 * PI, None, "reflex vertex with c1 = 0: not covered"),
+        (PI / 3, [0.0, 0.0, 1.0], PI / 2, None, "c0 and c1 both vanish"),
+        # c0-led: [pi/2, pi/2 + beta]
+        (PI / 3, [1.0, 1.0], 0.6 * PI, True, ""),
+        (PI / 3, [1.0, 1.0], 0.1, False, ""),
+        (2 * PI / 3, [1.0, 0.0], 0.3 * PI, False, ""),
+        # c1-led: [beta - pi/2, pi/2], also for beta < pi/2 once c0 vanishes
+        (PI / 3, [0.0, 1.0], PI / 4, True, ""),
+        (PI / 3, [0.0, 1.0], 0.6 * PI, False, ""),
+        (2 * PI / 3, [1.0, 1.0], PI / 3, True, ""),
+        (2 * PI / 3, [1.0, 1.0], 0.0, False, ""),
+        (PI / 2, [1.0, 1.0], 0.3, None, "no applicable coefficient case"),
+    ])
+    def test_constant_field(self, beta, mags, psi, verdict, note):
+        v, margin, near, got = analytic_arc_verdict(expansion(beta, mags), psi_local=psi)
+        assert v is verdict and got == note
+        assert (margin is None) == (verdict is None)
+        if margin is not None:
+            assert (margin > 0) == verdict or beta == PI
+
+    @pytest.mark.parametrize("beta, mags, w, verdict, note", [
+        (PI / 3, [1.0, 1.0], PI / 6, True, ""),            # c0-led: w in the sector
+        (PI / 3, [1.0, 1.0], 2 * PI / 3, False, ""),
+        (PI / 3, [0.0, 1.0], PI / 6, False, ""),           # c1-led: w outside it
+        (PI / 3, [0.0, 1.0], 2 * PI / 3, True, ""),
+        (PI / 3, [0.0, 0.0, 1.0], PI / 6, None, "c0 and c1 both vanish"),
+        (2 * PI / 3, [1.0, 1.0], PI / 3, False, ""),       # c1-led for beta > pi/2
+        (2 * PI / 3, [1.0, 0.0], PI / 3, True, ""),
+        (2 * PI / 3, [0.0, 0.0, 1.0], PI / 3, None, "c0 and c1 both vanish"),
+        (PI / 3, [1.0, 1.0], 0.01, True, "w on sector boundary"),
+        (PI, [1.0, 1.0], 0.5, None, "rotational criterion needs beta < pi"),
+        (4 * PI / 3, [1.0, 1.0], 0.5, None, "rotational criterion needs beta < pi"),
+    ])
+    def test_rotational_field(self, beta, mags, w, verdict, note):
+        v, margin, near, got = analytic_arc_verdict(expansion(beta, mags), w_local_angle=w)
+        assert v is verdict and got == note
+        assert near == (note == "w on sector boundary")
+
+    def test_no_field_parameter(self):
+        assert analytic_arc_verdict(expansion(PI / 3, [1.0, 1.0])) == \
+            (None, None, False, "no field parameter")
+
+
+class TestWedgeProbeInconclusive:
+    def test_field_vanishing_near_the_vertex(self):
+        """u = (x - 1/2)^3 for x > 1/2 and 0 elsewhere on the unit square:
+        it vanishes on every probe arc at vertex (0, 0), so that probe is
+        inconclusive, while at vertex (1, 0) it is conclusive with no
+        crossing."""
+        f = lambda p: np.where(p[:, 0] > 0.5, (p[:, 0] - 0.5) ** 3, 0.0)
+        gf = lambda p: np.column_stack([np.where(p[:, 0] > 0.5, 3 * (p[:, 0] - 0.5) ** 2, 0.0),
+                                        np.zeros(len(p))])
+        sol = AnalyticSolution(unit_square(), 1.0, f, gf, h_nominal=0.05)
+        fld = ScalarField.u(sol)
+        assert fld.scale > 0.1
+        v0 = int(np.argmin(np.linalg.norm(sol.polygon.vertices - [0, 0], axis=1)))
+        v1 = int(np.argmin(np.linalg.norm(sol.polygon.vertices - [1, 0], axis=1)))
+        probe = wedge_probe(fld, v0)
+        assert probe.ends_at_vertex is None
+        assert probe.root_thetas == [[], [], []]
+        other = wedge_probe(fld, v1)
+        assert other.ends_at_vertex is False and other.n_roots == [0, 0, 0]
