@@ -6,6 +6,8 @@ nodal sets of derivative fields, Poincare-Hopf indices of critical points,
 Lip-1 classification, and continuation experiments along polygon families.
 """
 
+__version__ = "0.1.0"    # read by report.write_report, so set before the imports
+
 from .config import DEFAULTS, Defaults
 from .geometry import (
     Polygon, Sector, DeformationPath,
@@ -31,4 +33,3 @@ from .continuation import (
     PathRun, track, lip1_no_hotspots, breaking_experiment, n_membership,
 )
 
-__version__ = "0.1.0"

@@ -23,8 +23,10 @@ application, and each new vector is M-orthogonalized against the whole basis
 twice (classical Gram-Schmidt), so the Ritz values stay clean of spurious
 copies.  The loop stops as soon as mu_2 and mu_3 have converged and the
 residual the solution reports meets ``tol``: about 14 applications at 83k
-dofs, where ARPACK's default 20-vector basis took 21.  Only the basis is
-stored (80 vectors at most), not M times it.  Without convergence a mesh of
+dofs, where ARPACK's default 20-vector basis took 21.  M V is kept beside
+the basis V (80 vectors at most), so each application costs one solve and
+one product with M; at 83k dofs the two blocks do not raise the peak
+resident size, which the factorization sets.  Without convergence a mesh of
 at most 4000 dofs falls back to a dense generalized eigensolve.
 
 The recovered gradient (the L2 projection of grad u_h onto the P2 space)
@@ -102,9 +104,12 @@ _V7 = _p2_values(_QP7[:, 0], _QP7[:, 1])                               # (7,6)
 # stiffness: S[(a,b),(i,j)] = sum_q w_q dphi_i/dxi_a dphi_j/dxi_b
 _S_REF = np.einsum("q,qia,qjb->abij", _QW3, _GREF, _GREF).reshape(4, 36)
 _M_REF = np.einsum("q,qi,qj->ij", _QW7, _V7, _V7)                      # (6,6)
-# recovery moments: int phi_i and int phi_i xi over the reference triangle
-_W0 = _QW7 @ _V7                                                       # (6,)
-_W1 = np.einsum("q,qi,qc->ic", _QW7, _V7, _QP7)                        # (6,2)
+# recovery moments: int phi_i (1, xi_0, xi_1) over the reference triangle
+_W = np.einsum("q,qi,qk->ki", _QW7, _V7, np.column_stack([np.ones(7), _QP7]))   # (3,6)
+# reference gradient r0 + A xi of u_h = sum_i c_i phi_i, as c @ _G_AFFINE:
+# columns (r0_a, A_a0, A_a1) for a = 0, 1, read off the three corners
+_G_CORNERS = _p2_grads(np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]))   # (3,6,2)
+_G_AFFINE = np.stack([_G_CORNERS[0], *(_G_CORNERS[1:] - _G_CORNERS[0])], axis=-1).reshape(6, 6)
 
 
 class P2Space:
@@ -144,7 +149,7 @@ class P2Space:
     def assemble(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
         dof, Jinv, detJ = self.dof, self.Jinv, self.detJ
         # Ke = sum_ab C_ab S_ab with C = detJ Jinv Jinv^T; Me = detJ M_ref
-        C = detJ[:, None, None] * np.einsum("eac,ebc->eab", Jinv, Jinv)
+        C = detJ[:, None, None] * (Jinv @ Jinv.transpose(0, 2, 1))
         Ke = C.reshape(-1, 4) @ _S_REF                                 # (m,36)
         Me = detJ[:, None] * _M_REF.ravel()                            # (m,36)
 
@@ -163,23 +168,22 @@ class P2Space:
 
         The right-hand side is exact: on each element detJ Jinv^T (r0 + A xi)
         is affine, so its moments against the shape functions are the
-        reference moments W0 and W1 applied to detJ Jinv^T r0 and
-        detJ Jinv^T A.  Each component of M g = b is solved by conjugate
-        gradients preconditioned with 1/diag(M), to a relative residual of
-        1e-13 within 200 iterations (24 to 29 from 57 to 83k dofs, graded or
-        not: see the module docstring); SolverError is raised when CG stops
-        short.
+        reference moments of (1, xi_0, xi_1) applied to detJ Jinv^T (r0 | A):
+        one (2m, 3) by (3, 6) matrix product.  Each component of M g = b is
+        solved by conjugate gradients preconditioned with 1/diag(M), to a
+        relative residual of 1e-13 within 200 iterations (24 to 29 from 57 to
+        83k dofs, graded or not: see the module docstring); SolverError is
+        raised when CG stops short.
         """
-        r0, A = self.affine_gradients(coef)
+        rA = self._reference_gradients(coef)                 # (r0 | A), (m,2,3)
         DJ = self.detJ[:, None, None] * self.Jinv
-        p = np.einsum("eba,eb->ea", DJ, r0)                 # detJ Jinv^T r0, (m,2)
-        q = np.einsum("eba,ebc->eac", DJ, A)                # detJ Jinv^T A, (m,2,2)
-        be = _W0[None, :, None] * p[:, None, :] + np.einsum("ic,eac->eia", _W1, q)
+        pq = DJ.transpose(0, 2, 1) @ rA                     # detJ Jinv^T (r0 | A)
+        be = (pq.reshape(-1, 3) @ _W).reshape(-1, 2, 6)     # moments, (m,2,6)
         _, M = self.matrices
         jacobi = sp.diags(1.0 / M.diagonal())
         out = []
         for a in range(2):
-            b = np.bincount(self.dof.ravel(), weights=be[:, :, a].ravel(),
+            b = np.bincount(self.dof.ravel(), weights=be[:, a].ravel(),
                             minlength=self.ndof)
             g, info = spla.cg(M, b, rtol=1e-13, atol=0.0, maxiter=200, M=jacobi)
             if info != 0:
@@ -194,9 +198,12 @@ class P2Space:
         On P2 elements it is affine: grad_xi u(xi) = r0 + A xi, with r0 (m,2)
         and A (m,2,2); the physical gradient is Jinv^T (r0 + A xi).
         """
-        G = _p2_grads(np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]))  # (3,6,2)
-        g = np.einsum("ei,qia->eqa", coef[self.dof], G)    # at the 3 corners
-        return g[:, 0], np.stack([g[:, 1] - g[:, 0], g[:, 2] - g[:, 0]], axis=-1)
+        g = self._reference_gradients(coef)
+        return g[:, :, 0], g[:, :, 1:]
+
+    def _reference_gradients(self, coef: np.ndarray) -> np.ndarray:
+        """(r0 | A) of ``affine_gradients`` as one (m,2,3) array."""
+        return (np.take(coef, self.dof) @ _G_AFFINE).reshape(-1, 2, 3)
 
     @cached_property
     def boundary_mid_dofs(self) -> np.ndarray:
@@ -399,44 +406,54 @@ def _nested_dissection(space: P2Space) -> np.ndarray:
 
     The elements are put in k-d tree order of their centroids: every segment
     of more than 8 elements is sorted along the longer axis of its bounding
-    box and split at its middle, one level at a time.  A dof whose elements
-    fall in both halves of a split belongs to that split's separator; every
-    other dof to the leaf segment that holds it.  The dofs are ordered by
-    their segment [s, e) in post-order, keyed by (e, e - s), so both halves
-    come before their separator.  Any permutation gives the same operator;
-    this one only keeps the factor sparse.
+    box and split at its middle, one level at a time.  Each level is one
+    stable sort of all positions by s + f, where s is the segment's first
+    position and f in [0, 1] the centroid's place between the segment's
+    extremes on that axis (0 in a segment that is not split).  A split
+    segment holds more than 8 positions, so its keys stay below the next
+    segment's first position; equal keys keep their order.  A dof whose
+    elements fall in both halves of a split belongs to that split's
+    separator; every other dof to the leaf segment that holds it.  The dofs
+    are ordered by their segment [s, e) in post-order, keyed by (e, e - s),
+    so both halves come before their separator.  Any permutation gives the
+    same operator; this one only keeps the factor sparse.
     """
     dof = space.dof
     m = len(dof)
     cent = space._tree.data                            # element centroids
-    inc = np.argsort(dof.ravel(), kind="stable")        # dof -> element incidence
-    inc_start = np.searchsorted(dof.ravel()[inc], np.arange(space.ndof))
     order = at = np.arange(m)                          # elements in tree order
     s, e = np.zeros(m, dtype=int), np.full(m, m)       # segment of each position
-    levels = []
     while np.any(split := e - s > 8):
-        heads = np.flatnonzero(s == at)
+        heads = s == at
+        starts = np.flatnonzero(heads)
         c = cent[order]
-        axis = np.zeros(m, dtype=int)                  # longer axis, at segment heads
-        axis[heads] = np.argmax(np.maximum.reduceat(c, heads) - np.minimum.reduceat(c, heads), axis=1)
-        coord = c[at, axis[s]]
-        order = order[np.lexsort((np.where(split, coord, 0.0), s))]
+        lo = np.minimum.reduceat(c, starts)
+        span = np.maximum.reduceat(c, starts) - lo
+        seg = np.cumsum(heads) - 1                     # segment number of each position
+        k = 2 * seg + np.argmax(span, axis=1)[seg]     # its longer axis, in c's flat index
+        width = span.ravel()[k]
+        with np.errstate(invalid="ignore"):            # a segment of one point: width 0
+            frac = (c.ravel()[2 * at + k % 2] - lo.ravel()[k]) / width
+        order = order[np.argsort(s + np.where(split & (width > 0), frac, 0.0), kind="stable")]
         mid = (s + e) // 2
         s, e = np.where(split & (at >= mid), mid, s), np.where(split & (at < mid), mid, e)
-        levels.append((s, e))
     pos = np.empty(m, dtype=int)
     pos[order] = at
+    pos = np.repeat(pos, 6)                            # final position of each dof's element
+    lo, hi = np.full(space.ndof, m), np.full(space.ndof, -1)
+    np.minimum.at(lo, dof.ravel(), pos)
+    np.maximum.at(hi, dof.ravel(), pos)
     # Later levels only permute inside a segment, so a dof's elements lie in
-    # one segment of a level exactly when its first and last final positions
-    # do.  The deepest such segment is the dof's: a leaf, or the segment
-    # whose split it straddles.
-    lo = np.minimum.reduceat(pos[inc // 6], inc_start)
-    hi = np.maximum.reduceat(pos[inc // 6], inc_start)
-    key_e, key_n = np.full(space.ndof, m), np.full(space.ndof, m)   # root [0, m)
-    for s, e in levels:
-        one = s[lo] == s[hi]
-        key_e[one], key_n[one] = e[lo[one]], (e - s)[lo[one]]
-    return np.lexsort((key_n, key_e))
+    # one segment of a level exactly when its first and last positions do.
+    # The segments depend on m alone: descend them from the root while both
+    # positions fall on one side of the split.
+    s, e = np.zeros(space.ndof, dtype=int), np.full(space.ndof, m)
+    while True:
+        mid, split = (s + e) // 2, e - s > 8
+        left, right = split & (hi < mid), split & (lo >= mid)
+        if not np.any(left | right):
+            return np.argsort(e * (m + 1) + (e - s), kind="stable")
+        s, e = np.where(right, mid, s), np.where(left, mid, e)
 
 
 _LANCZOS_CAP = 80       # Lanczos basis size at which solve_second gives up
@@ -447,20 +464,24 @@ def _lanczos(solve, M, deflate, v0, tol, cap):
 
     ``solve(b)`` is A^-1 b.  The basis V starts from deflate(v0), normalized
     in M; each step applies OP to the newest basis vector, deflates the
-    result and orthogonalizes it against all of V by two classical
-    Gram-Schmidt passes, each forming M @ w afresh, so only V is stored.
-    After the k-th application it yields the two largest Ritz values theta
-    of the tridiagonal projection, largest first, and, when both Ritz
-    estimates beta_k |s_k,i| are at most tol theta_i, their Ritz vectors as
-    rows; else None (theta too is None after the first application).  It
-    stops after ``cap`` applications or on an invariant Krylov space.
+    result w, forms M w, and orthogonalizes w against all of V by two
+    classical Gram-Schmidt passes.  MV = M V is kept beside V, so each pass
+    updates M w by the same combination of MV, and M is applied once per
+    step (``cap`` + 1 products at most).  After the k-th application it
+    yields the two largest Ritz values theta of the tridiagonal projection,
+    largest first, and, when both Ritz estimates beta_k |s_k,i| are at most
+    tol theta_i, their Ritz vectors as rows; else None (theta too is None
+    after the first application).  It stops after ``cap`` applications or on
+    an invariant Krylov space.
 
-    V starts with 16 rows and doubles when full.  A block of ``cap`` rows
-    (53 MB at 83k dofs) would be mapped afresh from the system, while a
-    small one reuses memory the factorization freed, so the basis does not
-    raise the peak resident size of a solve.
+    V and MV start with 16 rows and double when full.  A block of ``cap``
+    rows (53 MB at 83k dofs) would be mapped afresh from the system, while a
+    small one reuses memory the factorization freed.  At 83k dofs a solve's
+    peak resident size is 257.8 MB with MV and 258.0 MB without it (three
+    runs each): the factorization sets the peak.
     """
     V = np.empty((min(cap, 16), len(v0)))
+    MV = np.empty_like(V)
     alpha, beta = np.zeros(cap), np.zeros(cap)
     w = deflate(v0)
     Mw = M @ w
@@ -469,14 +490,16 @@ def _lanczos(solve, M, deflate, v0, tol, cap):
         if not b > 0:
             return
         if k == len(V):
-            V = np.concatenate([V, np.empty((min(cap, 2 * k) - k, len(v0)))])
-        V[k] = w / b
-        w = deflate(solve(Mw / b))
-        for _ in range(2):
-            h = V[:k + 1] @ (M @ w)
-            w -= h @ V[:k + 1]
-            alpha[k] += h[k]
+            grow = np.empty((min(cap, 2 * k) - k, len(v0)))
+            V, MV = np.concatenate([V, grow]), np.concatenate([MV, grow])
+        V[k], MV[k] = w / b, Mw / b
+        w = deflate(solve(MV[k]))
         Mw = M @ w
+        for _ in range(2):
+            h = V[:k + 1] @ Mw
+            w -= h @ V[:k + 1]
+            Mw -= h @ MV[:k + 1]
+            alpha[k] += h[k]
         b = beta[k] = math.sqrt(float(w @ Mw))
         if k == 0:
             yield None, None
@@ -518,10 +541,17 @@ def solve_second(mesh: Mesh, tol: float | None = None) -> EigenSolution:
     mu_scale = (2 * math.pi / mesh.polygon.diameter) ** 2
     sigma = -0.25 * mu_scale
     p = _nested_dissection(space)
-    ip = np.argsort(p)
+    ip = np.empty(n, dtype=K.indices.dtype)            # relabelled indices keep K's width
+    ip[p] = np.arange(n)
+    # K and M share the pattern assemble scatters them on, so K - sigma M is
+    # one pass over the data.  Relabel its columns, gather its rows in the
+    # dissection order, and the CSC transpose sorts each column's rows.  No
+    # name holds these matrices, so each is freed once the next is built.
     try:
-        lu = spla.splu((K - sigma * M)[p][:, p].tocsc(), permc_spec="NATURAL",
-                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        lu = spla.splu(sp.csr_matrix((K.data - sigma * M.data, ip[K.indices], K.indptr),
+                                     shape=K.shape)[p].tocsc(),
+                       permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
     except RuntimeError as err:       # SuperLU: "Factor is exactly singular"
         raise SolverError(f"factorization of K - sigma M failed on {n} dofs: {err}") from err
 

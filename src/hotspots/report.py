@@ -1,8 +1,10 @@
 """Structured report serialization and SVG emission.
 
 Reports are plain JSON with sorted keys so runs are byte-stable given the
-same config and seed.  SVG scenes show the polygon outline, traced nodal
-graphs, critical points colored by index, and per-vertex annotation badges.
+same config and seed; each records the schema version, the package version
+and the ``DEFAULTS`` in force.  SVG scenes show the polygon outline, traced
+nodal graphs, critical points colored by index, and per-vertex annotation
+badges.
 """
 from __future__ import annotations
 
@@ -11,6 +13,9 @@ import math
 from dataclasses import is_dataclass, asdict
 
 import numpy as np
+
+from . import __version__
+from .config import DEFAULTS
 
 SCHEMA_VERSION = "1.0"
 
@@ -40,6 +45,8 @@ def to_jsonable(obj):
 def write_report(path, payload: dict):
     payload = dict(payload)
     payload.setdefault("schema_version", SCHEMA_VERSION)
+    payload.setdefault("version", __version__)
+    payload.setdefault("defaults", DEFAULTS.to_dict())
     with open(path, "w") as f:
         json.dump(to_jsonable(payload), f, indent=1, sort_keys=True)
         f.write("\n")

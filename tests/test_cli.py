@@ -138,6 +138,16 @@ class TestCommands:
         with pytest.raises(ValueError):
             cfg.validate()
 
+    def test_report_records_defaults_and_version(self, square_spec, tmp_path):
+        import hotspots
+        from hotspots.config import DEFAULTS
+        out = str(tmp_path / "out")
+        assert main(["solve", "--spec", square_spec, "--h", "0.2", "--out", out]) == 0
+        rep = _report(out)
+        assert rep["defaults"] == DEFAULTS.to_dict()
+        assert rep["version"] == hotspots.__version__
+        assert rep["schema_version"] == "1.0"
+
     def test_deterministic_reports(self, square_spec, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         for out in (out1, out2):

@@ -85,6 +85,27 @@ class TestAssemble:
         assert abs(K - K_ref).max() <= 1e-13 * abs(K_ref).max()
         assert abs(M - M_ref).max() <= 1e-13 * abs(M_ref).max()
 
+    def test_stiffness_and_mass_share_one_pattern(self):
+        # solve_second forms K - sigma M on the shared pattern, from the data
+        K, M = P2Space(triangulate(L_SHAPE, 0.2)).matrices
+        assert K.has_canonical_format and M.has_canonical_format
+        assert np.array_equal(K.indptr, M.indptr) and np.array_equal(K.indices, M.indices)
+
+    def test_affine_gradients_match_eval_grad_at_corners(self, monkeypatch):
+        # eval_grad evaluates the shape-function gradients at a point; pin
+        # its locate to each element in turn, at one corner at a time
+        space = P2Space(triangulate(L_SHAPE, 0.2))                # graded
+        coef = np.random.default_rng(4).standard_normal(space.ndof)
+        r0, A = space.affine_gradients(coef)
+        m = len(space.dof)
+        corners = space.mesh.nodes[space.mesh.triangles]           # (m,3,2)
+        for k, xi in enumerate(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])):
+            pinned = (np.arange(m), np.tile(xi, (m, 1)))
+            monkeypatch.setattr(space, "locate", lambda pts, strict=True, pinned=pinned: pinned)
+            ref = space.eval_grad(coef, corners[:, k])
+            got = np.einsum("eba,eb->ea", space.Jinv, r0 + A @ xi)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
 
 class TestSolveSecond:
     def test_square_mu2(self, square_sol):
@@ -226,6 +247,52 @@ class TestSolverRoute:
         with pytest.raises(SolverError, match="second zero mode"):
             solve_second(two)
 
+    def test_one_mass_product_per_application(self, monkeypatch):
+        # M V is kept beside V, so the Gram-Schmidt passes update M w
+        # instead of forming it again
+        products = []
+        lanczos = eigensolver._lanczos
+
+        class CountingMass:
+            def __init__(self, M):
+                self.M = M
+
+            def __matmul__(self, x):
+                products.append(len(x))
+                return self.M @ x
+
+        def counting(solve, M, deflate, v0, tol, cap):
+            return lanczos(solve, CountingMass(M), deflate, v0, tol, cap)
+
+        monkeypatch.setattr(eigensolver, "_lanczos", counting)
+        sol = solve_second(_obtuse_refined_twice())
+        assert len(products) == sol.diagnostics["applications"] + 1
+        # what the loop gave with M @ w formed afresh in each pass: 14
+        # applications, mu and the reported residual (at rounding level, so
+        # to a factor of 2)
+        assert sol.diagnostics["applications"] == 14
+        assert abs(sol.mu - 21.0744221445779) <= 1e-12 * sol.mu
+        assert 0.5 <= sol.residual / 2.5565413525053135e-12 <= 2.0
+
+    def test_factored_operator_is_the_permuted_shift(self, monkeypatch):
+        seen = []
+        splu = spla.splu
+
+        def recording_splu(A, **kwargs):
+            seen.append(A)
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(eigensolver.spla, "splu", recording_splu)
+        sol = solve_second(triangulate(L_SHAPE, 0.2))
+        K, M = sol.space.matrices
+        sigma = -0.25 * (2 * math.pi / L_SHAPE.diameter) ** 2
+        p = eigensolver._nested_dissection(sol.space)
+        ref = (K - sigma * M)[p][:, p].tocsc()
+        (A,) = seen
+        assert A.format == "csc"
+        for got, want in ((A.indptr, ref.indptr), (A.indices, ref.indices), (A.data, ref.data)):
+            assert np.array_equal(got, want)
+
     def test_application_count_guard(self):
         # 14 applications; ARPACK's default 20-vector basis took 21
         sol = solve_second(_obtuse_refined_twice())
@@ -270,6 +337,9 @@ class TestNestedDissection:
         lu = spla.splu((K - sigma * M).tocsc())
         sol = solve_second(mesh)
         assert sol.diagnostics["factor_nnz"] < 0.9 * lu.nnz
+        # within 1 % of the fill of the order that sorted each level by the
+        # two keys (segment, coordinate) with lexsort
+        assert sol.diagnostics["factor_nnz"] <= 1.01 * 331_030
         vals = np.sort(spla.eigsh(K, k=4, M=M, sigma=sigma)[0])
         assert abs(sol.mu - vals[1]) <= 1e-10 * vals[1]
 
