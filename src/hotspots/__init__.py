@@ -10,21 +10,20 @@ __version__ = "0.1.0"    # read by report.write_report, so set before the import
 
 from .config import DEFAULTS, Defaults
 from .geometry import (
-    Polygon, Sector, DeformationPath,
-    angles, lip1_classify, lip1_reduction_path, break_triangle, breaking_family,
+    Polygon, DeformationPath,
+    lip1_classify, lip1_reduction_path, break_triangle, breaking_family,
     orthogonal_side_pairs,
     unit_square, rectangle, equilateral_triangle, isosceles_triangle,
     triangle_from_angles, regular_polygon,
     GeometryError, NotLip1Error, OrthogonalSidesError, ReductionFailure,
 )
 from .mesh import Mesh, triangulate, refine, structured_triangle_mesh, MeshingError
-from .eigensolver import (EigenSolution, AnalyticSolution, assemble, solve_second,
-                          SolverError, OutsideDomainError)
+from .eigensolver import EigenSolution, AnalyticSolution, assemble, solve_second, SolverError
 from .bessel import (
     BesselExpansion, bessel_j, fit_coefficients, fit_sector_coefficients,
     leading_coefficient_test, FitError,
 )
-from .nodal import ScalarField, NodalGraph, trace, arc_ends_at_vertex, degree_one_vertices
+from .nodal import ScalarField, NodalGraph, trace, arc_ends_at_vertex
 from .critical import (
     CriticalPoint, CriticalSet, find_critical_points, index_of,
     verify_index_formula, cusp_diagnostic,

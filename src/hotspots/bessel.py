@@ -155,10 +155,7 @@ def fit_sector_coefficients(u_eval, mu: float, apex, alpha: float, beta: float,
     thetas = np.linspace(pad, beta - pad, n_theta)
     rr, tt = np.repeat(radii, n_theta), np.tile(thetas, n_r)     # radius-major
 
-    try:
-        U = np.asarray(u_eval(arc_points(apex, radii, alpha + thetas)), dtype=float)
-    except Exception as e:
-        raise FitError(f"annulus intersects the domain boundary: {e}") from e
+    U = np.asarray(u_eval(arc_points(apex, radii, alpha + thetas)), dtype=float)
     if np.any(~np.isfinite(U)):
         raise FitError("annulus intersects the domain boundary: evaluation failed")
 
@@ -201,20 +198,21 @@ def annulus_reference(P, i: int) -> float:
     return min(d, adj)
 
 
-def default_annulus(sol, i: int) -> tuple[float, float]:
-    ref = annulus_reference(sol.polygon, i)
-    return DEFAULTS.annulus_inner * ref, DEFAULTS.annulus_outer * ref
-
-
 def fit_coefficients(sol, vertex: int, K: int | None = None,
                      annulus: tuple[float, float] | None = None, **kw) -> BesselExpansion:
-    """Vertex expansion of a computed eigenfunction at polygon vertex ``vertex``."""
+    """Vertex expansion of a computed eigenfunction at polygon vertex ``vertex``.
+
+    The default annulus runs from ``annulus_inner`` to ``annulus_outer``
+    times ``annulus_reference``.  A grid point off the mesh reads NaN, which
+    raises FitError.
+    """
     P = sol.polygon
     apex, alpha, beta = P.vertex_frame(vertex)
     if annulus is None:
-        annulus = default_annulus(sol, vertex)
+        ref = annulus_reference(P, vertex)
+        annulus = DEFAULTS.annulus_inner * ref, DEFAULTS.annulus_outer * ref
     r_in, r_out = annulus
-    return fit_sector_coefficients(lambda p: sol.eval(p, strict=True), sol.mu,
+    return fit_sector_coefficients(sol.eval, sol.mu,
                                    apex, alpha, beta, r_in, r_out, K=K,
                                    vertex=vertex % P.n, **kw)
 

@@ -4,6 +4,10 @@ Every threshold that a verdict depends on lives here, and only here: the
 library reads these values where it uses them and offers no per-call
 override, so runs are reproducible from a config record alone (the run
 settings a call takes, such as h and steps, plus ``DEFAULTS.to_dict()``).
+The one exception is the probe geometry: the factors that size the probe
+circles around ``probe_radius_factor`` (boundary clearance, the composite
+and nearest-structure rules, the annulus cap) are fixed in
+``critical._probe_radii``, the only code that sizes a probe.
 """
 from __future__ import annotations
 

@@ -135,7 +135,7 @@ def _solve_sample(path: DeformationPath, t: float, h, prev: PathSample | None) -
     sol = solve_second(mesh)
     if prev is not None:
         if sol.neighbor_coef is not None and sol.gap < DEFAULTS.gap_floor:
-            sol = sol.select_from_pair(lambda pts: prev.sol.eval(pts, strict=False))
+            sol = sol.select_from_pair(prev.sol.eval)
         sol = sol.align_sign_with(prev.sol)
     cset = find_critical_points(sol)
     leading = {vid: info.get("leading_ratio")
@@ -356,7 +356,7 @@ def n_membership(T: Polygon, *, h=None) -> NMembership:
             # u must not vanish on the saddle's side
             s = np.linspace(0.0, 1.0, 200)
             pts = T.vertices[side][None, :] + s[:, None] * T.side_vectors[side][None, :]
-            uvals = sol.eval(pts, strict=False)
+            uvals = sol.eval(pts)
             umin = float(np.nanmin(np.abs(uvals)))
             evidence["min_abs_u_on_side"] = umin
             ok = ok and umin > 0.05 * sol.scale
@@ -472,7 +472,7 @@ def breaking_experiment(T: Polygon, *, eps_rel: float = 0.01, steps: int = 12,
                     cd = cusp_diagnostic(s.sol, q)
                     cusp_info.append({"location": [float(q.location[0]), float(q.location[1])],
                                       "tangent_cusp": cd.tangent_cusp, "k": cd.k})
-                except Exception as ex:
+                except (ValueError, np.linalg.LinAlgError) as ex:   # lstsq on NaN samples
                     cusp_info.append({"error": str(ex)})
             conditions.append({"t": s.t, "no_interior": cond1,
                                "nonzero_on_break_sides": cond2,

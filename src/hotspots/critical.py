@@ -125,12 +125,50 @@ class IndexResult:
     note: str = ""
 
 
-def _probe_index(sol, p, locus, *, radii=None) -> IndexResult:
-    """Arc count of u - u(p) on two radii: a full circle at an interior point
-    (index 1 - n/2), a semicircle into the domain at a side point or the
-    wedge at a vertex (index 1 - n).  u(p) and both arcs take one ``eval``."""
+def _side_clearance(P, p, i: int) -> tuple[float, float]:
+    """Distances from a point p on side i to the nearest other side and to
+    the nearest vertex."""
+    return (min(P.distance_to_side(p, j) for j in range(P.n) if j != i),
+            min(np.linalg.norm(p - P.vertices[k]) for k in range(P.n)))
+
+
+def _probe_radii(sol, p, locus, absorbed=(), nearest=math.inf) -> list[float]:
+    """The two probe radii at p, larger first; no other code sizes a probe.
+
+    By default r = ``probe_radius_factor`` h and r/2 (h the local mesh
+    size), r at most 0.7 of the boundary distance at an interior point, and
+    0.7 of the distance to another side and 0.45 of the nearest vertex
+    distance at a side point.  At a vertex, roots absorbed into it (largest
+    distance d) give max(3.3 h, 2.8 d) and max(2.5 h, 2.2 d), clearing the
+    level arc's return near 2 d; else a detected point ``nearest`` < 3.5 h
+    away gives 0.7 and 0.35 of that distance.  Each vertex radius is capped
+    at half the ``annulus_reference``.
+    """
     P = sol.polygon
-    p = np.asarray(p, dtype=float)
+    h = float(sol.h_at(p[None, :])[0])
+    r1 = DEFAULTS.probe_radius_factor * h
+    if locus == "interior":
+        r1 = min(r1, 0.7 * float(P.boundary_distance(p[None, :])[0]))
+    elif locus[0] == "side":
+        others, vdist = _side_clearance(P, p, locus[1])
+        r1 = min(r1, 0.7 * others, 0.45 * vdist)
+    else:
+        r_cap = 0.5 * _bessel.annulus_reference(P, locus[1])
+        if absorbed:
+            d = max(absorbed)
+            return [min(max(3.3 * h, 2.8 * d), r_cap), min(max(2.5 * h, 2.2 * d), r_cap)]
+        if nearest < 3.5 * h:
+            return [min(0.7 * nearest, r_cap), min(0.35 * nearest, r_cap)]
+        r1 = min(r1, r_cap)
+    return [r1, 0.5 * r1]
+
+
+def _probe_index(sol, p, locus, radii) -> IndexResult:
+    """Arc count of u - u(p) on the two ``radii``: a full circle at an
+    interior point (index 1 - n/2), a semicircle into the domain at a side
+    point or the wedge at a vertex (index 1 - n).  u(p) and both arcs take
+    one ``eval``."""
+    P = sol.polygon
     m = DEFAULTS.probe_samples
     interior = locus == "interior"
     if interior:
@@ -142,20 +180,8 @@ def _probe_index(sol, p, locus, *, radii=None) -> IndexResult:
     else:
         _, alpha, beta = P.vertex_frame(locus[1])
         phis = np.linspace(alpha, alpha + beta, max(m // 2, 90))
-    if radii is None:
-        r1 = DEFAULTS.probe_radius_factor * float(sol.h_at(p[None, :])[0])
-        if interior:
-            r1 = min(r1, 0.7 * float(P.boundary_distance(p[None, :])[0]))
-        elif locus[0] == "side":
-            i = locus[1]
-            others = [P.distance_to_side(p, j) for j in range(P.n) if j != i]
-            vdist = [np.linalg.norm(p - P.vertices[k]) for k in range(P.n)]
-            r1 = min(r1, 0.7 * min(others), 0.45 * min(vdist))
-        else:
-            r1 = min(r1, 0.5 * _bessel.annulus_reference(P, locus[1]))
-        radii = [r1, 0.5 * r1]
 
-    vals = sol.eval(np.vstack([p, arc_points(p, radii, phis)]), strict=False)
+    vals = sol.eval(np.vstack([p, arc_points(p, radii, phis)]))
     counts = []
     for arc in (vals[1:] - vals[0]).reshape(len(radii), -1):
         band = DEFAULTS.sign_band_frac * np.nanmax(np.abs(arc)) if np.any(np.isfinite(arc)) else 0
@@ -177,12 +203,13 @@ def _probe_index(sol, p, locus, *, radii=None) -> IndexResult:
 
 def index_of(sol, p, locus="interior") -> IndexResult:
     """Poincare-Hopf index of an isolated critical point by probe-circle counts."""
-    return _probe_index(sol, p, locus)
+    p = np.asarray(p, dtype=float)
+    return _probe_index(sol, p, locus, _probe_radii(sol, p, locus))
 
 
 def _probed_point(sol, p, locus) -> CriticalPoint:
-    res = _probe_index(sol, p, locus)
-    g = sol.eval_grad(p[None, :], strict=False)[0]
+    res = _probe_index(sol, p, locus, _probe_radii(sol, p, locus))
+    g = sol.eval_grad(p[None, :])[0]
     return CriticalPoint(p, locus, res.index, res.index == 1,
                          {"n_arcs": res.n_arcs, "counts": res.counts, "radii": res.radii,
                           "grad_residual": float(np.linalg.norm(g)), "note": res.note})
@@ -196,7 +223,7 @@ def _join(note: str, more: str) -> str:
     return f"{note}; {more}" if note else more
 
 
-def classify_vertex(sol, vid: int, *, probe_radii=None, composite: bool = False) -> dict:
+def classify_vertex(sol, vid: int, *, absorbed=(), nearest=math.inf) -> dict:
     """Vertex index from the fitted expansion, with the probe cross-check.
 
     When probe and expansion give different resolved answers, the probe wins:
@@ -206,6 +233,11 @@ def classify_vertex(sol, vid: int, *, probe_radii=None, composite: bool = False)
     index is kept in the diagnostics.  When the probe gives no index (its
     radii disagree, say) the expansion index stands, and the note names the
     probe's failure and its counts.
+
+    ``absorbed`` (distances of roots absorbed into the vertex) and
+    ``nearest`` (distance to the nearest detected critical point) size the
+    probe through ``_probe_radii``; a vertex with absorbed roots is
+    composite, and its table entry keeps their distances.
     """
     P = sol.polygon
     vid = vid % P.n
@@ -244,7 +276,9 @@ def classify_vertex(sol, vid: int, *, probe_radii=None, composite: bool = False)
     else:
         idx = 1 - k
 
-    probe = _probe_index(sol, P.vertices[vid], ("vertex", vid), radii=probe_radii)
+    locus = ("vertex", vid)
+    radii = _probe_radii(sol, P.vertices[vid], locus, absorbed, nearest)
+    probe = _probe_index(sol, P.vertices[vid], locus, radii)
     agree = (probe.index == idx) if (probe.index is not None and idx is not None) else None
     final = idx
     if probe.index is not None:
@@ -254,7 +288,7 @@ def classify_vertex(sol, vid: int, *, probe_radii=None, composite: bool = False)
             note = _join(note, "resolved by probe count")
         elif probe.index != idx:
             final = probe.index
-            if composite:
+            if absorbed:
                 note = _join(note, f"composite: probe total {probe.index} absorbs "
                                    f"sub-resolution structure (expansion index {idx})")
             else:
@@ -264,12 +298,19 @@ def classify_vertex(sol, vid: int, *, probe_radii=None, composite: bool = False)
     else:
         note = _join(note, f"probe {probe.note} (counts {probe.counts}): "
                            f"expansion index {idx} kept")
-    return {"vertex": vid, "index": final, "expansion_index": idx, "k": k, "a": a_val,
+    if radii[0] == radii[1]:
+        # the two-radius agreement check then compares a circle with itself
+        note = _join(note, f"probe radii collapse to one circle at the "
+                           f"annulus cap r = {radii[0]:.5g}")
+    info = {"vertex": vid, "index": final, "expansion_index": idx, "k": k, "a": a_val,
             "expansion": expansion, "magnitudes": [float(x) for x in mags],
             "leading_ratio": None if expansion.leading_index is None
             else float(mags[expansion.leading_index]),
             "probe_index": probe.index, "probe_arcs": probe.n_arcs,
             "agree": agree, "note": note, "unresolved": unresolved}
+    if absorbed:
+        info["absorbed_distances"] = list(absorbed)
+    return info
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +327,8 @@ def estimate_hessian(sol, p, side: int | None = None) -> np.ndarray:
     """
     space = sol.space
     (e,), _ = space.locate(np.asarray(p, dtype=float)[None, :])
+    if e < 0:
+        raise ValueError(f"no Hessian off the mesh, at {p}")
     _, A = space.affine_gradients(sol.coef)
     Jinv = space.Jinv[e]
     H = Jinv.T @ A[e] @ Jinv
@@ -335,6 +378,8 @@ def _side_tangential_roots(sol, sides, *, zero_rtol: float, gscale: float):
     across the node.  Returns one ``(roots, pts)`` pair per side: the roots
     as increasing fractions along the side, or None when every end value is
     below ``zero_rtol * gscale`` (a degenerate locus), and the side's nodes.
+    The edges are read in ``mesh.boundary_edges`` order, which runs along
+    each side from its first vertex (a chain ``_check_conforming`` asserts).
     """
     space, coef = sol.space, sol.coef
     mesh = space.mesh
@@ -343,14 +388,10 @@ def _side_tangential_roots(sol, sides, *, zero_rtol: float, gscale: float):
     mid = space.boundary_mid_dofs
     out = []
     for i in sides:
-        rows = np.nonzero(be[:, 2] == i)[0]
+        rows = np.nonzero(be[:, 2] == i)[0]            # in order along the side
         ends = be[rows, :2]
         s = (mesh.nodes[ends] - P.vertices[i]) @ P.side_vectors[i] / P.side_lengths[i] ** 2
-        flip = s[:, 0] > s[:, 1]                       # orient every edge along the side
-        ends[flip], s[flip] = ends[flip, ::-1], s[flip, ::-1]
-        order = np.argsort(s[:, 0])
-        ends, s, m = ends[order], s[order], mid[rows][order]
-        a, um, b = coef[ends[:, 0]], coef[m], coef[ends[:, 1]]
+        a, um, b = coef[ends[:, 0]], coef[mid[rows]], coef[ends[:, 1]]
         L = (s[:, 1] - s[:, 0]) * P.side_lengths[i]
         f0, f1 = (-3 * a + 4 * um - b) / L, (a - 4 * um + 3 * b) / L
         pts = mesh.nodes[np.append(ends[:, 0], ends[-1, 1])]
@@ -384,35 +425,33 @@ def find_critical_points(sol) -> CriticalSet:
     # sides first: vertex probes adapt to nearby side structure
     side_roots = _side_tangential_roots(sol, range(P.n),
                                         zero_rtol=DEFAULTS.grad_zero_rtol, gscale=gscale)
+    roots_at, sides = [], []
     for i, (roots, pts) in enumerate(side_roots):
         if roots is None:
             degenerate.append(DegenerateLocus("side", f"tangential derivative vanishes on side {i}",
                                               pts))
             notes.append(f"side {i}: non-isolated critical locus (rectangle-like degenerate)")
             continue
-        for r in roots:
-            p = P.vertices[i] + r * P.side_vectors[i]
-            hloc = float(sol.h_at(p[None, :])[0])
-            dists = [np.linalg.norm(p - P.vertices[k]) for k in range(P.n)]
-            vnear = int(np.argmin(dists))
-            if dists[vnear] < 0.5 * hloc:
-                continue  # sub-element: indistinguishable from the vertex itself
-            if dists[vnear] < 1.2 * hloc:
-                # too close to isolate from the vertex: absorbed into its probe
-                absorbed.setdefault(vnear, []).append(float(dists[vnear]))
-                continue
-            points.append(_probed_point(sol, p, ("side", i)))
-
-    # interior
-    found: list[np.ndarray] = []
-    for p in _element_gradient_zeros(sol):
-        hp = float(sol.h_at(p[None, :])[0])
-        if float(P.boundary_distance(p[None, :])[0]) < 1.2 * hp:
-            continue  # boundary zone is handled by side/vertex detection
-        vdists = np.linalg.norm(p - P.vertices, axis=1)
-        if vdists.min() < 1.2 * hp:
-            absorbed.setdefault(int(np.argmin(vdists)), []).append(float(vdists.min()))
+        roots_at += [P.vertices[i] + r * P.side_vectors[i] for r in roots]
+        sides += [i] * len(roots)
+    q = np.reshape(roots_at, (-1, 2))
+    vdists = np.linalg.norm(q[:, None] - P.vertices[None], axis=2)
+    for p, i, hloc, dists in zip(q, sides, sol.h_at(q), vdists):
+        vnear = int(np.argmin(dists))
+        if dists[vnear] < 0.5 * hloc:
+            continue  # sub-element: indistinguishable from the vertex itself
+        if dists[vnear] < 1.2 * hloc:
+            # too close to isolate from the vertex: absorbed into its probe
+            absorbed.setdefault(vnear, []).append(float(dists[vnear]))
             continue
+        points.append(_probed_point(sol, p, ("side", i)))
+
+    # interior; the boundary zone is handled by side and vertex detection
+    zeros = _element_gradient_zeros(sol)
+    hz = sol.h_at(zeros)
+    away = P.boundary_distance(zeros) >= 1.2 * hz
+    found: list[np.ndarray] = []
+    for p, hp in zip(zeros[away], hz[away]):
         if any(np.linalg.norm(p - q) < max(hp, 1e-9) for q in found):
             continue
         found.append(p)
@@ -427,38 +466,19 @@ def find_critical_points(sol) -> CriticalSet:
 
     points += [_probed_point(sol, p, "interior") for p in found]
 
-    # vertices last: probe radii adapt to the detected structure nearby
+    # vertices last: probe radii adapt to the detected structure nearby,
+    # including the vertices reported before this one
     vertex_table = {}
     for vid in range(P.n):
         vpt = P.vertices[vid]
-        hv = float(sol.h_at(vpt[None, :])[0])
-        d_struct = min((float(np.linalg.norm(cp.location - vpt)) for cp in points),
-                       default=np.inf)
-        radii = None
-        composite = vid in absorbed
-        if composite:
-            # both radii must also clear the level-arc return point (~2d)
-            d_abs = max(absorbed[vid])
-            r1 = max(3.3 * hv, 2.8 * d_abs)
-            radii = [r1, max(2.5 * hv, 2.2 * d_abs)]
-        elif d_struct < 3.5 * hv:
-            # isolate the vertex below the nearest detected structure
-            radii = [0.7 * d_struct, 0.35 * d_struct]
-        if radii is not None:
-            r_cap = 0.5 * _bessel.annulus_reference(P, vid)
-            radii = [min(r, r_cap) for r in radii]
+        nearest = min((float(np.linalg.norm(cp.location - vpt)) for cp in points),
+                      default=np.inf)
         try:
-            info = classify_vertex(sol, vid, probe_radii=radii, composite=composite)
+            info = classify_vertex(sol, vid, absorbed=absorbed.get(vid, ()), nearest=nearest)
         except _bessel.FitError as e:
             info = {"vertex": vid, "index": None, "unresolved": True,
                     "note": f"fit failed: {e}", "expansion": None,
                     "leading_ratio": None}
-        if composite:
-            info["absorbed_distances"] = absorbed[vid]
-        if radii is not None and radii[0] == radii[1]:
-            # the two-radius agreement check then compares a circle with itself
-            info["note"] = _join(info["note"], f"probe radii collapse to one circle at the "
-                                               f"annulus cap r = {radii[0]:.5g}")
         vertex_table[vid] = info
         idx = info.get("index")
         if idx is None and info.get("unresolved"):
@@ -553,13 +573,12 @@ def cusp_diagnostic(sol, cp: CriticalPoint) -> CuspDiagnostic:
     n_in = -P.side_normals[i]
     p = cp.location
     h = float(sol.h_at(p[None, :])[0])
-    others = [P.distance_to_side(p, j) for j in range(P.n) if j != i]
-    vdist = [np.linalg.norm(p - P.vertices[k]) for k in range(P.n)]
-    r_max = min(0.5 * min(others), 0.5 * min(vdist))
+    others, vdist = _side_clearance(P, p, i)
+    r_max = min(0.5 * others, 0.5 * vdist)
     yy = np.linspace(0.35 * h, min(3 * h, 0.9 * r_max), 12)
     xx = np.geomspace(max(h, 0.02 * r_max), r_max, 14)
     vals = sol.eval(np.vstack([p, p + yy[:, None] * n_in,
-                               p + xx[:, None] * t, p - xx[:, None] * t]), strict=False)
+                               p + xx[:, None] * t, p - xx[:, None] * t]))
     u0 = vals[0]
     tv, fvals = vals[1:13] - u0, {+1: vals[13:27] - u0, -1: vals[27:] - u0}
 

@@ -5,6 +5,13 @@ assembled from reference-element tensors; generalized eigensolve via
 shift-invert Lanczos with the constant mode deflated; batched point
 evaluation of u and grad u with a kd-tree locator.
 
+The locator is exact.  Every element's centroid lies within ``_reach`` (the
+largest centroid-to-corner distance of the mesh) of any point the element
+holds, so a point is tested against its nearest centroids, 8 first and then
+eightfold more, until one element holds it or the next centroid lies out of
+reach.  A point that no element holds is off the mesh: ``eval`` and
+``eval_grad`` give NaN there, and callers test for it with ``np.isfinite``.
+
 The shift-invert operator is a sparse LU factor of A = K - sigma M with
 sigma = -mu_scale / 4 < 0.  K is positive semidefinite and M positive
 definite, so A is symmetric positive definite: its diagonal pivots are
@@ -55,10 +62,6 @@ from .mesh import Mesh, _unique_edges, refine, triangulate
 
 
 class SolverError(RuntimeError):
-    pass
-
-
-class OutsideDomainError(ValueError):
     pass
 
 
@@ -137,8 +140,13 @@ class P2Space:
         self.Jinv[:, 1, 0] = -self.J[:, 1, 0]
         self.Jinv[:, 1, 1] = self.J[:, 0, 0]
         self.Jinv /= self.detJ[:, None, None]
-        self._tree = cKDTree(p.mean(axis=1))
+        cent = p.mean(axis=1)
+        self._tree = cKDTree(cent)
         self._p0 = p[:, 0]
+        # the centroid of an element that holds a point lies within _reach
+        # of it: the largest centroid-to-corner distance, padded for slack
+        d = p - cent[:, None]
+        self._reach = (1 + 1e-6) * math.sqrt(np.einsum("mka,mka->mk", d, d).max())
 
     def dof_points(self) -> np.ndarray:
         nodes = self.mesh.nodes
@@ -214,23 +222,23 @@ class P2Space:
         return n + np.searchsorted(keys, be.min(axis=1) * n + be.max(axis=1))
 
     # -- point location ---------------------------------------------------------
-    def locate(self, pts: np.ndarray, *, strict: bool = True):
+    def locate(self, pts: np.ndarray):
         """Triangle index and reference coordinates for each point.
 
         A point goes to the first of its nearest-centroid elements, in k-d
         tree order, that holds it (barycentric slack 1e-9), tested for all
-        pending points at once at candidate depths 1, 8 and 64; -1 if none.
+        pending points at once at depths 1 and 8, then eightfold deeper while
+        the deepest centroid lies within ``_reach``; -1 off the mesh.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        npts = len(pts)
+        npts, m = len(pts), len(self._p0)
         tri = np.full(npts, -1, dtype=int)
         xi = np.zeros((npts, 2))
         pend = np.arange(npts)
-        for k, depths in ((8, (1, 8)), (64, (64,))):
-            if len(pend) == 0:
-                break
-            _, cand = self._tree.query(pts[pend], k=min(k, len(self._p0)))
-            cand = cand.reshape(len(pend), -1)
+        k, depths = 8, (1, 8)
+        while len(pend):
+            dist, cand = self._tree.query(pts[pend], k=min(k, m))
+            dist, cand = dist.reshape(len(pend), -1), cand.reshape(len(pend), -1)
             for d in depths:
                 c = cand[:, :d]
                 loc = np.einsum("pcab,pcb->pca", self.Jinv[c], pts[pend, None] - self._p0[c])
@@ -241,33 +249,26 @@ class P2Space:
                 ok = holds[rows, first]
                 tri[pend[ok]] = c[rows, first][ok]
                 xi[pend[ok]] = np.clip(loc[rows, first][ok], 0.0, 1.0)
-                pend, cand = pend[~ok], cand[~ok]
-        if len(pend) and strict:
-            inside = self.mesh.polygon.contains(pts[pend])
-            if np.any(~inside):
-                raise OutsideDomainError(f"{int(np.sum(~inside))} evaluation points "
-                                         "outside the domain")
-            # inside but unlocated: loosen the barycentric tolerance
-            for idx in pend:
-                loc = np.einsum("pab,b->pa", self.Jinv, pts[idx] - self._p0)
-                lam0 = 1.0 - loc[:, 0] - loc[:, 1]
-                score = np.minimum(np.minimum(loc[:, 0], loc[:, 1]), lam0)
-                best = int(np.argmax(score))
-                tri[idx] = best
-                xi[idx] = np.clip(loc[best], 0.0, 1.0)
+                pend, cand, dist = pend[~ok], cand[~ok], dist[~ok]
+            if k >= m:
+                break
+            pend = pend[dist[:, -1] <= self._reach]
+            k, depths = 8 * k, (8 * k,)
         return tri, xi
 
-    def eval(self, coef: np.ndarray, pts, *, strict: bool = True) -> np.ndarray:
+    def eval(self, coef: np.ndarray, pts) -> np.ndarray:
+        """u_h at the points; NaN at a point off the mesh."""
         pts_arr = np.atleast_2d(np.asarray(pts, dtype=float))
-        tri, xi = self.locate(pts_arr, strict=strict)
+        tri, xi = self.locate(pts_arr)
         V = _p2_values(xi[:, 0], xi[:, 1])
         out = np.einsum("pi,pi->p", coef[self.dof[tri]], V)
         out[tri < 0] = np.nan
         return out if np.asarray(pts).ndim == 2 else float(out[0])
 
-    def eval_grad(self, coef: np.ndarray, pts, *, strict: bool = True) -> np.ndarray:
+    def eval_grad(self, coef: np.ndarray, pts) -> np.ndarray:
+        """grad u_h at the points; NaN at a point off the mesh."""
         pts_arr = np.atleast_2d(np.asarray(pts, dtype=float))
-        tri, xi = self.locate(pts_arr, strict=strict)
+        tri, xi = self.locate(pts_arr)
         G = _p2_grads(xi[:, 0], xi[:, 1])                  # (p,6,2)
         Gphys = np.einsum("pba,pib->pia", self.Jinv[tri], G)
         out = np.einsum("pi,pia->pa", coef[self.dof[tri]], Gphys)
@@ -301,11 +302,11 @@ class EigenSolution:
     def polygon(self) -> Polygon:
         return self.space.mesh.polygon
 
-    def eval(self, pts, *, strict: bool = True):
-        return self.space.eval(self.coef, pts, strict=strict)
+    def eval(self, pts):
+        return self.space.eval(self.coef, pts)
 
-    def eval_grad(self, pts, *, strict: bool = True):
-        return self.space.eval_grad(self.coef, pts, strict=strict)
+    def eval_grad(self, pts):
+        return self.space.eval_grad(self.coef, pts)
 
     @cached_property
     def _recovered(self) -> tuple[np.ndarray, np.ndarray]:
@@ -386,12 +387,12 @@ class AnalyticSolution(EigenSolution):
         self._grad = grad_f
         super().__init__(space, float(mu), self.eval(space.dof_points()), np.inf, 0.0)
 
-    def eval(self, pts, *, strict: bool = True):
+    def eval(self, pts):
         pts_arr = np.atleast_2d(np.asarray(pts, dtype=float))
         out = np.asarray(self._f(pts_arr), dtype=float)
         return out if np.asarray(pts).ndim == 2 else float(out[0])
 
-    def eval_grad(self, pts, *, strict: bool = True):
+    def eval_grad(self, pts):
         pts_arr = np.atleast_2d(np.asarray(pts, dtype=float))
         out = np.asarray(self._grad(pts_arr), dtype=float)
         return out if np.asarray(pts).ndim == 2 else out[0]

@@ -274,37 +274,6 @@ class Polygon:
         return f"Polygon(n={self.n}, area={self.area:.6g})"
 
 
-@dataclass(frozen=True)
-class Sector:
-    """Infinite sector: apex, opening angle beta, world angle of the theta=0 ray."""
-    apex: tuple[float, float]
-    beta: float
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        if not (0 < self.beta < TWO_PI):
-            raise GeometryError(f"sector angle must lie in (0, 2*pi), got {self.beta}")
-
-    def local_angle(self, point) -> float:
-        p = np.asarray(point, dtype=float) - np.asarray(self.apex, dtype=float)
-        return math.atan2(p[1], p[0]) - self.alpha
-
-    def contains_mod_pi(self, point, tol: float = 0.0) -> bool:
-        """Membership in {r e^{i theta} : theta in [0, beta] mod pi}.
-
-        This is the doubled sector used by the rotational-field arc criterion.
-        """
-        th = self.local_angle(point) % math.pi
-        beta = self.beta % math.pi if self.beta > math.pi else self.beta
-        if self.beta >= math.pi:
-            return True
-        return -tol <= th <= beta + tol or th >= math.pi - tol
-
-    def contains(self, point, tol: float = 0.0) -> bool:
-        th = self.local_angle(point) % TWO_PI
-        return -tol <= th <= self.beta + tol
-
-
 class DeformationPath:
     """Family t -> Polygon on [0,1] with a fixed vertex correspondence."""
 
@@ -357,11 +326,6 @@ class DeformationPath:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def angles(P: Polygon) -> np.ndarray:
-    """Interior angles in vertex order (radians)."""
-    return P.angles
-
 
 @dataclass
 class Lip1Result:

@@ -460,11 +460,23 @@ def _boundary_chain(P: Polygon, side_station_idx, remap) -> np.ndarray:
 
 
 def _check_conforming(mesh: Mesh):
-    """Boundary edges of the triangulation must be exactly the polygon chain."""
+    """Boundary edges of the triangulation must be exactly the polygon chain.
+
+    ``boundary_edges`` is that chain in order: grouped by side in polygon
+    order, each side starting at its ``vertex_map`` node, and each edge
+    starting where the previous one ends.
+    """
+    P = mesh.polygon
+    be = mesh.boundary_edges
+    sid = be[:, 2]
+    starts = np.flatnonzero(np.diff(sid, prepend=-1))
+    if not (np.array_equal(sid[starts], np.arange(P.n))
+            and np.array_equal(be[starts, 0], mesh.vertex_map)
+            and np.array_equal(be[:, 0], np.roll(be[:, 1], 1))):
+        raise MeshingError("boundary edges are not one chain in polygon order")
     n = mesh.n_nodes
     keys, counts = np.unique(_edge_keys(mesh.triangles, n), return_counts=True)
     tri_boundary = keys[counts == 1]
-    be = mesh.boundary_edges
     declared = np.unique(np.minimum(be[:, 0], be[:, 1]) * n + np.maximum(be[:, 0], be[:, 1]))
     if not np.array_equal(tri_boundary, declared):
         missing = np.setdiff1d(declared, tri_boundary)
@@ -473,7 +485,6 @@ def _check_conforming(mesh: Mesh):
                            f"{len(extra)} stray boundary edges")
     # boundary nodes must sit on their assigned side: point-to-segment
     # distances of both ends of every chain edge, in row order
-    P = mesh.polygon
     nid, sid = be[:, :2].ravel(), np.repeat(be[:, 2], 2)
     a, sv = P.vertices[sid], P.side_vectors[sid]
     d = mesh.nodes[nid] - a

@@ -70,7 +70,7 @@ class ScalarField:
     def eval(self, pts) -> np.ndarray:
         """The P2 field of ``dofs`` at the points (NaN outside the mesh)."""
         space, vals = self.dofs
-        return space.eval(vals, np.atleast_2d(np.asarray(pts, dtype=float)), strict=False)
+        return space.eval(vals, np.atleast_2d(np.asarray(pts, dtype=float)))
 
     @functools.cached_property
     def dofs(self) -> tuple[P2Space, np.ndarray]:
@@ -569,8 +569,3 @@ def trace(field: ScalarField) -> NodalGraph:
 
     return NodalGraph(nodes=nodes, edges=edges, zero_sides=zero_sides,
                       unresolved=unresolved, field_tag=field.tag)
-
-
-def degree_one_vertices(g: NodalGraph) -> list[GraphNode]:
-    """Degree-1 nodes of the graph with their boundary locus annotations."""
-    return g.degree_one_nodes()

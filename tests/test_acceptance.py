@@ -129,7 +129,7 @@ def test_criterion_4_subequilateral_isosceles(apex_deg):
     h_loc = float(sol.h_at(saddle.location[None, :])[0])
     assert np.linalg.norm(saddle.location - mid) < 2 * h_loc
     s = np.linspace(0, 1, 400)
-    base_vals = sol.eval(np.column_stack([s, np.zeros_like(s)]), strict=False)
+    base_vals = sol.eval(np.column_stack([s, np.zeros_like(s)]))
     ratio = np.nanmin(np.abs(base_vals)) / np.abs(sol.coef).max()
     assert ratio > 0.05
     report(4, f"apex {apex_deg} deg: 3 vertex extrema + base-midpoint saddle "
@@ -232,7 +232,7 @@ def test_criterion_7_simple_arc_corpus(corpus_solutions):
         assert rep["is_simple_arc"], rep
         assert len(set(rep["endpoint_sides"])) == 2
         pts = g.polyline_points()
-        gn = np.linalg.norm(sol.eval_grad(pts, strict=False), axis=1)
+        gn = np.linalg.norm(sol.eval_grad(pts), axis=1)
         gn = gn[np.isfinite(gn)]
         floor = grad_floor_rel * math.sqrt(sol.mu) * np.abs(sol.coef).max()
         assert gn.min() > floor

@@ -64,7 +64,7 @@ class TestTrack:
         run = track(path, steps=5, h=lambda P: P.diameter / 18)
         # u_t at a fixed probe point never flips sign between samples
         probe = np.array([[0.4, 0.1]])
-        vals = [float(s.sol.eval(probe, strict=False)[0]) for s in run.samples]
+        vals = [float(s.sol.eval(probe)[0]) for s in run.samples]
         assert all(np.isfinite(vals))
         assert all(a * b > 0 for a, b in zip(vals[:-1], vals[1:]))
 

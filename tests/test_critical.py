@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hotspots.mesh import triangulate, refine
 from hotspots.eigensolver import solve_second, AnalyticSolution
 from hotspots.critical import (find_critical_points, index_of, verify_index_formula,
                                cusp_diagnostic, classify_vertex, CriticalPoint,
-                               estimate_hessian, _side_tangential_roots, _grad_scale)
+                               estimate_hessian, _side_tangential_roots, _grad_scale,
+                               _probe_radii)
 from hotspots.nodal import ScalarField, trace
 from hotspots.corpus import random_simple_polygon
 
@@ -75,7 +77,7 @@ class TestFindCriticalPoints:
     def test_u_nonzero_on_base(self, isosceles_sol):
         s = np.linspace(0, 1, 300)
         base = np.column_stack([s, np.zeros_like(s)])
-        vals = isosceles_sol.eval(base, strict=False)
+        vals = isosceles_sol.eval(base)
         assert np.nanmin(np.abs(vals)) > 0.05 * np.abs(isosceles_sol.coef).max()
 
     def test_rectangle_like_degenerate(self):
@@ -258,6 +260,67 @@ class TestProbeFallback:
             f"probe radii collapse to one circle at the annulus cap r = {r_cap:.5g}")
 
 
+class TestProbeRadii:
+    """The vertex rules of ``_probe_radii`` on the unit square, whose corner
+    0 has annulus reference 1 (cap 0.5), with a uniform mesh size h."""
+
+    @staticmethod
+    def radii(h, **kw):
+        sol = SimpleNamespace(polygon=unit_square(), h_at=lambda pts: np.full(len(pts), h))
+        return _probe_radii(sol, np.zeros(2), ("vertex", 0), **kw)
+
+    @pytest.mark.parametrize("h, kw, expected", [
+        (0.01, {}, [0.03, 0.015]),                                    # 3 h and 1.5 h
+        (0.2, {}, [0.5, 0.25]),                                       # 3 h capped, then halved
+        (0.01, {"absorbed": [0.005, 0.012]}, [2.8 * 0.012, 2.2 * 0.012]),
+        (0.01, {"absorbed": [0.005]}, [0.033, 0.025]),                # 3.3 h and 2.5 h
+        (0.01, {"absorbed": [0.012], "nearest": 0.01}, [2.8 * 0.012, 2.2 * 0.012]),
+        (0.01, {"nearest": 0.02}, [0.014, 0.007]),                    # 0.7 and 0.35 of it
+        (0.01, {"nearest": 0.035}, [0.03, 0.015]),                    # not nearer than 3.5 h
+        (0.2, {"absorbed": [0.2]}, [0.5, 0.5]),                       # both at the cap
+        (0.5, {"nearest": 1.5}, [0.5, 0.5]),                          # both at the cap
+    ])
+    def test_vertex_rules(self, h, kw, expected):
+        assert self.radii(h, **kw) == pytest.approx(expected, rel=1e-12)
+
+
+class TestBreakingCuspErrors:
+    """``breaking_experiment`` records a failed cusp fit as an index-zero
+    event and lets any other error through.  One index-0 point is added
+    to each sample's critical set so the diagnostic runs."""
+
+    @staticmethod
+    def run(monkeypatch, error):
+        import hotspots.continuation as cont
+        from hotspots.continuation import breaking_experiment
+        track = cont.track
+
+        def track_with_zero(*args, **kw):
+            run = track(*args, **kw)
+            for s in run.samples:
+                q = s.polygon.vertices[0] + 0.5 * s.polygon.side_vectors[0]
+                s.critical.points.append(CriticalPoint(q, ("side", 0), 0, False))
+            return run
+
+        def failing(sol, cp):
+            raise error
+
+        monkeypatch.setattr(cont, "track", track_with_zero)
+        monkeypatch.setattr(cont, "cusp_diagnostic", failing)
+        return breaking_experiment(isosceles_triangle(math.radians(50)), eps_rel=0.01,
+                                   steps=1, h=lambda P: P.diameter / 18)
+
+    def test_failed_fit_is_recorded(self, monkeypatch):
+        rep = self.run(monkeypatch, np.linalg.LinAlgError("SVD did not converge"))
+        assert rep.conditions
+        assert all(c["index_zero_events"] == [{"error": "SVD did not converge"}]
+                   for c in rep.conditions)
+
+    def test_other_errors_propagate(self, monkeypatch):
+        with pytest.raises(TypeError):
+            self.run(monkeypatch, TypeError("a bug"))
+
+
 class TestStability:
     def test_total_index_stable_under_refinement(self):
         T = isosceles_triangle(math.radians(50))
@@ -366,3 +429,7 @@ class TestHessian:
         sol = AnalyticSolution(P, 1.0, f, gf, h_nominal=0.02)
         H = estimate_hessian(sol, np.array([0.37, 0.61]))
         assert np.allclose(H, [[4.0, 1.5], [1.5, -6.0]], rtol=0, atol=1e-10)
+
+    def test_off_the_mesh_raises(self, isosceles_sol):
+        with pytest.raises(ValueError, match="off the mesh"):
+            estimate_hessian(isosceles_sol, np.array([5.0, 5.0]))

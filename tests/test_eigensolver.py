@@ -11,9 +11,9 @@ from hotspots.config import DEFAULTS
 
 from hotspots.geometry import (Polygon, unit_square, rectangle, equilateral_triangle,
                                isosceles_triangle, triangle_from_angles)
-from hotspots.mesh import triangulate, refine, structured_triangle_mesh
+from hotspots.mesh import Mesh, triangulate, refine, structured_triangle_mesh
 from hotspots.eigensolver import (P2Space, assemble, solve_second,
-                                  AnalyticSolution, OutsideDomainError, SolverError)
+                                  AnalyticSolution, SolverError)
 
 PI2 = math.pi ** 2
 L_SHAPE = Polygon([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]])
@@ -101,7 +101,7 @@ class TestAssemble:
         corners = space.mesh.nodes[space.mesh.triangles]           # (m,3,2)
         for k, xi in enumerate(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])):
             pinned = (np.arange(m), np.tile(xi, (m, 1)))
-            monkeypatch.setattr(space, "locate", lambda pts, strict=True, pinned=pinned: pinned)
+            monkeypatch.setattr(space, "locate", lambda pts, pinned=pinned: pinned)
             ref = space.eval_grad(coef, corners[:, k])
             got = np.einsum("eba,eb->ea", space.Jinv, r0 + A @ xi)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -438,9 +438,12 @@ class TestEval:
         with pytest.raises(SolverError):
             space.project_gradient(x * y)
 
-    def test_outside_point_raises(self, square_sol):
-        with pytest.raises(OutsideDomainError):
-            square_sol.eval(np.array([[2.0, 2.0]]))
+    def test_outside_point_is_nan(self, square_sol):
+        pts = np.array([[2.0, 2.0], [0.5, -1e-3], [0.5, 0.5]])
+        assert np.array_equal(np.isnan(square_sol.eval(pts)), [True, True, False])
+        g = square_sol.eval_grad(pts)
+        assert np.isnan(g[:2]).all() and np.isfinite(g[2]).all()
+        assert math.isnan(square_sol.eval(np.array([2.0, 2.0])))
 
     def test_quadrature_mean_zero(self, square_sol):
         # restating the integral invariant through the mass matrix
@@ -462,7 +465,7 @@ class TestPairSelection:
         sol = solve_cached(unit_square(), 0.08)
         assert sol.gap < DEFAULTS.gap_floor
         small = solve_cached(Polygon(0.99 * unit_square().vertices), 0.08)
-        sel = sol.select_from_pair(lambda p: small.eval(p, strict=False))
+        sel = sol.select_from_pair(small.eval)
         assert np.all(np.isfinite(sel.coef))
         pts = np.random.default_rng(3).random((200, 2)) * 0.9 + 0.02
         assert np.abs(sel.eval(pts) - small.eval(pts)).max() < 0.05
@@ -547,7 +550,7 @@ class TestLocate:
         pts = np.vstack([rng.uniform(lo - 0.2, hi + 0.2, (400, 2)),   # inside and outside
                          space.dof_points()])                         # nodes and edge midpoints
         held, lam = self.holders(mesh, pts)
-        tri, xi = space.locate(pts, strict=False)
+        tri, xi = space.locate(pts)
         found = held.any(axis=1)
         assert np.array_equal(tri >= 0, found)
         assert found[:400].sum() > 40 and (~found[:400]).sum() > 40
@@ -561,5 +564,33 @@ class TestLocate:
         assert (held[400:].sum(axis=1) >= 2).sum() > space.ndof // 2
         coef = rng.standard_normal(space.ndof)
         assert np.allclose(space.eval(coef, space.dof_points()), coef, atol=1e-12)
-        with pytest.raises(OutsideDomainError):
-            space.locate(pts[:400][~found[:400]][:3])
+        assert np.isnan(space.eval(coef, pts[:400][~found[:400]])).all()
+
+    def test_point_behind_many_nearer_centroids(self):
+        """A large element beside a fan of 100 small ones around its corner
+        O: near O, more than 64 fan centroids lie nearer than the large
+        element's, so the search must grow past depth 64 to place the point,
+        and a point off the mesh near O is -1 only once every centroid
+        within reach was tested."""
+        rim = 0.1 * np.array([[math.cos(a), math.sin(a)]
+                              for a in np.linspace(0.5 * math.pi, 2 * math.pi, 101)])
+        nodes = np.vstack([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], rim])
+        fan = [(0, 3 + j, 4 + j) for j in range(100)]
+        # locate reads only the nodes and triangles; the fan hangs on the
+        # large element's sides, which no conformity check sees here
+        mesh = Mesh(nodes=nodes, triangles=np.array([(0, 1, 2)] + fan), boundary_edges=None,
+                    vertex_map=None, polygon=None, h=1.0, grade=None, size_fn=None)
+        space = P2Space(mesh)
+        pts = np.array([[0.01, 0.01], [0.02, 0.005],        # in the large element
+                        [-0.05, 0.01], [0.03, -0.04],       # in the fan
+                        [0.2, -0.2], [-0.01, 0.5], [5.0, 5.0]])  # off the mesh
+        cent = nodes[mesh.triangles].mean(axis=1)
+        nearer = np.linalg.norm(cent[1:] - pts[0], axis=1) < np.linalg.norm(cent[0] - pts[0])
+        assert nearer.sum() > 64
+        held, lam = self.holders(mesh, pts)
+        tri, xi = space.locate(pts)
+        assert list(tri[:2]) == [0, 0] and (tri[2:4] > 0).all() and (tri[4:] == -1).all()
+        assert np.array_equal(tri >= 0, held.any(axis=1))
+        k = np.nonzero(tri >= 0)[0]
+        assert held[k, tri[k]].all()
+        assert np.allclose(xi[k], np.clip(lam[k, tri[k]], 0, 1), atol=1e-12)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hotspots.geometry import (
-    Polygon, Sector, DeformationPath, GeometryError, NotLip1Error,
-    OrthogonalSidesError, angles, arc_points, lip1_classify, lip1_reduction_path,
+    Polygon, DeformationPath, GeometryError, NotLip1Error,
+    OrthogonalSidesError, arc_points, lip1_classify, lip1_reduction_path,
     break_triangle, breaking_family, orthogonal_side_pairs,
     unit_square, regular_polygon, equilateral_triangle, isosceles_triangle,
     triangle_from_angles,
@@ -42,14 +42,14 @@ def brute_force_lip1(P, tol=1e-12):
 
 class TestAngles:
     def test_unit_square(self):
-        assert np.allclose(angles(unit_square()), math.pi / 2)
+        assert np.allclose(unit_square().angles, math.pi / 2)
 
     def test_right_isosceles(self):
         T = Polygon([[0, 0], [1, 0], [0, 1]])
-        assert np.allclose(angles(T), [math.pi / 2, math.pi / 4, math.pi / 4])
+        assert np.allclose(T.angles, [math.pi / 2, math.pi / 4, math.pi / 4])
 
     def test_regular_hexagon(self):
-        assert np.allclose(angles(regular_polygon(6)), 2 * math.pi / 3)
+        assert np.allclose(regular_polygon(6).angles, 2 * math.pi / 3)
 
     def test_turning_identity_random(self):
         rng = np.random.default_rng(3)
@@ -83,18 +83,6 @@ class TestPolygonValidation:
         assert abs(P.boundary_distance([[0.5, 0.25]])[0] - 0.25) < 1e-14
         assert P.signed_distance([[0.5, 0.5]])[0] < 0
         assert P.signed_distance([[2.0, 0.5]])[0] > 0
-
-
-class TestSector:
-    def test_contains_mod_pi(self):
-        s = Sector(apex=(0.0, 0.0), beta=math.pi / 3, alpha=0.0)
-        assert s.contains_mod_pi([1.0, 0.3])
-        assert s.contains_mod_pi([-1.0, -0.3])   # opposite ray, mod pi
-        assert not s.contains_mod_pi([0.0, 1.0])
-
-    def test_invalid_angle(self):
-        with pytest.raises(GeometryError):
-            Sector(apex=(0, 0), beta=2 * math.pi)
 
 
 class TestLip1:

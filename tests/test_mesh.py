@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hotspots.config import DEFAULTS
 from hotspots.geometry import (Polygon, unit_square, isosceles_triangle,
                                triangle_from_angles, breaking_family)
 from hotspots.mesh import (triangulate, refine, structured_triangle_mesh,
-                           default_grading, MeshingError, _unique_edges)
+                           default_grading, MeshingError, _unique_edges, _check_conforming)
 from hotspots.corpus import random_simple_polygon
 
 
@@ -215,6 +216,24 @@ class TestQualityBoundDefect:
         m = triangulate(P, P.diameter / k)
         bound = min(DEFAULTS.mesh_quality_min_angle, 0.9 * math.degrees(P.angles.min()))
         assert m.min_angle() >= bound
+
+
+class TestBoundaryChain:
+    """``boundary_edges`` is one chain: sides in polygon order, each from its
+    ``vertex_map`` node, each edge starting where the previous one ends."""
+
+    def test_refined_mesh_keeps_the_chain(self, square_mesh):
+        _check_conforming(refine(square_mesh))
+
+    @pytest.mark.parametrize("reorder", ["reversed", "shuffled"])
+    def test_broken_chain_raises(self, square_mesh, reorder):
+        be = square_mesh.boundary_edges
+        if reorder == "reversed":           # the same chain walked backwards
+            be = be[::-1][:, [1, 0, 2]]
+        else:
+            be = be[np.random.default_rng(0).permutation(len(be))]
+        with pytest.raises(MeshingError, match="one chain"):
+            _check_conforming(dataclasses.replace(square_mesh, boundary_edges=be))
 
 
 class TestUniqueEdges:

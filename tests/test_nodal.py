@@ -8,7 +8,7 @@ from hotspots.corpus import random_simple_polygon
 from hotspots.eigensolver import AnalyticSolution, solve_second
 from hotspots.mesh import triangulate
 from hotspots.bessel import BesselExpansion, bessel_j
-from hotspots.nodal import (ScalarField, trace, arc_ends_at_vertex, degree_one_vertices,
+from hotspots.nodal import (ScalarField, trace, arc_ends_at_vertex,
                             wedge_probe, analytic_arc_verdict, NodalGraph)
 
 
@@ -79,7 +79,7 @@ class TestTraceClosedForm:
                                lambda p: np.column_stack([np.ones(len(p)), np.zeros(len(p))]))
         g = trace(ScalarField.u(sol))
         assert len(g.edges) == 0
-        assert degree_one_vertices(g) == []
+        assert g.degree_one_nodes() == []
 
 
 class TestTraceFEM:
@@ -92,7 +92,7 @@ class TestTraceFEM:
         assert len(set(rep["endpoint_sides"])) == 2
         # no critical point on the nodal line: gradient stays above the floor
         pts = g.polyline_points()
-        gn = np.linalg.norm(sol.eval_grad(pts, strict=False), axis=1)
+        gn = np.linalg.norm(sol.eval_grad(pts), axis=1)
         gn = gn[np.isfinite(gn)]
         assert gn.min() > 1e-3 * math.sqrt(sol.mu) * np.abs(sol.coef).max()
 
@@ -102,7 +102,7 @@ class TestTraceFEM:
         T = isosceles_triangle(math.radians(50))
         sol = solve_cached(T, 0.035)
         g = trace(ScalarField.directional(sol, 0.0))
-        deg1 = degree_one_vertices(g)
+        deg1 = g.degree_one_nodes()
         assert len(deg1) >= 2
         assert any(n.locus == ("vertex", 2) for n in deg1)       # apex, off the base
         pts = g.polyline_points()
@@ -120,7 +120,7 @@ class TestTraceOracles:
     def test_traced_points_are_zeros_of_u_h(self, sol):
         pts = trace(ScalarField.u(sol)).polyline_points()
         assert len(pts) > 0
-        assert np.abs(sol.eval(pts, strict=False)).max() <= 1e-10 * np.abs(sol.coef).max()
+        assert np.abs(sol.eval(pts)).max() <= 1e-10 * np.abs(sol.coef).max()
 
     def test_side_ends_lie_on_their_side(self, sol):
         P = sol.polygon
