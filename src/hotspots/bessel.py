@@ -10,8 +10,8 @@ in the local frame of the vertex.  This module evaluates J_nu through
 ``scipy.special.jv`` and extracts c_0..c_K from point samples of a computed
 eigenfunction by least squares over a polar annulus.
 
-The factorization J_nu(sqrt(mu) r) = r^nu * g_nu(r^2) is exposed through
-``g_amplitude``; g_nu(0) and g_0'(0) feed the right-angle index test.
+With J_nu(sqrt(mu) r) = r^nu g_nu(r^2), the values g_nu(0) and g_0'(0)
+(``g_at_zero``, ``g0_prime_at_zero``) feed the right-angle index test.
 """
 from __future__ import annotations
 
@@ -23,8 +23,6 @@ from scipy.special import jv
 
 from .config import DEFAULTS
 from .geometry import arc_points
-
-_KMAX = 48
 
 
 class FitError(RuntimeError):
@@ -44,19 +42,6 @@ def bessel_j(nu: float, x) -> np.ndarray | float:
         raise ValueError("argument must be nonnegative")
     out = jv(nu, xa)
     return out if xa.ndim else float(out)
-
-
-def g_amplitude(nu: float, mu: float, s) -> np.ndarray | float:
-    """g_nu(s) with J_nu(sqrt(mu) r) = r^nu g_nu(r^2); s = r^2."""
-    sa = np.atleast_1d(np.asarray(s, dtype=float))
-    q = 0.25 * mu * sa
-    t = np.full_like(sa, math.exp(nu * 0.5 * math.log(mu) - nu * math.log(2.0)
-                                  - math.lgamma(nu + 1.0)))
-    out = t.copy()
-    for k in range(_KMAX):
-        t = -t * q / ((k + 1.0) * (k + nu + 1.0))
-        out += t
-    return out if np.asarray(s).ndim else float(out[0])
 
 
 def g_at_zero(nu: float, mu: float) -> float:
@@ -108,14 +93,6 @@ class BesselExpansion:
             if mags[n] > DEFAULTS.vanish_threshold:
                 return n
         return None
-
-    def eval(self, r, theta) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        out = np.zeros(np.broadcast(r, theta).shape)
-        for n, c in enumerate(self.coeffs):
-            out += c * bessel_j(n * self.nu, math.sqrt(self.mu) * r) * np.cos(n * self.nu * theta)
-        return out
 
     def to_dict(self) -> dict:
         return {

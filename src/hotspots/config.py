@@ -4,10 +4,18 @@ Every threshold that a verdict depends on lives here, and only here: the
 library reads these values where it uses them and offers no per-call
 override, so runs are reproducible from a config record alone (the run
 settings a call takes, such as h and steps, plus ``DEFAULTS.to_dict()``).
-The one exception is the probe geometry: the factors that size the probe
-circles around ``probe_radius_factor`` (boundary clearance, the composite
-and nearest-structure rules, the annulus cap) are fixed in
-``critical._probe_radii``, the only code that sizes a probe.
+The exceptions are fixed design constants, each stated beside its rule
+rather than offered as a knob: the factors that size the probe circles
+around ``probe_radius_factor`` (boundary clearance, the composite and
+nearest-structure rules, the annulus cap) in ``critical._probe_radii``, the
+only code that sizes a probe; the |a| band of ``critical.classify_vertex``
+(``_A_BAND``); the 0.5 h and 1.2 h vertex and boundary zones of
+``critical.find_critical_points``; the radii, sampling and side band of
+``nodal.wedge_probe`` and the fit lines of ``critical.cusp_diagnostic``;
+and in ``continuation`` the 2.5 h vertex approach of ``track``
+(``_VERTEX_APPROACH``), the det and side floors of ``n_membership``
+(``_DET_FLOOR``, ``_SIDE_FLOOR``) and the break path's reach and side-end
+margin in ``breaking_experiment`` (``_BREAK_REACH``, ``_SIDE_END_MARGIN``).
 """
 from __future__ import annotations
 

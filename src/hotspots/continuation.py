@@ -24,9 +24,12 @@ On top of the tracker:
     sides has exactly the two acute vertices as critical points, by reducing
     it to an obtuse triangle and monitoring S(t) (nonzero-index count) and
     V(t) (vertices receiving a side-direction nodal arc).
+  * ``n_membership`` checks a triangle for N; min |u| on the saddle's side
+    is exact, from the side's nodes and tangential-derivative roots.
   * ``breaking_experiment`` runs the broken-triangle family Q(T, w_t,
-    eps sin(pi t)) and reports either a blocking/instability window for the
-    index -1 point or an interior-critical-point event.
+    eps sin(pi t)); two pure rules judge it: ``_sample_conditions`` the
+    blocking hypotheses per sample, ``_breaking_verdict`` the branch
+    (blocking/instability or interior critical point) and the window.
 """
 from __future__ import annotations
 
@@ -101,29 +104,17 @@ class PathRun:
                 "events": [e.to_dict() for e in self.events]}
 
 
-def _vertex_arc_count(sample_polygon: Polygon, vertex_table: dict) -> tuple[int, list[int]]:
+def _vertex_arc_count(P: Polygon, vertex_table: dict) -> tuple[int, list[int]]:
     """V: vertices (angle != pi) where some side-direction field has a nodal
     arc ending there, decided by the interval criteria on fitted coefficients."""
-    P = sample_polygon
-    tangents = P.side_tangents
     arc_vertices = []
     for vid in range(P.n):
-        beta = float(P.angles[vid])
-        if abs(beta - math.pi) <= 1e-9:
+        exp = vertex_table.get(vid, {}).get("expansion")
+        if exp is None or abs(P.angles[vid] - math.pi) <= DEFAULTS.angle_tol:
             continue
-        info = vertex_table.get(vid, {})
-        exp = info.get("expansion")
-        if exp is None:
-            continue
-        apex, alpha, _ = P.vertex_frame(vid)
-        hit = False
-        for e in range(P.n):
-            psi = math.atan2(tangents[e][1], tangents[e][0])
-            verdict, margin, near, note = analytic_arc_verdict(exp, psi_local=psi - alpha)
-            if verdict:
-                hit = True
-                break
-        if hit:
+        _, alpha, _ = P.vertex_frame(vid)
+        if any(analytic_arc_verdict(exp, psi_local=math.atan2(t[1], t[0]) - alpha)[0]
+               for t in P.side_tangents):
             arc_vertices.append(vid)
     return len(arc_vertices), arc_vertices
 
@@ -186,6 +177,10 @@ def _match_points(a: PathSample, b: PathSample, radius_factor: float):
     return unmatched, max_move
 
 
+_VERTEX_APPROACH = 2.5   # a free nonzero-index point this near a vertex (in local h)
+                         # is a "vertex-approach" event of ``track``
+
+
 def track(path: DeformationPath, steps: int | None = None, *,
           h=None, max_halvings: int | None = None) -> PathRun:
     """Solve and analyze along the path with adaptive step halving."""
@@ -236,7 +231,7 @@ def track(path: DeformationPath, steps: int | None = None, *,
                 if cp.kind == "vertex":
                     continue
                 vd = float(np.linalg.norm(cp.location - cand.polygon.vertices, axis=1).min())
-                if vd < 2.5 * float(cand.sol.h_at(cp.location[None, :])[0]):
+                if vd < _VERTEX_APPROACH * float(cand.sol.h_at(cp.location[None, :])[0]):
                     events.append(PathEvent(t_next, t_next, "vertex-approach",
                                             f"{cp.locus} index {cp.index} within "
                                             f"{vd:.3g} of a vertex"))
@@ -281,7 +276,7 @@ def lip1_no_hotspots(P: Polygon, *, steps: int = 8, h=None) -> Lip1HotspotsVerdi
         raise GeometryError("polygon is not Lip-1")
     if orthogonal_side_pairs(P):
         raise GeometryError("polygon has two orthogonal sides")
-    acute = [i for i in range(P.n) if P.angles[i] < math.pi / 2 - 1e-9]
+    acute = [i for i in range(P.n) if P.angles[i] < math.pi / 2 - DEFAULTS.angle_tol]
     if len(acute) != 2:
         raise GeometryError(f"expected exactly two acute vertices, found {len(acute)}")
     path = lip1_reduction_path(P)
@@ -306,6 +301,10 @@ def lip1_no_hotspots(P: Polygon, *, steps: int = 8, h=None) -> Lip1HotspotsVerdi
 # N membership (acute triangles with one nondegenerate side saddle)
 # ---------------------------------------------------------------------------
 
+_DET_FLOOR = 1e-5     # n_membership: the saddle is nondegenerate if |det H| > this * mu^2
+_SIDE_FLOOR = 0.05    # and u is off zero on its side if min |u| there > this * scale
+
+
 @dataclass
 class NMembership:
     in_N: bool
@@ -319,12 +318,28 @@ class NMembership:
                 "saddle_side": self.saddle_side}
 
 
+def _side_min_abs(sol, side: int, roots) -> float:
+    """min |u_h| along polygon side ``side``, exactly.
+
+    u_h is quadratic on each boundary edge, so its extremes along the side
+    lie at the side's nodes and at ``roots``, the raw tangential-derivative
+    roots as fractions along the side (``CriticalSet.side_roots``).  The
+    minimum is 0 when those values change sign.
+    """
+    P = sol.polygon
+    be = sol.mesh.boundary_edges
+    u = np.concatenate([sol.coef[be[be[:, 2] == side, :2].ravel()],
+                        sol.eval(P.vertices[side] + np.outer(roots, P.side_vectors[side]))])
+    return 0.0 if u.min() < 0 < u.max() else float(np.abs(u).min())
+
+
 def n_membership(T: Polygon, *, h=None) -> NMembership:
     """Numerical check of: every vertex a local extremum, exactly one
-    nonvertex critical point, that point nondegenerate."""
+    nonvertex critical point, that point nondegenerate, and u nonzero on
+    the saddle's side."""
     if T.n != 3:
         raise GeometryError("n_membership expects a triangle")
-    if np.any(T.angles >= math.pi / 2 - 1e-9):
+    if np.any(T.angles >= math.pi / 2 - DEFAULTS.angle_tol):
         raise GeometryError("n_membership expects an acute triangle")
     h_val = (h(T) if callable(h) else h) if h is not None else T.diameter / 28
     mesh = triangulate(T, h_val)
@@ -339,8 +354,7 @@ def n_membership(T: Polygon, *, h=None) -> NMembership:
     evidence["n_vertex_extrema"] = len(vert_ext)
     evidence["n_nonvertex"] = len(nonvertex)
     ok = len(vert_ext) == 3 and len(nonvertex) == 1
-    saddle = None
-    side = None
+    saddle = side = None
     if ok:
         p = nonvertex[0]
         ok = p.index == -1 and p.kind == "side"
@@ -350,22 +364,22 @@ def n_membership(T: Polygon, *, h=None) -> NMembership:
             det = float(np.linalg.det(H))
             evidence["hessian_det"] = det
             evidence["hessian_det_scaled"] = det / sol.mu ** 2
-            ok = abs(det) > 1e-3 * sol.mu ** 2 * 1e-2
+            ok = abs(det) > _DET_FLOOR * sol.mu ** 2
             saddle = p.location
             side = p.locus[1]
-            # u must not vanish on the saddle's side
-            s = np.linspace(0.0, 1.0, 200)
-            pts = T.vertices[side][None, :] + s[:, None] * T.side_vectors[side][None, :]
-            uvals = sol.eval(pts)
-            umin = float(np.nanmin(np.abs(uvals)))
+            umin = _side_min_abs(sol, side, cset.side_roots[side])
             evidence["min_abs_u_on_side"] = umin
-            ok = ok and umin > 0.05 * sol.scale
+            ok = ok and umin > _SIDE_FLOOR * sol.scale
     return NMembership(bool(ok), evidence, saddle=saddle, saddle_side=side)
 
 
 # ---------------------------------------------------------------------------
 # breaking / blocking experiment
 # ---------------------------------------------------------------------------
+
+_BREAK_REACH = 0.2         # the break point travels this fraction of the side each way
+_SIDE_END_MARGIN = 0.05    # of the saddle, keeping this fraction from either side end
+
 
 @dataclass
 class BreakingReport:
@@ -388,128 +402,122 @@ class BreakingReport:
                 "notes": self.notes, "run": self.run.to_dict()}
 
 
+def _sample_conditions(s: PathSample, w_vid: int) -> tuple[dict, bool]:
+    """The blocking hypotheses at one sample of Q_t, whose break point is
+    vertex ``w_vid`` between the break sides ``w_vid - 1`` (left) and
+    ``w_vid`` (right).  Returns the sample's record and ``off_break``:
+    whether a nonzero-index point lies on a side away from the break.
+
+    With no index -1 side point the saddle may sit within mesh resolution of
+    the break point: ``saddle_to_vertex_dist`` is then its distance to the
+    nearest raw tangential-derivative root on a break side.
+    """
+    left, right = w_vid - 1, w_vid
+    P, pts = s.polygon, s.critical.points
+    nz = s.critical.nonzero_index_points()
+    off_break = any(p.kind == "side" and p.locus[1] not in (left, right) for p in nz)
+    minus = [p for p in pts if p.kind == "side" and p.index == -1]
+    side_of = near = None
+    if len(minus) == 1:
+        side_of = "left" if minus[0].locus[1] == left else "right"
+    elif not minus:
+        w = P.vertices[w_vid]
+        near = min((float(np.linalg.norm(P.vertices[sd] + r * P.side_vectors[sd] - w))
+                    for sd in (left, right) for r in s.critical.side_roots[sd] or []),
+                   default=None)
+    cusps = []
+    for q in pts:
+        if q.kind != "side" or q.index != 0:
+            continue
+        try:
+            cd = cusp_diagnostic(s.sol, q)
+            cusps.append({"location": [float(q.location[0]), float(q.location[1])],
+                          "tangent_cusp": cd.tangent_cusp, "k": cd.k})
+        except (ValueError, np.linalg.LinAlgError) as ex:   # lstsq on NaN samples
+            cusps.append({"error": str(ex)})
+    record = {"t": s.t,
+              "no_interior": not any(p.kind == "interior" for p in pts),
+              "nonzero_on_break_sides": (not off_break
+                                         and not any(p.kind == "interior" for p in nz)),
+              "acute_extrema": all(any(p.kind == "vertex" and p.locus[1] == v and p.index == 1
+                                       for p in pts) for v in range(P.n) if v != w_vid),
+              "n_minus_one": len(minus),
+              "minus_one_side": side_of,
+              "saddle_to_vertex_dist": near,
+              "index_zero_events": cusps,
+              "w_leading_ratio": s.leading_ratios.get(w_vid)}
+    return record, off_break
+
+
+def _breaking_verdict(conditions: list[dict],
+                      events: list[PathEvent]) -> tuple[str, tuple[float, float] | None]:
+    """(branch, window) from the per-sample records and the path's events.
+
+    The branch is 'interior-critical-point' if a sample has an interior
+    critical point.  When the -1 point ends on another side than it starts,
+    the window runs from the last sample on the start side to the first
+    later one on the end side; else it spans the 'index-sum change' events
+    (None if there are none).
+    """
+    branch = ("blocking-instability" if all(c["no_interior"] for c in conditions)
+              else "interior-critical-point")
+    start, end = conditions[0]["minus_one_side"], conditions[-1]["minus_one_side"]
+    if start is not None and end is not None and start != end:
+        t_lo = max(c["t"] for c in conditions if c["minus_one_side"] == start)
+        t_hi = min(c["t"] for c in conditions if c["minus_one_side"] == end and c["t"] > t_lo)
+        return branch, (t_lo, t_hi)
+    ev = [e for e in events if e.kind == "index-sum change"]
+    return branch, (min(e.t_lo for e in ev), max(e.t_hi for e in ev)) if ev else None
+
+
 def breaking_experiment(T: Polygon, *, eps_rel: float = 0.01, steps: int = 12,
                         h=None) -> BreakingReport:
     """Break the saddle side of an N-triangle and watch the index -1 point.
 
-    The break point travels from one side of the saddle p to the other, 0.2
-    of the side length either way (less near a side end), while the break
-    amplitude follows eps * sin(pi t), so both endpoints are the original
-    triangle.  Per sample the blocking hypotheses are re-verified:
-    nonzero-index points only at vertices or on the sides adjacent to the
-    obtuse vertex, acute vertices stay extrema, and the sides away from the
-    break stay critical-point-free (if not, eps is halved and the family is
-    rerun, at most three times).  The report brackets the window where the -1 point changes sides
-    and lists every index event inside it, or reports the
-    interior-critical-point branch if one appears.
+    The break point travels from one side of the saddle p to the other,
+    ``_BREAK_REACH`` of the side length either way (less near a side end),
+    while the break amplitude follows eps * sin(pi t), so both endpoints are
+    the original triangle.  Each sample is judged by ``_sample_conditions``;
+    while a nonzero-index point lies on a side away from the break, eps is
+    halved and the family rerun, at most three times.  ``_breaking_verdict``
+    then gives the branch and the window where the -1 point changes sides.
     """
     nm = n_membership(T, h=h)
     if not nm.in_N:
         raise GeometryError(f"triangle fails the N-membership checks: {nm.evidence}")
     e = nm.saddle_side
-    p = nm.saddle
     L = float(T.side_lengths[e])
     tvec = T.side_tangents[e]
     a = T.vertices[e]
-    s_p = float(np.dot(p - a, tvec)) / L
-    d = max(0.2, DEFAULTS.w_margin)
+    s_p = float(np.dot(nm.saddle - a, tvec)) / L
+    d = max(_BREAK_REACH, DEFAULTS.w_margin)
+    lo, hi = _SIDE_END_MARGIN, 1 - _SIDE_END_MARGIN
     s0, s1 = s_p - d, s_p + d
-    if s0 < 0.05 or s1 > 0.95:
-        d = min(s_p - 0.05, 0.95 - s_p)
+    if s0 < lo or s1 > hi:
+        d = min(s_p - lo, hi - s_p)
         if d < DEFAULTS.w_margin:
             raise GeometryError("saddle too close to a side endpoint for a break path")
         s0, s1 = s_p - d, s_p + d
     w0 = a + s0 * L * tvec
     w1 = a + s1 * L * tvec
     eps = eps_rel * L
-    if h is None:
-        h = lambda P: P.diameter / 24
 
+    w_vid = e + 1                     # Q inserts the break point after vertex e
     notes = []
     for attempt in range(4):
-        family = breaking_family(T, e, (w0, w1), eps)
-        run = track(family, steps=steps, h=h)
-        w_vid = (e + 1) % 4           # vertex index of the break point in Q
-        left_side, right_side = e, (e + 1) % 4
-        conditions = []
-        shrink = False
-        interior_event = False
-        for s in run.samples:
-            pts = s.critical.points
-            nz = s.critical.nonzero_index_points()
-            acute_ids = [v for v in range(4) if v != w_vid]
-            cond3 = all(any(p_.kind == "vertex" and p_.locus[1] == v and p_.index == 1
-                            for p_ in pts) for v in acute_ids)
-            bad_sides = [p_ for p_ in nz if p_.kind == "side"
-                         and p_.locus[1] not in (left_side, right_side)]
-            cond2 = len(bad_sides) == 0 and not any(p_.kind == "interior" for p_ in nz)
-            interior_pts = [p_ for p_ in pts if p_.kind == "interior"]
-            cond1 = len(interior_pts) == 0
-            if interior_pts:
-                interior_event = True
-            if bad_sides:
-                shrink = True
-            minus = [p_ for p_ in pts if p_.kind == "side" and p_.index == -1]
-            side_of = None
-            p_near_w = None
-            if len(minus) == 1:
-                side_of = "left" if minus[0].locus[1] == left_side else "right"
-            elif not minus:
-                # the saddle may sit within mesh resolution of the obtuse
-                # vertex: record the nearest raw tangential-derivative root
-                w_pt = s.polygon.vertices[w_vid]
-                best = np.inf
-                for sd in (left_side, right_side):
-                    for r in s.critical.side_roots[sd] or []:
-                        q = s.polygon.vertices[sd] + r * s.polygon.side_vectors[sd]
-                        best = min(best, float(np.linalg.norm(q - w_pt)))
-                if np.isfinite(best):
-                    p_near_w = best
-            zero_idx = [p_ for p_ in pts if p_.kind == "side" and p_.index == 0]
-            cusp_info = []
-            for q in zero_idx:
-                try:
-                    cd = cusp_diagnostic(s.sol, q)
-                    cusp_info.append({"location": [float(q.location[0]), float(q.location[1])],
-                                      "tangent_cusp": cd.tangent_cusp, "k": cd.k})
-                except (ValueError, np.linalg.LinAlgError) as ex:   # lstsq on NaN samples
-                    cusp_info.append({"error": str(ex)})
-            conditions.append({"t": s.t, "no_interior": cond1,
-                               "nonzero_on_break_sides": cond2,
-                               "acute_extrema": cond3,
-                               "n_minus_one": len(minus),
-                               "minus_one_side": side_of,
-                               "saddle_to_vertex_dist": p_near_w,
-                               "index_zero_events": cusp_info,
-                               "w_leading_ratio": s.leading_ratios.get(w_vid)})
-        if shrink and attempt < 3:
-            eps *= 0.5
-            notes.append(f"critical point on a non-adjacent side: eps shrunk to {eps:.3e}")
-            continue
-        break
+        run = track(breaking_family(T, e, (w0, w1), eps), steps=steps, h=h)
+        records = [_sample_conditions(s, w_vid) for s in run.samples]
+        if attempt == 3 or not any(off for _, off in records):
+            break
+        eps *= 0.5
+        notes.append(f"critical point on a non-adjacent side: eps shrunk to {eps:.3e}")
+    conditions = [c for c, _ in records]
 
     # endpoint conditions (4) and (5): at t=0 the -1 point lies on the side
     # away from w0 (the one containing p); at t=1 it has crossed over
-    first, last = conditions[0], conditions[-1]
-    notes.append(f"t=0: -1 point on {first['minus_one_side']} side; "
-                 f"t=1: on {last['minus_one_side']} side")
-
-    # blocking window: last sample with the starting membership to first with
-    # the ending membership, plus any index events inside
-    sides_seq = [(c["t"], c["minus_one_side"]) for c in conditions]
-    start_side = first["minus_one_side"]
-    end_side = last["minus_one_side"]
-    window = None
-    if start_side is not None and end_side is not None and start_side != end_side:
-        t_lo = max(t for t, sd in sides_seq if sd == start_side)
-        t_hi = min(t for t, sd in sides_seq if sd == end_side and t > t_lo)
-        window = (t_lo, t_hi)
-    else:
-        ev = run.events_of("index-sum change")
-        if ev:
-            window = (min(e_.t_lo for e_ in ev), max(e_.t_hi for e_ in ev))
-
-    branch = "interior-critical-point" if interior_event else "blocking-instability"
+    notes.append(f"t=0: -1 point on {conditions[0]['minus_one_side']} side; "
+                 f"t=1: on {conditions[-1]['minus_one_side']} side")
+    branch, window = _breaking_verdict(conditions, run.events)
     return BreakingReport(branch=branch, window=window, eps=eps, membership=nm,
                           run=run, conditions=conditions, events=run.events,
                           w_vertex=w_vid, notes=notes)

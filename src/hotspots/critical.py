@@ -223,6 +223,11 @@ def _join(note: str, more: str) -> str:
     return f"{note}; {more}" if note else more
 
 
+# At beta = k pi/2 the vertex index is 1 above this |a| band and 1 - k
+# below it; inside it the truncated expansion cannot decide.
+_A_BAND = (0.95, 1.05)
+
+
 def classify_vertex(sol, vid: int, *, absorbed=(), nearest=math.inf) -> dict:
     """Vertex index from the fitted expansion, with the probe cross-check.
 
@@ -263,9 +268,9 @@ def classify_vertex(sol, vid: int, *, absorbed=(), nearest=math.inf) -> dict:
         ck = expansion.coeffs[k]
         a_val = (c0 * _bessel.g0_prime_at_zero(expansion.mu)
                  / (ck * _bessel.g_at_zero(k * expansion.nu, expansion.mu)))
-        if abs(a_val) > 1.05:
+        if abs(a_val) > _A_BAND[1]:
             idx = 1
-        elif abs(a_val) < 0.95:
+        elif abs(a_val) < _A_BAND[0]:
             idx = 1 - k
         else:
             idx = None

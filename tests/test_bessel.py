@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from hotspots.geometry import unit_square, Polygon
-from hotspots.bessel import (bessel_j, g_amplitude, g_at_zero, g0_prime_at_zero,
+from hotspots.bessel import (bessel_j, g_at_zero, g0_prime_at_zero,
                              fit_sector_coefficients, fit_coefficients,
                              leading_coefficient_test, UndefinedLeadingCoefficient,
                              FitError)
@@ -56,20 +56,15 @@ class TestBesselJ:
 
 
 class TestGAmplitude:
-    def test_factorization(self):
-        mu, nu = 7.3, 1.7
-        for r in (0.05, 0.3, 0.9):
-            lhs = bessel_j(nu, math.sqrt(mu) * r)
-            rhs = r ** nu * g_amplitude(nu, mu, r * r)
-            assert abs(lhs - rhs) < 1e-14
+    """g_nu with J_nu(sqrt(mu) r) = r^nu g_nu(r^2), at s = r^2 = 0."""
 
     def test_values_at_zero(self):
         mu = 5.5
         assert abs(g_at_zero(0, mu) - 1.0) < 1e-15
         assert abs(g_at_zero(2, mu) - mu / 8) < 1e-15
-        # g0'(0) = -mu/4 against a finite difference
+        # g0'(0) = -mu/4 against a finite difference of g0(s) = J_0(sqrt(mu s))
         d = 1e-6
-        fd = (g_amplitude(0, mu, d) - g_amplitude(0, mu, 0.0)) / d
+        fd = (bessel_j(0, math.sqrt(mu * d)) - bessel_j(0, 0.0)) / d
         assert abs(fd - g0_prime_at_zero(mu)) < 1e-5
 
 

@@ -9,8 +9,10 @@ from hotspots.geometry import (Polygon, DeformationPath, GeometryError, unit_squ
                                triangle_from_angles)
 from hotspots.bessel import bessel_j, fit_sector_coefficients, leading_coefficient_test
 from hotspots.report import to_jsonable
+from hotspots.critical import CriticalPoint, CriticalSet, find_critical_points
 from hotspots.continuation import (track, lip1_no_hotspots, n_membership,
-                                   breaking_experiment)
+                                   breaking_experiment, PathEvent, PathSample,
+                                   _sample_conditions, _breaking_verdict, _side_min_abs)
 
 
 class TestNMembership:
@@ -35,6 +37,175 @@ class TestNMembership:
     def test_obtuse_rejected(self):
         with pytest.raises(GeometryError):
             n_membership(triangle_from_angles(math.radians(30), math.radians(40)))
+
+
+class TestSideMinimum:
+    """min |u_h| on a side from its nodes and tangential-derivative roots."""
+
+    @staticmethod
+    def saddle_side(solve_cached, T):
+        sol = solve_cached(T, T.diameter / 28)
+        cset = find_critical_points(sol)
+        (side,) = [p.locus[1] for p in cset.points if p.kind == "side"]
+        return sol, side, cset.side_roots[side]
+
+    @pytest.mark.parametrize("T", [isosceles_triangle(math.radians(50)),   # saddle at a node
+                                   triangle_from_angles(math.radians(55), math.radians(65))],
+                             ids=["isosceles-50", "scalene-55-65"])     # saddle inside an edge
+    def test_matches_a_dense_sample(self, solve_cached, T):
+        sol, side, roots = self.saddle_side(solve_cached, T)
+        exact = _side_min_abs(sol, side, roots)
+        s = np.linspace(0.0, 1.0, 20000)
+        pts = T.vertices[side] + np.outer(s, T.side_vectors[side])
+        sampled = float(np.min(np.abs(sol.eval(pts))))
+        assert exact <= sampled
+        assert sampled - exact <= 1e-7 * sampled
+
+    def test_sign_change_gives_zero(self, solve_cached):
+        T = isosceles_triangle(math.radians(50))
+        sol, side, roots = self.saddle_side(solve_cached, T)
+        be = sol.mesh.boundary_edges
+        on_side = sol.coef[be[be[:, 2] == side, :2]]
+        shifted = sol.with_coef(sol.coef - 0.5 * (on_side.min() + on_side.max()))
+        assert _side_min_abs(sol, side, roots) > 0.3
+        assert _side_min_abs(shifted, side, roots) == 0.0
+
+
+def _break_sample(t, *, minus=None, extra=(), acute=(0, 2, 3), side_roots=None):
+    """A PathSample of a hand-built quadrilateral whose break point is
+    vertex 1 (break sides 0 and 1), with no mesh or solution: the acute
+    vertices in ``acute`` are maxima, ``minus`` puts an index -1 point on
+    that side, ``extra`` adds (locus, index) points."""
+    Q = Polygon([[0.0, 0.0], [0.5, -0.05], [1.0, 0.0], [0.5, 0.6]])
+
+    def at(locus):
+        if locus == "interior":
+            return Q.vertices.mean(axis=0)
+        kind, i = locus
+        return Q.vertices[i] + (0.5 * Q.side_vectors[i] if kind == "side" else 0.0)
+
+    loci = [(("vertex", v), 1) for v in acute] + list(extra)
+    if minus is not None:
+        loci.append((("side", minus), -1))
+    pts = [CriticalPoint(at(locus), locus, index, index == 1) for locus, index in loci]
+    cset = CriticalSet(pts, {}, side_roots or [[] for _ in range(Q.n)])
+    return PathSample(t=t, polygon=Q, mu=1.0, gap=1.0, S=len(cset.nonzero_index_points()),
+                      V=0, critical=cset, leading_ratios={1: 0.5}, arc_vertices=[])
+
+
+class TestSampleConditions:
+    def test_blocking_sample(self):
+        rec, off = _sample_conditions(_break_sample(0.5, minus=1), 1)
+        assert not off
+        assert rec == {"t": 0.5, "no_interior": True, "nonzero_on_break_sides": True,
+                       "acute_extrema": True, "n_minus_one": 1, "minus_one_side": "right",
+                       "saddle_to_vertex_dist": None, "index_zero_events": [],
+                       "w_leading_ratio": 0.5}
+        assert _sample_conditions(_break_sample(0.5, minus=0), 1)[0]["minus_one_side"] == "left"
+
+    def test_saddle_distance_from_side_roots(self):
+        # no -1 point: the nearest raw root on a break side (0 or 1) to vertex 1
+        roots = [[0.5, 0.9], None, [0.01], [0.5]]
+        rec, _ = _sample_conditions(_break_sample(0.3, side_roots=roots), 1)
+        Q = _break_sample(0.3).polygon
+        assert rec["n_minus_one"] == 0 and rec["minus_one_side"] is None
+        assert rec["saddle_to_vertex_dist"] == pytest.approx(0.1 * Q.side_lengths[0], rel=1e-12)
+        rec, _ = _sample_conditions(_break_sample(0.3, side_roots=[[], [], [0.5], []]), 1)
+        assert rec["saddle_to_vertex_dist"] is None
+
+    def test_nonzero_point_on_far_side_is_off_break(self):
+        rec, off = _sample_conditions(_break_sample(0.5, minus=1, extra=[(("side", 2), 1)]), 1)
+        assert off and not rec["nonzero_on_break_sides"]
+        rec, off = _sample_conditions(_break_sample(0.5, minus=1, extra=[(("side", 0), 1)]), 1)
+        assert not off and rec["nonzero_on_break_sides"]
+
+    def test_acute_vertex_not_an_extremum(self):
+        rec, _ = _sample_conditions(_break_sample(0.5, minus=1, acute=(0, 2)), 1)
+        assert not rec["acute_extrema"]
+        rec, _ = _sample_conditions(_break_sample(0.5, minus=1, acute=(0, 2),
+                                                  extra=[(("vertex", 3), -1)]), 1)
+        assert not rec["acute_extrema"]
+        # the break vertex itself need not be an extremum
+        rec, _ = _sample_conditions(_break_sample(0.5, minus=1, acute=(0, 2, 3)), 1)
+        assert rec["acute_extrema"]
+
+
+class TestBreakingVerdict:
+    @staticmethod
+    def records(samples):
+        return [_sample_conditions(s, 1)[0] for s in samples]
+
+    def test_interior_point_branch(self):
+        recs = self.records([_break_sample(0.0, minus=1),
+                             _break_sample(0.5, minus=1, extra=[("interior", 0)]),
+                             _break_sample(1.0, minus=0)])
+        assert not recs[1]["no_interior"] and recs[1]["nonzero_on_break_sides"]
+        assert _breaking_verdict(recs, [])[0] == "interior-critical-point"
+        assert _breaking_verdict(recs[::2], [])[0] == "blocking-instability"
+
+    def test_window_from_a_side_flip(self):
+        # right, left, right, none, left, left: the window runs from the last
+        # right sample to the first left one after it
+        sides = [(0.0, 1), (0.25, 0), (0.5, 1), (0.6, None), (0.75, 0), (1.0, 0)]
+        recs = self.records([_break_sample(t, minus=m) for t, m in sides])
+        events = [PathEvent(0.1, 0.2, "index-sum change")]
+        assert _breaking_verdict(recs, events) == ("blocking-instability", (0.5, 0.75))
+
+    def test_window_from_index_sum_events(self):
+        recs = self.records([_break_sample(t, minus=1) for t in (0.0, 0.5, 1.0)])
+        events = [PathEvent(0.2, 0.3, "index-sum change"),
+                  PathEvent(0.5, 0.55, "critical point moved"),
+                  PathEvent(0.6, 0.7, "index-sum change"),
+                  PathEvent(0.9, 1.0, "vertex-approach")]
+        assert _breaking_verdict(recs, events) == ("blocking-instability", (0.2, 0.7))
+        # no -1 point at t = 0: no side to flip from
+        recs = self.records([_break_sample(0.0), _break_sample(0.5, minus=1),
+                             _break_sample(1.0, minus=0)])
+        assert _breaking_verdict(recs, events)[1] == (0.2, 0.7)
+
+    def test_no_flip_and_no_index_events(self):
+        recs = self.records([_break_sample(t, minus=0) for t in (0.0, 0.5, 1.0)])
+        events = [PathEvent(0.5, 0.55, "critical point moved")]
+        assert _breaking_verdict(recs, events) == ("blocking-instability", None)
+
+
+class TestBreakingRerun:
+    """While a nonzero-index point sits on a side away from the break, eps is
+    halved and the family rerun, at most three times."""
+
+    @staticmethod
+    def run(monkeypatch, off_break_attempts):
+        import hotspots.continuation as cont
+        track = cont.track
+        calls = []
+
+        def track_with_far_point(*args, **kw):
+            run = track(*args, **kw)
+            if len(calls) in off_break_attempts:
+                for s in run.samples:
+                    q = s.polygon.vertices[2] + 0.5 * s.polygon.side_vectors[2]
+                    s.critical.points.append(CriticalPoint(q, ("side", 2), 1, True))
+            calls.append(args[0])          # the family of this attempt
+            return run
+
+        monkeypatch.setattr(cont, "track", track_with_far_point)
+        T = isosceles_triangle(math.radians(50))
+        rep = breaking_experiment(T, eps_rel=0.01, steps=1, h=lambda P: P.diameter / 18)
+        shrunk = [n for n in rep.notes if "eps shrunk" in n]
+        eps0 = 0.01 * float(T.side_lengths[rep.membership.saddle_side])
+        return rep, len(calls), len(shrunk), eps0
+
+    def test_one_halving(self, monkeypatch):
+        rep, calls, shrunk, eps0 = self.run(monkeypatch, {0})
+        assert (calls, shrunk) == (2, 1)
+        assert rep.eps == 0.5 * eps0
+        assert all(c["nonzero_on_break_sides"] for c in rep.conditions)
+
+    def test_at_most_three_halvings(self, monkeypatch):
+        rep, calls, shrunk, eps0 = self.run(monkeypatch, range(4))
+        assert (calls, shrunk) == (4, 3)
+        assert rep.eps == eps0 / 8
+        assert not any(c["nonzero_on_break_sides"] for c in rep.conditions)
 
 
 class TestTrack:
