@@ -46,7 +46,6 @@ class RunConfig:
     out: str = "hotspots-out"
     svg: bool = False
     steps: int = 12
-    seed: int = 0
     K: int = DEFAULTS.bessel_K
     field: str = "u"
     eps: float = 0.01
@@ -104,7 +103,7 @@ def _parse_field(sol, spec: str) -> ScalarField:
 
 
 def _solve(cfg: RunConfig, P: Polygon):
-    mesh = triangulate(P, cfg.h, seed=cfg.seed)
+    mesh = triangulate(P, cfg.h)
     sol = solve_second(mesh, tol=cfg.tol)
     return mesh, sol
 
@@ -209,7 +208,6 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default=RunConfig.out)
     ap.add_argument("--svg", action="store_true", help="emit SVG plots")
     ap.add_argument("--steps", type=int, default=RunConfig.steps)
-    ap.add_argument("--seed", type=int, default=RunConfig.seed)
     ap.add_argument("--K", type=int, default=RunConfig.K)
     ap.add_argument("--field", default=RunConfig.field,
                     help="nodal field: u, L:<deg>, side:<i>, R:<x>,<y>")

@@ -32,7 +32,6 @@ class Defaults:
 
     # meshing
     mesh_quality_min_angle: float = 20.0   # degrees
-    mesh_seed: int = 0
     mesh_relax_iters: int = 60
 
     # eigensolver

@@ -406,7 +406,8 @@ def _sample_conditions(s: PathSample, w_vid: int) -> tuple[dict, bool]:
     """The blocking hypotheses at one sample of Q_t, whose break point is
     vertex ``w_vid`` between the break sides ``w_vid - 1`` (left) and
     ``w_vid`` (right).  Returns the sample's record and ``off_break``:
-    whether a nonzero-index point lies on a side away from the break.
+    whether a nonzero-index point lies on a side away from the break (a lone
+    -1 point there gets ``minus_one_side`` None).
 
     With no index -1 side point the saddle may sit within mesh resolution of
     the break point: ``saddle_to_vertex_dist`` is then its distance to the
@@ -419,7 +420,7 @@ def _sample_conditions(s: PathSample, w_vid: int) -> tuple[dict, bool]:
     minus = [p for p in pts if p.kind == "side" and p.index == -1]
     side_of = near = None
     if len(minus) == 1:
-        side_of = "left" if minus[0].locus[1] == left else "right"
+        side_of = {left: "left", right: "right"}.get(minus[0].locus[1])
     elif not minus:
         w = P.vertices[w_vid]
         near = min((float(np.linalg.norm(P.vertices[sd] + r * P.side_vectors[sd] - w))

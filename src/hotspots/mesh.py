@@ -5,14 +5,15 @@ triangulation (distmesh flavor): boundary nodes are placed exactly on the
 polygon sides with spacing that follows a size function graded toward
 selected vertices, interior nodes start on a hexagonal lattice and relax
 under repulsive edge springs.  The contract is the mesh quality bound and
-the grading, not the particular algorithm.
+the grading, not the particular algorithm.  No random numbers are drawn: a
+mesh is a pure function of the polygon, h and the grading.
 
 Between relaxation steps the nodes move little, so ``relax`` follows the
 displacement rule of distmesh (Persson & Strang, *A Simple Mesh Generator in
 MATLAB*, SIAM Review 2004): it keeps the carved triangles until some node has
-moved more than 0.1 h0 since the last triangulation, h0 being the finest
-target size, and only then triangulates afresh.  Kept triangles only steer
-the spring forces: the repair loop and the final mesh triangulate afresh.
+moved more than 0.1 of its own target size since the last triangulation,
+and only then triangulates afresh.  Kept triangles only steer the spring
+forces: the repair loop and the final mesh triangulate afresh.
 
 Along a deformation path the polygons of neighbouring samples barely differ,
 so ``triangulate(P, h, warm_start=mesh)`` carries a mesh of a nearby polygon
@@ -88,7 +89,9 @@ def default_grading(P: Polygon) -> np.ndarray:
 
 
 class _SizeFunction:
-    """Target edge length field h * min_v clamp(r_v / diam)^g_v."""
+    """Target edge length field h * min_v clamp((r_v / diam)^g_v, floor, 1);
+    ``h0``, the finest size a node gets, is the size 0.1 h off the most
+    strongly graded vertex (exactly h when none is)."""
 
     def __init__(self, P: Polygon, h: float, grade: np.ndarray):
         self.P = P
@@ -97,8 +100,8 @@ class _SizeFunction:
         self.diam = P.diameter
         self.floor = 0.2
         self._graded = np.nonzero(self.grade > 1e-12)[0]
-        # the finest target size anywhere
-        self.h0 = self.h * (self.floor if len(self._graded) else 1.0)
+        g = self.grade[self._graded].max(initial=0.0)
+        self.h0 = self.h * max(self.floor, (0.1 * self.h / self.diam) ** g)
 
     def __call__(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -186,30 +189,32 @@ def _boundary_stations(P: Polygon, size: _SizeFunction) -> tuple[list[np.ndarray
     return out, totals
 
 
-def _hex_seeds(P: Polygon, size: _SizeFunction, rng: np.random.Generator) -> np.ndarray:
-    # seed at the finest local size and thin out where the target size is larger
+_BAYER = np.array([[0, 8, 2, 10], [12, 4, 14, 6], [3, 11, 1, 9], [15, 7, 13, 5]])  # 4x4 dither
+
+
+def _hex_seeds(P: Polygon, size: _SizeFunction) -> np.ndarray:
+    """A hexagonal lattice at spacing h0 inside P, thinned to the target size
+    by ordered (Bayer) dithering: point i of row j is kept iff (h0 / size)^2
+    > (B[j mod 4, i mod 4] + 0.5) / 16, so every point is kept where the size
+    is h0 (everywhere on an ungraded polygon)."""
     h0 = size.h0
     v = P.vertices
     x0, y0 = v.min(axis=0) - h0
     x1, y1 = v.max(axis=0) + h0
     dy = h0 * math.sqrt(3) / 2
-    rows = []
+    rows, ranks = [], []
     j = 0
     y = y0
     while y <= y1:
         xs = np.arange(x0 + (h0 / 2 if j % 2 else 0.0), x1 + h0, h0)
         rows.append(np.column_stack([xs, np.full(len(xs), y)]))
+        ranks.append(_BAYER[j % 4, np.arange(len(xs)) % 4])
         y += dy
         j += 1
-    pts = np.vstack(rows) if rows else np.zeros((0, 2))
-    if len(pts) == 0:
-        return pts
-    sd = P.signed_distance(pts)
+    pts = np.vstack(rows)
     loc = size(pts)
-    keep = sd < -0.55 * loc
-    pts, loc = pts[keep], loc[keep]
-    p_keep = (h0 / loc) ** 2
-    keep = rng.random(len(pts)) < p_keep
+    keep = ((P.signed_distance(pts) < -0.55 * loc)
+            & ((h0 / loc) ** 2 > (np.concatenate(ranks) + 0.5) / 16))
     return pts[keep]
 
 
@@ -226,8 +231,7 @@ def _carve(P: Polygon, pts: np.ndarray, geps: float) -> np.ndarray:
     return t
 
 
-def triangulate(P: Polygon, h: float, grade=None, *, seed: int | None = None,
-                warm_start: Mesh | None = None) -> Mesh:
+def triangulate(P: Polygon, h: float, grade=None, *, warm_start: Mesh | None = None) -> Mesh:
     """Graded conforming triangulation with a minimum-angle quality bound.
 
     With ``warm_start``, the nodes of that mesh (of a nearby polygon, meshed
@@ -246,8 +250,6 @@ def triangulate(P: Polygon, h: float, grade=None, *, seed: int | None = None,
     # corner elements cannot beat the polygon's own sharpest angle; thin-wedge
     # ladders realize a fixed fraction of it
     min_angle = min(DEFAULTS.mesh_quality_min_angle, 0.9 * math.degrees(float(P.angles.min())))
-    if seed is None:
-        seed = DEFAULTS.mesh_seed
 
     h = min(h, 0.9 * float(P.side_lengths.min()))
     size = _SizeFunction(P, h, grade)
@@ -256,7 +258,6 @@ def triangulate(P: Polygon, h: float, grade=None, *, seed: int | None = None,
         mesh = _transported(warm_start, P, h, grade, size, segments, min_angle)
         if mesh is not None:
             return mesh
-    rng = np.random.default_rng(seed)
 
     fixed_pts = [P.vertices.copy()]
     side_station_idx: list[np.ndarray] = []
@@ -270,17 +271,17 @@ def triangulate(P: Polygon, h: float, grade=None, *, seed: int | None = None,
     fixed = np.vstack(fixed_pts)
     n_fixed = len(fixed)
 
-    interior = _hex_seeds(P, size, rng)
+    interior = _hex_seeds(P, size)
     geps = 1e-3 * h
 
     def relax(pts, n_iter):
         last = None     # the nodes at the last triangulation
         for _ in range(n_iter):
             # distmesh's displacement rule (Persson & Strang 2004): keep the
-            # triangles until some node has moved more than 0.1 h0 since then
-            if last is None or np.max(np.linalg.norm(pts - last, axis=1)) > 0.1 * size.h0:
+            # triangles until a node has moved 0.1 of its target size since
+            if last is None or np.any(np.linalg.norm(pts - last, axis=1) > reach):
                 e = _unique_edges(_carve(P, pts, geps), len(pts))
-                last = pts
+                last, reach = pts, 0.1 * size(pts)
             vec = pts[e[:, 0]] - pts[e[:, 1]]
             L = np.linalg.norm(vec, axis=1)
             mid = 0.5 * (pts[e[:, 0]] + pts[e[:, 1]])
@@ -576,12 +577,11 @@ def refine(mesh: Mesh) -> Mesh:
     be = mesh.boundary_edges
     bkeys = np.minimum(be[:, 0], be[:, 1]) * n + np.maximum(be[:, 0], be[:, 1])
     bmid = n + rank[np.searchsorted(uniq, bkeys)]
-    for m_id, sid in zip(bmid, be[:, 2]):
-        # snap the midpoint exactly onto the polygon side
-        va = mesh.polygon.vertices[sid]
-        sv = mesh.polygon.side_vectors[sid]
-        s = np.dot(all_nodes[m_id] - va, sv) / np.dot(sv, sv)
-        all_nodes[m_id] = va + s * sv
+    # snap the boundary midpoints exactly onto their polygon sides (a stacked
+    # matmul takes each dot product as np.dot does, to the last bit)
+    va, sv = mesh.polygon.vertices[be[:, 2]], mesh.polygon.side_vectors[be[:, 2]]
+    s = ((all_nodes[bmid] - va)[:, None] @ sv[:, :, None]) / (sv[:, None] @ sv[:, :, None])
+    all_nodes[bmid] = va + s[:, 0] * sv
     new_bedges = np.column_stack([be[:, 0], bmid, be[:, 2],
                                   bmid, be[:, 1], be[:, 2]]).reshape(-1, 3)
 

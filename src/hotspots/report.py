@@ -1,7 +1,7 @@
 """Structured report serialization and SVG emission.
 
 Reports are plain JSON with sorted keys so runs are byte-stable given the
-same config and seed; each records the schema version, the package version
+same config; each records the schema version, the package version
 and the ``DEFAULTS`` in force.  SVG scenes show the polygon outline, traced
 nodal graphs, critical points colored by index, and per-vertex annotation
 badges.

@@ -119,6 +119,10 @@ class TestSampleConditions:
         rec, off = _sample_conditions(_break_sample(0.5, minus=1, extra=[(("side", 0), 1)]), 1)
         assert not off and rec["nonzero_on_break_sides"]
 
+    def test_minus_one_point_off_the_break_has_no_side(self):
+        rec, off = _sample_conditions(_break_sample(0.5, minus=2), 1)
+        assert off and rec["n_minus_one"] == 1 and rec["minus_one_side"] is None
+
     def test_acute_vertex_not_an_extremum(self):
         rec, _ = _sample_conditions(_break_sample(0.5, minus=1, acute=(0, 2)), 1)
         assert not rec["acute_extrema"]

@@ -9,8 +9,11 @@ from hotspots.config import DEFAULTS
 from hotspots.geometry import (Polygon, unit_square, isosceles_triangle,
                                triangle_from_angles, breaking_family)
 from hotspots.mesh import (triangulate, refine, structured_triangle_mesh,
-                           default_grading, MeshingError, _unique_edges, _check_conforming)
+                           default_grading, MeshingError, _unique_edges, _check_conforming,
+                           _SizeFunction)
 from hotspots.corpus import random_simple_polygon
+
+_L_SHAPE = Polygon([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]])
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +33,7 @@ class TestTriangulate:
             assert np.allclose(m.nodes[m.vertex_map[i]], T.vertices[i])
 
     def test_reflex_vertex_grading(self):
-        L = Polygon([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]])
+        L = _L_SHAPE
         assert abs(default_grading(L)[3] - (1 - math.pi / (1.5 * math.pi))) < 1e-12
         h = 0.1
         m = triangulate(L, h)
@@ -59,12 +62,10 @@ class TestTriangulate:
             assert m.min_angle() >= 20.0
             assert abs(m.triangle_areas().sum() - P.area) < 1e-10 * P.area
 
-    def test_deterministic_given_seed(self):
-        P = unit_square()
-        m1 = triangulate(P, 0.17, seed=4)
-        m2 = triangulate(P, 0.17, seed=4)
+    def test_graded_mesh_is_deterministic(self):
+        m1, m2 = triangulate(_L_SHAPE, 0.1), triangulate(_L_SHAPE, 0.1)
+        assert np.array_equal(m1.nodes, m2.nodes)
         assert np.array_equal(m1.triangles, m2.triangles)
-        assert np.allclose(m1.nodes, m2.nodes)
 
     def test_bad_h_rejected(self):
         with pytest.raises(MeshingError):
@@ -149,16 +150,30 @@ class TestStructured:
         assert abs(m.min_angle() - math.degrees(T.angles.min())) < 1e-9
 
 
+class TestSizeFunction:
+    def test_h0_is_h_without_a_graded_vertex(self):
+        for P in (unit_square(), isosceles_triangle(math.radians(49.75)), _L_SHAPE):
+            assert _SizeFunction(P, 0.1, np.zeros(P.n)).h0 == 0.1
+
+    def test_h0_is_the_size_off_the_reflex_vertex(self):
+        # the floor 0.2 binds at h = 0.1 and 0.01, not at 0.3
+        for h in (0.3, 0.1, 0.01):
+            size = _SizeFunction(_L_SHAPE, h, default_grading(_L_SHAPE))
+            off = _L_SHAPE.vertices[3] + [0.1 * h, 0.0]
+            assert size.h0 == pytest.approx(size(off)[0], rel=1e-12)
+            assert size.h0 < h
+
+
 class TestDisplacementRule:
     def test_few_triangulations_and_quality_on_graded_and_nonconvex_meshes(self, monkeypatch):
-        """``relax`` triangulates again only after a node has moved 0.1 h0,
-        so a mesh needs fewer ``Delaunay`` calls than relax steps, graded
-        and non-convex ones included, and still conforms and meets the
-        quality bound."""
+        """``relax`` triangulates again only after some node has moved 0.1
+        of its own target size, so every mesh, graded and non-convex ones
+        included, needs at most 25 ``Delaunay`` calls, and still conforms
+        and meets the quality bound."""
         rng = np.random.default_rng(5)
         cases = [(unit_square(), 0.1),
                  (isosceles_triangle(math.radians(49.75)), None),
-                 (Polygon([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]), 0.1)]
+                 (_L_SHAPE, 0.1)]
         for _ in range(6):
             P = random_simple_polygon(rng, int(rng.integers(4, 8)))
             cases.append((P, P.diameter / 18))
@@ -171,7 +186,7 @@ class TestDisplacementRule:
             mesh_mod._check_conforming(m)
             bound = min(DEFAULTS.mesh_quality_min_angle, 0.9 * math.degrees(P.angles.min()))
             assert m.min_angle() >= bound
-            assert len(calls) < DEFAULTS.mesh_relax_iters
+            assert len(calls) <= 25
 
 
 class TestQualityRepair:
