@@ -105,27 +105,19 @@ class BesselExpansion:
 
 
 def fit_sector_coefficients(u_eval, mu: float, apex, alpha: float, beta: float,
-                            r_in: float, r_out: float, *, K: int | None = None,
-                            n_r: int | None = None, n_theta: int | None = None,
-                            vertex: int = -1) -> BesselExpansion:
-    """Least-squares Fourier-Bessel fit over a polar grid in a vertex frame.
+                            r_in: float, r_out: float, *, vertex: int = -1) -> BesselExpansion:
+    """Least-squares Fourier-Bessel fit of c_0..c_K (K = ``bessel_K``) over a
+    polar grid in a vertex frame.
 
     ``u_eval`` maps an (n,2) array of points to values; ``alpha`` is the world
-    angle of the theta=0 ray.  The grid (``n_r`` radii by ``n_theta``
-    angles, from ``arc_points``) takes one ``u_eval`` call; a mode's
-    contribution is |c_n| times max |J_{n nu}(sqrt(mu) r)| over its column.
+    angle of the theta=0 ray.  The grid (``fit_n_radii`` radii by
+    ``fit_n_theta`` angles, from ``arc_points``) takes one ``u_eval`` call; a
+    mode's contribution is |c_n| times max |J_{n nu}(sqrt(mu) r)| over its
+    column.
     """
-    if K is None:
-        K = DEFAULTS.bessel_K
-    if n_r is None:
-        n_r = DEFAULTS.fit_n_radii
-    if n_theta is None:
-        n_theta = DEFAULTS.fit_n_theta
+    K, n_r, n_theta = DEFAULTS.bessel_K, DEFAULTS.fit_n_radii, DEFAULTS.fit_n_theta
     if not (0 < r_in < r_out):
         raise FitError("need 0 < r_in < r_out")
-    npts = n_r * n_theta
-    if npts < 10 * (K + 1):
-        raise FitError(f"annulus grid too sparse: {npts} points for K={K}")
 
     radii = np.linspace(r_in, r_out, n_r)
     pad = 1e-9 * beta
@@ -138,7 +130,7 @@ def fit_sector_coefficients(u_eval, mu: float, apex, alpha: float, beta: float,
 
     nu = math.pi / beta
     smu = math.sqrt(mu)
-    A = np.empty((npts, K + 1))
+    A = np.empty((len(rr), K + 1))
     colmax = np.empty(K + 1)
     for n in range(K + 1):
         jcol = bessel_j(n * nu, smu * rr)
@@ -175,23 +167,19 @@ def annulus_reference(P, i: int) -> float:
     return min(d, adj)
 
 
-def fit_coefficients(sol, vertex: int, K: int | None = None,
-                     annulus: tuple[float, float] | None = None, **kw) -> BesselExpansion:
+def fit_coefficients(sol, vertex: int) -> BesselExpansion:
     """Vertex expansion of a computed eigenfunction at polygon vertex ``vertex``.
 
-    The default annulus runs from ``annulus_inner`` to ``annulus_outer``
-    times ``annulus_reference``.  A grid point off the mesh reads NaN, which
+    The annulus runs from ``annulus_inner`` to ``annulus_outer`` times
+    ``annulus_reference``.  A grid point off the mesh reads NaN, which
     raises FitError.
     """
     P = sol.polygon
     apex, alpha, beta = P.vertex_frame(vertex)
-    if annulus is None:
-        ref = annulus_reference(P, vertex)
-        annulus = DEFAULTS.annulus_inner * ref, DEFAULTS.annulus_outer * ref
-    r_in, r_out = annulus
-    return fit_sector_coefficients(sol.eval, sol.mu,
-                                   apex, alpha, beta, r_in, r_out, K=K,
-                                   vertex=vertex % P.n, **kw)
+    ref = annulus_reference(P, vertex)
+    return fit_sector_coefficients(sol.eval, sol.mu, apex, alpha, beta,
+                                   DEFAULTS.annulus_inner * ref, DEFAULTS.annulus_outer * ref,
+                                   vertex=vertex % P.n)
 
 
 @dataclass

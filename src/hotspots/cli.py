@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULTS
 from .geometry import (Polygon, DeformationPath, GeometryError,
                        lip1_classify, lip1_reduction_path, orthogonal_side_pairs,
                        breaking_family)
@@ -42,11 +41,9 @@ class RunConfig:
     command: str
     spec: str
     h: float = 0.05
-    tol: float = DEFAULTS.solver_tol
     out: str = "hotspots-out"
     svg: bool = False
     steps: int = 12
-    K: int = DEFAULTS.bessel_K
     field: str = "u"
     eps: float = 0.01
     dump_mesh: bool = False
@@ -54,11 +51,11 @@ class RunConfig:
     def validate(self):
         if self.command not in COMMANDS:
             raise ValueError(f"command must be one of {COMMANDS}")
-        for name in ("h", "tol", "eps"):
+        for name in ("h", "eps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.steps <= 0 or self.K < 0:
-            raise ValueError("steps and K must be positive")
+        if self.steps <= 0:
+            raise ValueError("steps must be positive")
 
 
 def _load_json(path):
@@ -104,7 +101,7 @@ def _parse_field(sol, spec: str) -> ScalarField:
 
 def _solve(cfg: RunConfig, P: Polygon):
     mesh = triangulate(P, cfg.h)
-    sol = solve_second(mesh, tol=cfg.tol)
+    sol = solve_second(mesh)
     return mesh, sol
 
 
@@ -139,7 +136,7 @@ def run(cfg: RunConfig) -> int:
         payload["gap"] = sol.gap
         payload["multiplicity_2_flag"] = sol.multiplicity_flag
         payload["solver"] = sol.diagnostics
-        payload["vertex_expansions"] = [fit_coefficients(sol, i, K=cfg.K).to_dict()
+        payload["vertex_expansions"] = [fit_coefficients(sol, i).to_dict()
                                         for i in range(P.n)]
         if cfg.dump_mesh:
             write_report(os.path.join(cfg.out, "mesh.json"), mesh.to_dict())
@@ -204,11 +201,9 @@ def main(argv=None) -> int:
     ap.add_argument("command", choices=COMMANDS)
     ap.add_argument("--spec", required=True, help="polygon or path spec file (JSON)")
     ap.add_argument("--h", type=float, default=RunConfig.h, help="target mesh edge length")
-    ap.add_argument("--tol", type=float, default=RunConfig.tol)
     ap.add_argument("--out", default=RunConfig.out)
     ap.add_argument("--svg", action="store_true", help="emit SVG plots")
     ap.add_argument("--steps", type=int, default=RunConfig.steps)
-    ap.add_argument("--K", type=int, default=RunConfig.K)
     ap.add_argument("--field", default=RunConfig.field,
                     help="nodal field: u, L:<deg>, side:<i>, R:<x>,<y>")
     ap.add_argument("--eps", type=float, default=RunConfig.eps, help="relative break distance")

@@ -1,14 +1,15 @@
 """Central defaults for tolerances and discretization knobs.
 
 Every threshold that a verdict depends on lives here, and only here: the
-library reads these values where it uses them and offers no per-call
-override, so runs are reproducible from a config record alone (the run
-settings a call takes, such as h and steps, plus ``DEFAULTS.to_dict()``).
+library reads these values where it uses them and no call takes a solver,
+fit or tracking override, so runs are reproducible from a config record
+alone (the run settings a call takes, h and steps, plus
+``DEFAULTS.to_dict()``).
 The exceptions are fixed design constants, each stated beside its rule
 rather than offered as a knob: the factors that size the probe circles
 around ``probe_radius_factor`` (boundary clearance, the composite and
 nearest-structure rules, the annulus cap) in ``critical._probe_radii``, the
-only code that sizes a probe; the |a| band of ``critical.classify_vertex``
+only code that sizes a probe; the |a| band of ``critical._expansion_index``
 (``_A_BAND``); the 0.5 h and 1.2 h vertex and boundary zones of
 ``critical.find_critical_points``; the radii, sampling and side band of
 ``nodal.wedge_probe`` and the fit lines of ``critical.cusp_diagnostic``;
@@ -55,11 +56,11 @@ class Defaults:
                                        # rejects a step whose matched points move more (in local h)
     probe_samples: int = 360
     sign_band_frac: float = 0.02       # |value| below band * max => suppressed in sign counting
-    grad_zero_rtol: float = 2e-2       # |grad u(p)| below this * max|grad u| accepts a zero
+    grad_zero_rtol: float = 2e-2       # a side whose tangential derivative stays below this
+                                       # * max|grad u| is a degenerate locus
     degenerate_collinear_count: int = 10
 
     # continuation
-    track_steps: int = 64
     track_max_halvings: int = 5
     gap_floor: float = 1e-5
     match_radius_factor: float = 5.0   # critical-point matching radius = factor * h

@@ -181,13 +181,10 @@ _VERTEX_APPROACH = 2.5   # a free nonzero-index point this near a vertex (in loc
                          # is a "vertex-approach" event of ``track``
 
 
-def track(path: DeformationPath, steps: int | None = None, *,
-          h=None, max_halvings: int | None = None) -> PathRun:
-    """Solve and analyze along the path with adaptive step halving."""
-    if steps is None:
-        steps = DEFAULTS.track_steps
-    if max_halvings is None:
-        max_halvings = DEFAULTS.track_max_halvings
+def track(path: DeformationPath, steps: int, *, h=None) -> PathRun:
+    """Solve and analyze along the path in ``steps`` steps, each halved at
+    most ``track_max_halvings`` times."""
+    max_halvings = DEFAULTS.track_max_halvings
     if h is None:
         h = lambda P: P.diameter / 24
     dt0 = 1.0 / steps

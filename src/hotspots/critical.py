@@ -163,6 +163,22 @@ def _probe_radii(sol, p, locus, absorbed=(), nearest=math.inf) -> list[float]:
     return [r1, 0.5 * r1]
 
 
+def _arc_index(counts, interior: bool):
+    """(index, n, note) from the arc counts on the two probe radii, which
+    must agree: index 1 - n at a side or vertex point, 1 - n/2 at an
+    interior point, where an odd n has no index."""
+    if any(c is None for c in counts):
+        return None, None, "probe failed"
+    if counts[0] != counts[1]:
+        return None, None, "radius disagreement"
+    n = counts[0]
+    if not interior:
+        return 1 - n, n, ""
+    if n % 2 == 1:
+        return None, n, "odd interior arc count"
+    return 1 - n // 2, n, ""
+
+
 def _probe_index(sol, p, locus, radii) -> IndexResult:
     """Arc count of u - u(p) on the two ``radii``: a full circle at an
     interior point (index 1 - n/2), a semicircle into the domain at a side
@@ -187,18 +203,8 @@ def _probe_index(sol, p, locus, radii) -> IndexResult:
         band = DEFAULTS.sign_band_frac * np.nanmax(np.abs(arc)) if np.any(np.isfinite(arc)) else 0
         counts.append(_count_sign_changes(arc, cyclic=interior, band=band))
 
-    if any(c is None for c in counts):
-        return IndexResult(None, None, counts, list(radii), "probe failed")
-    if counts[0] != counts[1]:
-        return IndexResult(None, None, counts, list(radii), "radius disagreement")
-    n = counts[0]
-    if interior:
-        if n % 2 == 1:
-            return IndexResult(None, n, counts, list(radii), "odd interior arc count")
-        idx = 1 - n // 2
-    else:
-        idx = 1 - n
-    return IndexResult(idx, n, counts, list(radii))
+    idx, n, note = _arc_index(counts, interior)
+    return IndexResult(idx, n, counts, list(radii), note)
 
 
 def index_of(sol, p, locus="interior") -> IndexResult:
@@ -220,7 +226,7 @@ def _probed_point(sol, p, locus) -> CriticalPoint:
 # ---------------------------------------------------------------------------
 
 def _join(note: str, more: str) -> str:
-    return f"{note}; {more}" if note else more
+    return f"{note}; {more}" if note and more else note or more
 
 
 # At beta = k pi/2 the vertex index is 1 above this |a| band and 1 - k
@@ -228,16 +234,54 @@ def _join(note: str, more: str) -> str:
 _A_BAND = (0.95, 1.05)
 
 
-def classify_vertex(sol, vid: int, *, absorbed=(), nearest=math.inf) -> dict:
-    """Vertex index from the fitted expansion, with the probe cross-check.
+def _expansion_index(expansion):
+    """(index, k, a, note) of a vertex from its fitted expansion, by the
+    rules of the module docstring; a is None unless beta = k pi/2."""
+    sig0 = expansion.magnitude(0) > DEFAULTS.vanish_threshold
+    k = expansion.smallest_nonvanishing_k()
+    if k is None:
+        if sig0:
+            return 1, None, None, "all c_k, k >= 1, vanish at threshold"
+        return None, None, None, "all coefficients vanish at threshold"
+    if not sig0:
+        return 1 - k, k, None, "u(v) = 0"
+    if abs(expansion.beta - k * math.pi / 2) <= DEFAULTS.angle_tol:
+        # decided by |a| (k nu = 2 expansion competition)
+        a = (expansion.coeffs[0] * _bessel.g0_prime_at_zero(expansion.mu)
+             / (expansion.coeffs[k] * _bessel.g_at_zero(k * expansion.nu, expansion.mu)))
+        if abs(a) > _A_BAND[1]:
+            return 1, k, a, ""
+        if abs(a) < _A_BAND[0]:
+            return 1 - k, k, a, ""
+        return None, k, a, f"|a| = {abs(a):.4f} near 1: undecidable at truncation order"
+    return (1 if expansion.beta < k * math.pi / 2 else 1 - k), k, None, ""
 
-    When probe and expansion give different resolved answers, the probe wins:
-    it measures the total index of everything inside the probe disk, which is
-    the quantity that is stable at mesh resolution (unresolvably close side
-    structure gets absorbed into the vertex count).  The expansion-route
-    index is kept in the diagnostics.  When the probe gives no index (its
-    radii disagree, say) the expansion index stands, and the note names the
-    probe's failure and its counts.
+
+def _vertex_verdict(idx, probe: IndexResult, composite: bool):
+    """(index, note) of a vertex from its expansion index ``idx`` and its
+    probe.  A resolved probe count wins: it measures the total index of
+    everything inside the probe disk, which is the quantity that is stable
+    at mesh resolution (unresolvably close side structure gets absorbed
+    into the vertex count).  When the probe gives no index (its radii
+    disagree, say) the expansion index stands, and the note names the
+    probe's failure and its counts."""
+    if probe.index is None:
+        if idx is None:
+            return None, ""
+        return idx, f"probe {probe.note} (counts {probe.counts}): expansion index {idx} kept"
+    if idx is None:
+        return probe.index, "resolved by probe count"
+    if probe.index == idx:
+        return idx, ""
+    if composite:
+        return probe.index, (f"composite: probe total {probe.index} absorbs "
+                             f"sub-resolution structure (expansion index {idx})")
+    return probe.index, f"probe total {probe.index} overrides expansion index {idx}"
+
+
+def classify_vertex(sol, vid: int, *, absorbed=(), nearest=math.inf) -> dict:
+    """Vertex index from the fitted expansion and the probe count, combined
+    by ``_vertex_verdict``; the expansion-route index is kept in the entry.
 
     ``absorbed`` (distances of roots absorbed into the vertex) and
     ``nearest`` (distance to the nearest detected critical point) size the
@@ -247,72 +291,24 @@ def classify_vertex(sol, vid: int, *, absorbed=(), nearest=math.inf) -> dict:
     P = sol.polygon
     vid = vid % P.n
     expansion = _bessel.fit_coefficients(sol, vid)
-    beta = expansion.beta
-    mags = expansion.magnitudes()
-    sig0 = mags[0] > DEFAULTS.vanish_threshold
-    k = expansion.smallest_nonvanishing_k()
-    note = ""
-    unresolved = False
-    a_val = None
-    if k is None:
-        idx = 1 if sig0 else None
-        note = "all c_k, k >= 1, vanish at threshold" if sig0 else \
-               "all coefficients vanish at threshold"
-        unresolved = idx is None
-    elif not sig0:
-        idx = 1 - k
-        note = "u(v) = 0"
-    elif abs(beta - k * math.pi / 2) <= DEFAULTS.angle_tol:
-        # beta = k pi/2: decided by |a| (k nu = 2 expansion competition)
-        c0 = expansion.coeffs[0]
-        ck = expansion.coeffs[k]
-        a_val = (c0 * _bessel.g0_prime_at_zero(expansion.mu)
-                 / (ck * _bessel.g_at_zero(k * expansion.nu, expansion.mu)))
-        if abs(a_val) > _A_BAND[1]:
-            idx = 1
-        elif abs(a_val) < _A_BAND[0]:
-            idx = 1 - k
-        else:
-            idx = None
-            unresolved = True
-            note = f"|a| = {abs(a_val):.4f} near 1: undecidable at truncation order"
-    elif beta < k * math.pi / 2:
-        idx = 1
-    else:
-        idx = 1 - k
-
+    idx, k, a, note = _expansion_index(expansion)
     locus = ("vertex", vid)
     radii = _probe_radii(sol, P.vertices[vid], locus, absorbed, nearest)
     probe = _probe_index(sol, P.vertices[vid], locus, radii)
-    agree = (probe.index == idx) if (probe.index is not None and idx is not None) else None
-    final = idx
-    if probe.index is not None:
-        if idx is None:
-            final = probe.index
-            unresolved = False
-            note = _join(note, "resolved by probe count")
-        elif probe.index != idx:
-            final = probe.index
-            if absorbed:
-                note = _join(note, f"composite: probe total {probe.index} absorbs "
-                                   f"sub-resolution structure (expansion index {idx})")
-            else:
-                note = _join(note, f"probe total {probe.index} overrides expansion index {idx}")
-    elif idx is None:
-        unresolved = True
-    else:
-        note = _join(note, f"probe {probe.note} (counts {probe.counts}): "
-                           f"expansion index {idx} kept")
+    final, more = _vertex_verdict(idx, probe, bool(absorbed))
+    note = _join(note, more)
     if radii[0] == radii[1]:
         # the two-radius agreement check then compares a circle with itself
         note = _join(note, f"probe radii collapse to one circle at the "
                            f"annulus cap r = {radii[0]:.5g}")
-    info = {"vertex": vid, "index": final, "expansion_index": idx, "k": k, "a": a_val,
+    mags = expansion.magnitudes()
+    info = {"vertex": vid, "index": final, "expansion_index": idx, "k": k, "a": a,
             "expansion": expansion, "magnitudes": [float(x) for x in mags],
             "leading_ratio": None if expansion.leading_index is None
             else float(mags[expansion.leading_index]),
             "probe_index": probe.index, "probe_arcs": probe.n_arcs,
-            "agree": agree, "note": note, "unresolved": unresolved}
+            "agree": None if probe.index is None or idx is None else probe.index == idx,
+            "note": note}
     if absorbed:
         info["absorbed_distances"] = list(absorbed)
     return info
@@ -481,22 +477,14 @@ def find_critical_points(sol) -> CriticalSet:
         try:
             info = classify_vertex(sol, vid, absorbed=absorbed.get(vid, ()), nearest=nearest)
         except _bessel.FitError as e:
-            info = {"vertex": vid, "index": None, "unresolved": True,
-                    "note": f"fit failed: {e}", "expansion": None,
-                    "leading_ratio": None}
+            info = {"vertex": vid, "index": None, "note": f"fit failed: {e}",
+                    "expansion": None, "leading_ratio": None}
         vertex_table[vid] = info
-        idx = info.get("index")
-        if idx is None and info.get("unresolved"):
-            points.append(CriticalPoint(vpt.copy(), ("vertex", vid), None,
-                                        False, {"note": info.get("note", "")}))
-        elif idx is not None and idx != 0:
-            points.append(CriticalPoint(vpt.copy(), ("vertex", vid), idx,
-                                        idx == 1,
-                                        {"k": info.get("k"),
-                                         "leading_ratio": info.get("leading_ratio"),
-                                         "probe_index": info.get("probe_index"),
-                                         "agree": info.get("agree"),
-                                         "note": info.get("note", "")}))
+        idx = info["index"]
+        if idx != 0:
+            points.append(CriticalPoint(vpt.copy(), ("vertex", vid), idx, idx == 1,
+                                        {key: info.get(key) for key in
+                                         ("k", "leading_ratio", "probe_index", "agree", "note")}))
 
     return CriticalSet(points=points, vertex_table=vertex_table,
                        side_roots=[roots for roots, _ in side_roots],

@@ -29,7 +29,7 @@ constant mode is projected out of the start vector and of every
 application, and each new vector is M-orthogonalized against the whole basis
 twice (classical Gram-Schmidt), so the Ritz values stay clean of spurious
 copies.  The loop stops as soon as mu_2 and mu_3 have converged and the
-residual the solution reports meets ``tol``: about 14 applications at 83k
+residual the solution reports meets ``solver_tol``: about 14 applications at 83k
 dofs, where ARPACK's default 20-vector basis took 21.  M V is kept beside
 the basis V (80 vectors at most), so each application costs one solve and
 one product with M; at 83k dofs the two blocks do not raise the peak
@@ -511,7 +511,7 @@ def _lanczos(solve, M, deflate, v0, tol, cap):
         yield theta, (S.T @ V[:k + 1] if converged else None)
 
 
-def solve_second(mesh: Mesh, tol: float | None = None) -> EigenSolution:
+def solve_second(mesh: Mesh) -> EigenSolution:
     """Eigenpair for the smallest nonzero Neumann eigenvalue.
 
     The constant mode is deflated by projection; the relative gap to the next
@@ -526,16 +526,15 @@ def solve_second(mesh: Mesh, tol: float | None = None) -> EigenSolution:
     nested-dissection order of ``_nested_dissection``, which only decides
     the fill.  A failed factorization raises SolverError.
 
-    The loop stops once the Ritz estimates of mu_2 and mu_3 are within
-    ``tol`` and the reported residual ||K u - mu M u|| / (mu ||M u||) of u_2
-    is at most ``tol``; so is that of u_3 when the pair is near-degenerate,
-    since u_3 is then returned too.  ``tol`` therefore bounds the residual
-    the solution reports.  Without convergence within ``_LANCZOS_CAP``
+    The loop stops once the Ritz estimates of mu_2 and mu_3 are within tol =
+    ``solver_tol`` and the reported residual ||K u - mu M u|| / (mu ||M u||)
+    of u_2 is at most tol; so is that of u_3 when the pair is near-degenerate,
+    since u_3 is then returned too.  tol therefore bounds the residual the
+    solution reports.  Without convergence within ``_LANCZOS_CAP``
     applications, meshes of at most 4000 dofs take a dense generalized
     eigensolve (route ``dense-eigh``) and larger ones raise SolverError.
     """
-    if tol is None:
-        tol = DEFAULTS.solver_tol
+    tol = DEFAULTS.solver_tol
     space = P2Space(mesh)
     K, M = space.matrices
     n = space.ndof

@@ -316,28 +316,13 @@ def triangulate(P: Polygon, h: float, grade=None, *, warm_start: Mesh | None = N
     pts = np.vstack([fixed, interior]) if len(interior) else fixed.copy()
     pts = relax(pts, DEFAULTS.mesh_relax_iters)
 
-    # repair loop: first restore any boundary chain edge the Delaunay dropped
-    # (evict interior nodes from its diametral disk), then fix bad triangles
-    # by dropping or inserting interior points; re-relax after each change.
-    # The round that finds nothing to repair is the final check; the ninth
-    # round raises instead of repairing.
+    # repair loop: fix bad triangles by dropping or inserting interior
+    # points, and re-relax after each change.  The round that finds nothing
+    # to repair is the final check; the ninth round raises instead of
+    # repairing.  A boundary chain edge the Delaunay dropped is left to
+    # ``_check_conforming``, which raises.
     for rnd in range(9):
         t = _carve(P, pts, geps)
-        missing = _missing_chain_edges(P, side_station_idx, pts, t, n_fixed)
-        if missing:
-            if rnd == 8:
-                raise MeshingError("boundary chain could not be restored")
-            keep = np.ones(len(pts), dtype=bool)
-            for a, b in missing:
-                mid = 0.5 * (pts[a] + pts[b])
-                rad = 0.55 * np.linalg.norm(pts[a] - pts[b])
-                d = np.linalg.norm(pts - mid, axis=1)
-                bad = d < rad
-                bad[:n_fixed] = False
-                keep &= ~bad
-            pts = pts[keep]
-            pts = relax(pts, 12)
-            continue
         m = _min_angles(pts, t)
         bad = np.nonzero(m < min_angle)[0]
         if len(bad) == 0:
@@ -436,18 +421,6 @@ def _min_angles(pts, t) -> np.ndarray:
         cosang = np.sum(a * b, axis=1) / np.maximum(den, 1e-300)
         out = np.minimum(out, np.degrees(np.arccos(np.clip(cosang, -1, 1))))
     return out
-
-
-def _missing_chain_edges(P: Polygon, side_station_idx, pts, t, n_fixed):
-    n = len(pts)
-    present = _edge_keys(t, n)
-    missing = []
-    for i in range(P.n):
-        chain = np.concatenate([[i], side_station_idx[i], [(i + 1) % P.n]]).astype(np.int64)
-        a, b = chain[:-1], chain[1:]
-        absent = ~np.isin(np.minimum(a, b) * n + np.maximum(a, b), present)
-        missing += [(int(x), int(y)) for x, y in zip(a[absent], b[absent])]
-    return missing
 
 
 def _boundary_chain(P: Polygon, side_station_idx, remap) -> np.ndarray:

@@ -149,7 +149,7 @@ def test_criterion_5_bessel_recovery(solve_cached):
                 th = np.arctan2(pts[:, 1], pts[:, 0]) % (2 * math.pi)
                 return amp * bessel_j(n_mode * nu, math.sqrt(mu) * r) * np.cos(n_mode * nu * th)
 
-            exp = fit_sector_coefficients(u, mu, [0, 0], 0.0, beta, 0.05, 0.4, K=4)
+            exp = fit_sector_coefficients(u, mu, [0, 0], 0.0, beta, 0.05, 0.4)
             want = np.zeros(5)
             want[n_mode] = amp
             err = np.abs(exp.coeffs - want).max()
@@ -158,7 +158,7 @@ def test_criterion_5_bessel_recovery(solve_cached):
     # FEM square-corner fit vs quadrature moments of cos(pi x)
     sol = solve_cached(unit_square(), 0.03)
     solx = sol.select_from_pair(lambda p: np.cos(math.pi * p[:, 0]))
-    exp = fit_coefficients(solx, 0, K=4)
+    exp = fit_coefficients(solx, 0)
     beta = math.pi / 2
     r_ref = 0.5 * (exp.r_in + exp.r_out)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+import hotspots.bessel as bessel
 from hotspots.geometry import unit_square, Polygon
 from hotspots.bessel import (bessel_j, g_at_zero, g0_prime_at_zero,
                              fit_sector_coefficients, fit_coefficients,
@@ -86,7 +88,7 @@ class TestSectorFits:
     def test_single_mode_recovery(self, beta, n_mode):
         amp = 1.7 if n_mode != 1 else -2.0
         u, nu, mu = planted_mode(beta, n_mode, amp)
-        exp = fit_sector_coefficients(u, mu, [0, 0], 0.0, beta, 0.05, 0.4, K=4)
+        exp = fit_sector_coefficients(u, mu, [0, 0], 0.0, beta, 0.05, 0.4)
         want = np.zeros(5)
         want[n_mode] = amp
         assert np.abs(exp.coeffs - want).max() < 1e-8
@@ -103,7 +105,7 @@ class TestSectorFits:
             return (1.5 * bessel_j(0, math.sqrt(mu) * r)
                     - 0.7 * bessel_j(nu, math.sqrt(mu) * r) * np.cos(nu * th))
 
-        exp = fit_sector_coefficients(u, mu, [0, 0], 0.0, beta, 0.05, 0.4, K=4)
+        exp = fit_sector_coefficients(u, mu, [0, 0], 0.0, beta, 0.05, 0.4)
         assert abs(exp.coeffs[0] - 1.5) < 1e-10
         assert abs(exp.coeffs[1] + 0.7) < 1e-10
 
@@ -127,16 +129,13 @@ class TestSectorFits:
         exp = fit_sector_coefficients(u, mu, [0, 0], alpha, beta, 0.05, 0.4)
         assert abs(exp.coeffs[1] - 2.0) < 1e-9
 
-    def test_sparse_grid_rejected(self):
-        u, nu, mu = planted_mode(2 * math.pi / 3, 0, 1.0)
-        with pytest.raises(FitError):
-            fit_sector_coefficients(u, mu, [0, 0], 0.0, 2 * math.pi / 3,
-                                    0.05, 0.4, K=4, n_r=3, n_theta=3)
-
-    def test_annulus_outside_domain_rejected(self, solve_cached):
+    def test_annulus_outside_domain_rejected(self, solve_cached, monkeypatch):
+        # the square's corner 0 has annulus reference 1, so the annulus is (0.5, 2)
         sol = solve_cached(unit_square(), 0.1)
+        monkeypatch.setattr(bessel, "DEFAULTS", dataclasses.replace(
+            bessel.DEFAULTS, annulus_inner=0.5, annulus_outer=2.0))
         with pytest.raises(FitError):
-            fit_coefficients(sol, 0, annulus=(0.5, 2.0))
+            fit_coefficients(sol, 0)
 
 
 def square_corner_moment_oracle(n, r, mu=math.pi ** 2):
@@ -166,7 +165,7 @@ class TestSquareCorner:
     def test_fit_of_closed_form_matches_oracle(self):
         mu = math.pi ** 2
         u = lambda pts: np.cos(math.pi * pts[:, 0])
-        exp = fit_sector_coefficients(u, mu, [0, 0], 0.0, math.pi / 2, 0.05, 0.25, K=4)
+        exp = fit_sector_coefficients(u, mu, [0, 0], 0.0, math.pi / 2, 0.05, 0.25)
         oracle = [square_corner_moment_oracle(n, 0.2) for n in range(3)]
         assert np.abs(exp.coeffs[:3] - oracle).max() < 1e-8
 

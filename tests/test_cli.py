@@ -63,6 +63,45 @@ class TestCommands:
         svg = Path(out, "nodal.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg or "polygon" in svg
 
+    @pytest.mark.parametrize("field, tag", [
+        ("L:30", {"kind": "L", "psi": math.radians(30)}),
+        ("side:0", {"kind": "L", "psi": 0.0}),                # side 0 runs along +x
+        ("R:0.5,0.25", {"kind": "R", "w": [0.5, 0.25]}),
+    ])
+    def test_nodal_derivative_fields(self, square_spec, tmp_path, field, tag):
+        out = str(tmp_path / "out")
+        assert main(["nodal", "--spec", square_spec, "--h", "0.1", "--field", field,
+                     "--out", out]) == 0
+        rep = _report(out)
+        assert rep["graph"]["field"] == pytest.approx(tag, rel=1e-12)
+        assert rep["simple_arc"] is None
+
+    def test_critical_svg(self, obtuse_spec, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["critical", "--spec", obtuse_spec, "--h", "0.06", "--svg",
+                     "--out", out]) == 0
+        assert Path(out, "critical.svg").read_text().startswith("<svg")
+        assert _report(out)["index_formula"]["passed"] is True
+
+    def test_solve_dump_mesh(self, square_spec, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["solve", "--spec", square_spec, "--h", "0.2", "--dump-mesh",
+                     "--out", out]) == 0
+        mesh = json.loads(Path(out, "mesh.json").read_text())
+        assert len(mesh["nodes"]) == _report(out)["mesh"]["n_nodes"]
+
+    def test_lip1_quadrilateral_records_reduction_legs(self, tmp_path):
+        from hotspots.geometry import triangle_from_angles, break_triangle
+        T = triangle_from_angles(math.radians(30), math.radians(40))
+        Q = break_triangle(T, 0, T.side_point(0, 0.5), 0.004)
+        spec = tmp_path / "quad.json"
+        spec.write_text(json.dumps(Q.to_dict()))
+        out = str(tmp_path / "out")
+        assert main(["lip1", "--spec", str(spec), "--out", out]) == 0
+        rep = _report(out)
+        assert rep["is_lip1"] is True and rep["orthogonal_side_pairs"] == []
+        assert isinstance(rep["reduction_legs"], int) and rep["reduction_legs"] >= 1
+
     def test_path_vertex_lerp(self, tmp_path):
         from hotspots.geometry import triangle_from_angles
         T0 = triangle_from_angles(math.radians(30), math.radians(35))

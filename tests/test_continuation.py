@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -257,22 +258,67 @@ class TestTrackFailedSample:
             return solve(path, t, *args, **kw)
 
         monkeypatch.setattr(cont, "_solve_sample", flaky)
+        monkeypatch.setattr(cont, "DEFAULTS",
+                            dataclasses.replace(cont.DEFAULTS, track_max_halvings=1))
         T = triangle_from_angles(math.radians(30), math.radians(35))
-        run = track(DeformationPath.constant(T), steps=4, max_halvings=1,
-                    h=lambda P: P.diameter / 12)
+        run = track(DeformationPath.constant(T), steps=4, h=lambda P: P.diameter / 12)
         failed = run.events_of("sample failed")
         assert failed and all("SolverError" in e.detail for e in failed)
         assert all(not 0.25 <= s.t <= 0.75 for s in run.samples)
         assert run.samples[-1].t == 1.0
 
 
+class TestTrackGapFloor:
+    def test_pair_selected_below_the_floor(self, monkeypatch):
+        """The square at diam/12 splits its double eigenvalue by less than
+        ``gap_floor``: each later sample takes the combination of the pair
+        closest to the previous u, and each step records a gap event."""
+        import hotspots.continuation as cont
+        from hotspots.eigensolver import EigenSolution
+        monkeypatch.setattr(cont, "DEFAULTS",
+                            dataclasses.replace(cont.DEFAULTS, track_max_halvings=0))
+        selected = []
+        select = EigenSolution.select_from_pair
+        monkeypatch.setattr(EigenSolution, "select_from_pair",
+                            lambda self, target: selected.append(target) or select(self, target))
+        run = track(DeformationPath.constant(unit_square()), steps=2,
+                    h=lambda P: P.diameter / 12)
+        assert all(s.gap < cont.DEFAULTS.gap_floor for s in run.samples)
+        assert selected == [s.sol.eval for s in run.samples[:-1]]
+        gaps = run.events_of("eigenvalue gap below floor")
+        assert [(e.t_lo, e.t_hi) for e in gaps] == [(0.0, 0.5), (0.5, 1.0)]
+        assert all(e.detail.startswith("eigenvalue gap ") for e in gaps)
+
+
+class TestTrackUnresolved:
+    def test_unresolved_points_become_events(self, monkeypatch):
+        import hotspots.continuation as cont
+        find = cont.find_critical_points
+
+        def with_unresolved(sol):
+            cs = find(sol)
+            cs.points.append(CriticalPoint(sol.polygon.vertices[2].copy(), ("vertex", 2),
+                                           None, False))
+            return cs
+
+        monkeypatch.setattr(cont, "find_critical_points", with_unresolved)
+        monkeypatch.setattr(cont, "DEFAULTS",
+                            dataclasses.replace(cont.DEFAULTS, track_max_halvings=0))
+        T = triangle_from_angles(math.radians(30), math.radians(35))
+        run = track(DeformationPath.constant(T), steps=2, h=lambda P: P.diameter / 12)
+        events = run.events_of("unresolved critical points")
+        assert [e.detail for e in events] == ["1 unresolved critical points"] * 2
+        assert len(run.samples) == 3
+
+
 class TestTrackEventKinds:
     def test_event_kind_is_a_fixed_string(self, monkeypatch):
         import hotspots.continuation as cont
         monkeypatch.setattr(cont, "_match_points", lambda a, b, radius_factor: ([], 99.0))
+        monkeypatch.setattr(cont, "DEFAULTS",
+                            dataclasses.replace(cont.DEFAULTS, track_max_halvings=0))
         T = triangle_from_angles(math.radians(30), math.radians(35))
-        run = track(DeformationPath.constant(T), steps=3, max_halvings=0,
-                    h=lambda P: P.diameter / 12)
+        run = track(DeformationPath.constant(T), steps=3, h=lambda P: P.diameter / 12)
         moved = run.events_of("critical point moved")
         assert len(moved) == 3 == len(run.samples) - 1
         assert all(e.detail == "critical point moved 99.0 h" for e in moved)

@@ -9,10 +9,12 @@ from hotspots.geometry import (Polygon, unit_square, isosceles_triangle,
 from hotspots.config import DEFAULTS
 from hotspots.mesh import triangulate, refine
 from hotspots.eigensolver import solve_second, AnalyticSolution
+from hotspots.bessel import BesselExpansion, FitError
 from hotspots.critical import (find_critical_points, index_of, verify_index_formula,
-                               cusp_diagnostic, classify_vertex, CriticalPoint,
+                               cusp_diagnostic, classify_vertex, CriticalPoint, IndexResult,
                                estimate_hessian, _side_tangential_roots, _grad_scale,
-                               _probe_radii)
+                               _probe_radii, _count_sign_changes, _arc_index,
+                               _expansion_index, _vertex_verdict)
 from hotspots.nodal import ScalarField, trace
 from hotspots.corpus import random_simple_polygon
 
@@ -282,6 +284,118 @@ class TestProbeRadii:
     ])
     def test_vertex_rules(self, h, kw, expected):
         assert self.radii(h, **kw) == pytest.approx(expected, rel=1e-12)
+
+
+class TestCountSignChanges:
+    def test_counts_runs(self):
+        vals = np.array([1.0, -1, 1, -1, 1, -1, 1, -1])
+        assert _count_sign_changes(vals, cyclic=False, band=0.1) == 7
+        assert _count_sign_changes(vals, cyclic=True, band=0.1) == 8
+
+    def test_fewer_than_eight_finite_values(self):
+        vals = np.array([1.0, -1, 1, -1, 1, -1, 1, np.nan, np.nan])
+        assert _count_sign_changes(vals, cyclic=False, band=0.1) is None
+
+    def test_every_value_inside_the_band(self):
+        vals = np.linspace(-0.05, 0.05, 20)
+        assert _count_sign_changes(vals, cyclic=True, band=0.1) is None
+
+
+class TestArcIndex:
+    """``_arc_index`` from the counts on the two probe radii."""
+
+    @pytest.mark.parametrize("counts, interior, expected", [
+        ([None, 2], False, (None, None, "probe failed")),     # before the disagreement
+        ([2, None], True, (None, None, "probe failed")),
+        ([2, 1], False, (None, None, "radius disagreement")),
+        ([2, 2], False, (-1, 2, "")),                         # side or vertex: 1 - n
+        ([0, 0], False, (1, 0, "")),
+        ([3, 3], True, (None, 3, "odd interior arc count")),
+        ([4, 4], True, (-1, 4, "")),                          # interior: 1 - n/2
+        ([0, 0], True, (1, 0, "")),
+    ], ids=["failed-first", "failed-second", "disagree", "boundary-2", "boundary-0",
+            "interior-odd", "interior-4", "interior-0"])
+    def test_outcomes(self, counts, interior, expected):
+        assert _arc_index(counts, interior) == expected
+
+
+def _expansion(beta, coeffs, mu=4.0):
+    """A hand-built vertex expansion whose relative contributions are |c_n|."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    return BesselExpansion(vertex=0, beta=beta, nu=math.pi / beta, mu=mu, coeffs=coeffs,
+                           r_in=0.1, r_out=0.2, residual=0.0, scale=1.0,
+                           contributions=np.abs(coeffs))
+
+
+class TestExpansionIndex:
+    """``_expansion_index``: k is the first n >= 1 with |c_n| above the
+    vanish threshold; at beta = pi/2 and k = 1, |a| = 2 |c0 / c1|."""
+
+    @pytest.mark.parametrize("beta, coeffs, expected", [
+        (math.pi / 3, [1, 0, 0, 0, 0], (1, None, None, "all c_k, k >= 1, vanish at threshold")),
+        (math.pi / 3, [0, 0, 0, 0, 0], (None, None, None, "all coefficients vanish at threshold")),
+        (math.pi / 3, [0, 0, 1, 0, 0], (-1, 2, None, "u(v) = 0")),
+        (math.pi / 3, [1, 0, 1, 0, 0], (1, 2, None, "")),           # beta < k pi/2
+        (4 * math.pi / 3, [1, 0, 1, 0, 0], (-1, 2, None, "")),      # beta > k pi/2
+        (2 * math.pi / 3, [1, 1, 0, 0, 0], (0, 1, None, "")),       # beta > k pi/2
+    ], ids=["c0-only", "all-vanish", "u-zero", "beta-below", "beta-above-k2",
+            "beta-above-k1"])
+    def test_rules_off_the_right_angle(self, beta, coeffs, expected):
+        assert _expansion_index(_expansion(beta, coeffs)) == expected
+
+    @pytest.mark.parametrize("c1, index, note", [
+        (0.25, 1, ""),                                              # |a| = 8 above the band
+        (4.0, 0, ""),                                               # |a| = 0.5 below it
+        (2.0, None, "|a| = 1.0000 near 1: undecidable at truncation order"),
+    ], ids=["above-band", "below-band", "inside-band"])
+    def test_right_angle_decided_by_a(self, c1, index, note):
+        idx, k, a, got = _expansion_index(_expansion(math.pi / 2, [1, c1, 0, 0, 0]))
+        assert (idx, k, got) == (index, 1, note)
+        assert abs(a) == pytest.approx(2 / c1, rel=1e-12)
+
+
+class TestVertexVerdict:
+    """``_vertex_verdict`` from an expansion index and a probe result."""
+    resolved = IndexResult(-1, 2, [2, 2], [0.2, 0.1])
+    failed = IndexResult(None, None, [2, 1], [0.2, 0.1], "radius disagreement")
+
+    @pytest.mark.parametrize("idx, probe, composite, expected", [
+        (None, resolved, False, (-1, "resolved by probe count")),
+        (-1, resolved, True, (-1, "")),
+        (0, resolved, True, (-1, "composite: probe total -1 absorbs sub-resolution "
+                                 "structure (expansion index 0)")),
+        (0, resolved, False, (-1, "probe total -1 overrides expansion index 0")),
+        (None, failed, True, (None, "")),
+        (0, failed, True, (0, "probe radius disagreement (counts [2, 1]): "
+                              "expansion index 0 kept")),
+    ], ids=["resolved-by-probe", "agree", "composite", "overrides", "both-unresolved",
+            "expansion-kept"])
+    def test_outcomes(self, idx, probe, composite, expected):
+        assert _vertex_verdict(idx, probe, composite) == expected
+
+
+class TestFitFailure:
+    def test_failed_fit_is_an_unresolved_vertex(self, monkeypatch, obtuse_sol):
+        """A vertex whose fit raises FitError is reported with index None and
+        its reason, and the index identity is then inconclusive."""
+        import hotspots.bessel as bessel
+        fit = bessel.fit_coefficients
+
+        def failing_at_0(sol, vid):
+            if vid == 0:
+                raise FitError("injected")
+            return fit(sol, vid)
+
+        monkeypatch.setattr(bessel, "fit_coefficients", failing_at_0)
+        cs = find_critical_points(obtuse_sol)
+        info = cs.vertex_table[0]
+        assert info["index"] is None and info["note"] == "fit failed: injected"
+        assert all("unresolved" not in v for v in cs.vertex_table.values())
+        (pt,) = [p for p in cs.points if p.locus == ("vertex", 0)]
+        assert pt.index is None and not pt.is_extremum
+        assert pt.to_dict()["diagnostics"] == {"note": "fit failed: injected"}
+        rep = verify_index_formula(obtuse_sol, cs)
+        assert rep.passed is None and rep.rhs is None and rep.unresolved == 1
 
 
 class TestBreakingCuspErrors:

@@ -345,20 +345,25 @@ class TestNestedDissection:
 
 
 class TestSolverTol:
-    # tol bounds the residual the solution reports, and a looser one stops
-    # the Lanczos loop sooner
-    def test_loose_tol_takes_fewer_applications(self):
+    # solver_tol bounds the residual the solution reports, and a looser one
+    # stops the Lanczos loop sooner
+    def test_loose_tol_takes_fewer_applications(self, monkeypatch):
         mesh = _obtuse_refined_twice()
-        tight, loose = solve_second(mesh), solve_second(mesh, tol=1e-3)
+        tight = solve_second(mesh)
+        monkeypatch.setattr(eigensolver, "DEFAULTS", dataclasses.replace(DEFAULTS, solver_tol=1e-3))
+        loose = solve_second(mesh)
         assert tight.residual <= DEFAULTS.solver_tol
         assert loose.residual <= 1e-3
         assert loose.diagnostics["applications"] < tight.diagnostics["applications"]
 
     # The Lanczos stopping test compares Ritz estimates with the tol it is
-    # handed; check that the caller's tol, or the default, is what it gets.
-    # (The name is kept from the ARPACK solver, which took tol the same way.)
+    # handed; check that solver_tol, as it stands or replaced (tol), is what
+    # it gets.  (The name is kept from the ARPACK solver.)
     @pytest.mark.parametrize("tol, want", [(None, DEFAULTS.solver_tol), (1e-3, 1e-3)])
     def test_tol_reaches_eigsh(self, monkeypatch, tol, want):
+        if tol is not None:
+            monkeypatch.setattr(eigensolver, "DEFAULTS",
+                                dataclasses.replace(DEFAULTS, solver_tol=tol))
         seen = []
         lanczos = eigensolver._lanczos
 
@@ -367,7 +372,7 @@ class TestSolverTol:
             return lanczos(solve, M, deflate, v0, tol, cap)
 
         monkeypatch.setattr(eigensolver, "_lanczos", recording)
-        sol = solve_second(triangulate(unit_square(), 0.3), tol=tol)
+        sol = solve_second(triangulate(unit_square(), 0.3))
         assert seen == [want]
         assert sol.residual <= want
 

@@ -196,12 +196,12 @@ class TestQualityRepair:
     ])
     def test_repair_rounds_meet_the_angle_bound(self, monkeypatch, apex, k):
         """Triangles whose relaxed mesh has a triangle below the quality
-        bound: the repair loop runs more than one round (each round checks
-        the boundary chain once) and ends above the bound."""
+        bound: the repair loop runs more than one round (each round measures
+        the triangle angles once) and ends above the bound."""
         P = Polygon([[0, 0], [1, 0], apex])
         rounds = []
-        real = mesh_mod._missing_chain_edges
-        monkeypatch.setattr(mesh_mod, "_missing_chain_edges",
+        real = mesh_mod._min_angles
+        monkeypatch.setattr(mesh_mod, "_min_angles",
                             lambda *a: rounds.append(1) or real(*a))
         m = triangulate(P, P.diameter / k)
         mesh_mod._check_conforming(m)
