@@ -3,21 +3,24 @@
 ``track`` solves the eigenproblem along a DeformationPath on an adaptively
 refined t-grid, matches critical points between consecutive samples, and
 halves the step whenever the matching breaks (total-index change inside a
-tracking disk), a point moves too fast, the eigenvalue gap collapses, or
-the sample fails to mesh or solve.  At the step floor a violation is
-recorded as an event, never silently accepted; a failed sample is stepped
-past without being appended.
+tracking disk), a point moves too fast, the eigenvalue gap falls below
+``gap_floor`` (unless it already was at the last accepted sample: halving
+cannot mend a pair that stays double), or the sample fails to mesh or
+solve.  At the step floor a violation is recorded as an event, never
+silently accepted; a failed sample is stepped past without being appended.
 
 Each sample after the first is meshed with ``triangulate(...,
 warm_start=...)`` from the mesh of the last accepted sample: its nodes are
 carried onto the new polygon (boundary nodes keep their fraction along their
 side, interior nodes follow the harmonic extension of that move) and its
-triangles are kept.  ``triangulate`` meshes afresh when the vertex count or
-the grading changes, a side's node count no longer fits h (it must be within
-one of the number of target-size segments along the side), a triangle turns
-over, or the minimum angle falls below its quality bound.  Every sample records the route in ``to_dict()["mesh"]``
-("warm" or "fresh"); a rejected step is retried from the same accepted mesh,
-so a run stays deterministic.
+triangles are kept.  A side whose node count is one or two off what h asks
+for is first edited to the fresh count by boundary-edge splits or collapses,
+and a carried mesh that fails the quality bound is smoothed and
+triangulated afresh once.  ``triangulate`` meshes afresh when the vertex
+count or the grading changes, a side is off by two segments or more, or the
+second chance fails too; ``Mesh.fallback`` says which.  Every sample records
+the route in ``to_dict()["mesh"]`` ("warm" or "fresh"); a rejected step is
+retried from the same accepted mesh, so a run stays deterministic.
 
 On top of the tracker:
   * ``lip1_no_hotspots`` verifies that a Lip-1 polygon without orthogonal
@@ -218,7 +221,11 @@ def track(path: DeformationPath, steps: int, *, h=None) -> PathRun:
             if unresolved:
                 trouble.append(("unresolved critical points",
                                 f"{unresolved} unresolved critical points"))
-        if trouble and (t_next - t) > dt_floor * (1 + 1e-9):
+        # a gap already below the floor at the last accepted sample does not
+        # mend by halving: it is recorded at this step, not halved on
+        mendable = [k for k, _ in trouble if not (k == "eigenvalue gap below floor"
+                                                  and samples[-1].gap < DEFAULTS.gap_floor)]
+        if mendable and (t_next - t) > dt_floor * (1 + 1e-9):
             dt = 0.5 * (t_next - t)
             continue
         for kind, detail in trouble:

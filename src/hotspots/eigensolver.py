@@ -7,10 +7,11 @@ evaluation of u and grad u with a kd-tree locator.
 
 The locator is exact.  Every element's centroid lies within ``_reach`` (the
 largest centroid-to-corner distance of the mesh) of any point the element
-holds, so a point is tested against its nearest centroids, 8 first and then
-eightfold more, until one element holds it or the next centroid lies out of
-reach.  A point that no element holds is off the mesh: ``eval`` and
-``eval_grad`` give NaN there, and callers test for it with ``np.isfinite``.
+holds, so a point is tested against its nearest centroid first, then its
+nearest 8 and eightfold more, until one element holds it or the next
+centroid lies out of reach.  A point that no element holds is off the mesh:
+``eval`` and ``eval_grad`` give NaN there, and callers test for it with
+``np.isfinite``.
 
 The shift-invert operator is a sparse LU factor of A = K - sigma M with
 sigma = -mu_scale / 4 < 0.  K is positive semidefinite and M positive
@@ -227,33 +228,32 @@ class P2Space:
 
         A point goes to the first of its nearest-centroid elements, in k-d
         tree order, that holds it (barycentric slack 1e-9), tested for all
-        pending points at once at depths 1 and 8, then eightfold deeper while
-        the deepest centroid lies within ``_reach``; -1 off the mesh.
+        pending points at once at depth 1, then 8 and eightfold deeper while
+        the deepest centroid lies within ``_reach``; -1 off the mesh.  Most
+        points lie in their nearest centroid's element, so the first query
+        asks for that one alone.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         npts, m = len(pts), len(self._p0)
         tri = np.full(npts, -1, dtype=int)
         xi = np.zeros((npts, 2))
         pend = np.arange(npts)
-        k, depths = 8, (1, 8)
+        k = 1
         while len(pend):
-            dist, cand = self._tree.query(pts[pend], k=min(k, m))
-            dist, cand = dist.reshape(len(pend), -1), cand.reshape(len(pend), -1)
-            for d in depths:
-                c = cand[:, :d]
-                loc = np.einsum("pcab,pcb->pca", self.Jinv[c], pts[pend, None] - self._p0[c])
-                lam0 = 1.0 - loc[..., 0] - loc[..., 1]
-                holds = (loc[..., 0] >= -1e-9) & (loc[..., 1] >= -1e-9) & (lam0 >= -1e-9)
-                first = holds.argmax(axis=1)
-                rows = np.arange(len(pend))
-                ok = holds[rows, first]
-                tri[pend[ok]] = c[rows, first][ok]
-                xi[pend[ok]] = np.clip(loc[rows, first][ok], 0.0, 1.0)
-                pend, cand, dist = pend[~ok], cand[~ok], dist[~ok]
+            dist, c = self._tree.query(pts[pend], k=min(k, m))
+            dist, c = dist.reshape(len(pend), -1), c.reshape(len(pend), -1)
+            loc = np.einsum("pcab,pcb->pca", self.Jinv[c], pts[pend, None] - self._p0[c])
+            lam0 = 1.0 - loc[..., 0] - loc[..., 1]
+            holds = (loc[..., 0] >= -1e-9) & (loc[..., 1] >= -1e-9) & (lam0 >= -1e-9)
+            first = holds.argmax(axis=1)
+            rows = np.arange(len(pend))
+            ok = holds[rows, first]
+            tri[pend[ok]] = c[rows, first][ok]
+            xi[pend[ok]] = np.clip(loc[rows, first][ok], 0.0, 1.0)
             if k >= m:
                 break
-            pend = pend[dist[:, -1] <= self._reach]
-            k, depths = 8 * k, (8 * k,)
+            pend = pend[~ok][dist[~ok, -1] <= self._reach]
+            k *= 8
         return tri, xi
 
     def eval(self, coef: np.ndarray, pts) -> np.ndarray:

@@ -17,20 +17,32 @@ forces: the repair loop and the final mesh triangulate afresh.
 
 Along a deformation path the polygons of neighbouring samples barely differ,
 so ``triangulate(P, h, warm_start=mesh)`` carries a mesh of a nearby polygon
-over to P instead of meshing afresh.  The warm mesh keeps its triangles,
-boundary edges and vertex map; only its nodes move.  Polygon vertices go to
-the new vertices, each boundary node keeps its fraction along its side, and
-interior nodes follow the harmonic extension of that boundary move (one
-sparse solve with the mesh's graph Laplacian over the interior nodes).
-``triangulate`` meshes afresh, exactly as without a warm start, when the
-vertex count or the grading differs, when a side of the warm mesh has a node
-count a fresh mesh of P at h could not round to (it holds the number of
-target-size segments that fit along the side; the count must be one of the
-two whole numbers next to it), when a triangle turns over, or when the
-minimum angle falls below the bound a fresh mesh must meet.  The count rule
-keeps the density that h asks for: a polygon scaled at constant h, a coarser
-warm mesh or a refined one all mesh afresh.
-``Mesh.origin`` records which route built the mesh.
+over to P instead of meshing afresh.  Polygon vertices go to the new
+vertices, each boundary node keeps its fraction along its side, and interior
+nodes follow the harmonic extension of that boundary move (one sparse solve
+with the mesh's graph Laplacian over the interior nodes).  A side's node
+count must stay close to the number of target-size segments that fit along
+it in P at h (a fresh mesh holds that number rounded):
+  * within one, the side is carried as it is;
+  * off by one to two, the side is first edited to the fresh count, one
+    boundary-edge split (of its longest chain edge, at the midpoint) or
+    collapse (of its shortest, into its polygon-vertex end if it has one)
+    at a time; its nodes then go to the fresh stations, and a few Jacobi
+    sweeps of graph-Laplacian averaging even out the interior;
+  * off by two or more, P is meshed afresh.
+The count rule keeps the density that h asks for: a polygon scaled at
+constant h, a coarser warm mesh or a refined one all mesh afresh.  When a
+carried triangle turns over or the minimum angle falls below the bound a
+fresh mesh must meet, the carried nodes get one second chance: smoothed by
+the same sweeps and triangulated afresh, they are kept if every node is used,
+the boundary chain conforms and the bound holds.  ``triangulate`` meshes
+afresh, exactly as without a warm start, when the vertex count or the
+grading differs, when a side is off by two or more (or a collapse would
+pinch the mesh), or when the second chance fails too.
+``Mesh.origin`` records which route built the mesh, and ``Mesh.fallback``
+why a warm start was meshed afresh: "vertex count", "grading", "side count",
+"turned triangle" or "angle bound" (None for a carried mesh and for a mesh
+built without a warm start).
 """
 from __future__ import annotations
 
@@ -125,6 +137,7 @@ class Mesh:
     size_fn: _SizeFunction = field(repr=False)
     level: int = 0                    # refinement level
     origin: str = "fresh"             # "fresh" (meshed) or "warm" (transported)
+    fallback: str | None = None       # why a warm start was meshed afresh
 
     @property
     def n_nodes(self) -> int:
@@ -169,7 +182,9 @@ class Mesh:
 def _boundary_stations(P: Polygon, size: _SizeFunction) -> tuple[list[np.ndarray], np.ndarray]:
     """Per side: arclength fractions (excluding endpoints) of boundary nodes,
     and the number of target-size segments that fit along the side (the
-    side's node count is that number rounded)."""
+    side's node count is that number rounded).  The number is given to 1e-9,
+    so that the quadrature's roundoff cannot decide how many whole segments
+    a warm mesh's side is off by."""
     out, totals = [], np.empty(P.n)
     for i in range(P.n):
         a = P.vertices[i]
@@ -185,7 +200,7 @@ def _boundary_stations(P: Polygon, size: _SizeFunction) -> tuple[list[np.ndarray
         targets = np.arange(1, n_seg) * (total / n_seg)
         fr = np.interp(targets, cum, s)
         out.append(fr)
-        totals[i] = total
+        totals[i] = round(total, 9)
     return out, totals
 
 
@@ -235,10 +250,11 @@ def triangulate(P: Polygon, h: float, grade=None, *, warm_start: Mesh | None = N
     """Graded conforming triangulation with a minimum-angle quality bound.
 
     With ``warm_start``, the nodes of that mesh (of a nearby polygon, meshed
-    at a comparable h) are carried onto P and its connectivity is kept; the
-    module docstring gives the transport and the cases that mesh afresh
-    instead.  ``h``, ``grade`` and the size function are set as without a
-    warm start, and the quality bound is the same.
+    at a comparable h) are carried onto P and its connectivity is kept, but
+    for a side edited to the fresh node count or a second-chance
+    triangulation; the module docstring gives the transport and the cases
+    that mesh afresh instead.  ``h``, ``grade`` and the size function are
+    set as without a warm start, and the quality bound is the same.
     """
     if h <= 0:
         raise MeshingError("h must be positive")
@@ -254,8 +270,10 @@ def triangulate(P: Polygon, h: float, grade=None, *, warm_start: Mesh | None = N
     h = min(h, 0.9 * float(P.side_lengths.min()))
     size = _SizeFunction(P, h, grade)
     stations, segments = _boundary_stations(P, size)
+    fallback = None
     if warm_start is not None:
-        mesh = _transported(warm_start, P, h, grade, size, segments, min_angle)
+        mesh, fallback = _transported(warm_start, P, h, grade, size, stations, segments,
+                                      min_angle)
         if mesh is not None:
             return mesh
 
@@ -361,54 +379,151 @@ def triangulate(P: Polygon, h: float, grade=None, *, warm_start: Mesh | None = N
     boundary_edges = _boundary_chain(P, side_station_idx, remap)
     mesh = Mesh(nodes=pts, triangles=t, boundary_edges=boundary_edges,
                 vertex_map=remap[np.arange(P.n)], polygon=P, h=h, grade=grade,
-                size_fn=size)
+                size_fn=size, fallback=fallback)
     _check_conforming(mesh)
     return mesh
+
+
+_SMOOTH_SWEEPS = 5   # Jacobi sweeps of graph-Laplacian averaging over the interior
+                     # nodes of a carried mesh, after a side edit and before the
+                     # second chance
 
 
 def _transported(warm: Mesh, P: Polygon, h: float, grade: np.ndarray,
-                 size: _SizeFunction, segments: np.ndarray,
-                 min_angle: float) -> Mesh | None:
-    """``warm`` with its nodes carried onto P, or None when the transport does
-    not apply or breaks the quality bound.
+                 size: _SizeFunction, stations: list[np.ndarray], segments: np.ndarray,
+                 min_angle: float) -> tuple[Mesh | None, str | None]:
+    """``warm`` carried onto P, or None and the reason to mesh afresh.
 
-    ``segments[i]`` is the number of target-size segments that fit along side
-    i of P; a fresh mesh gives the side that number rounded.  The transport
-    applies only when each side of ``warm`` has one of the two whole numbers
-    next to it, so the carried mesh keeps the node density ``h`` asks for.
+    ``stations`` and ``segments`` are ``_boundary_stations(P, size)``: a
+    fresh mesh gives side i ``len(stations[i]) + 1`` chain edges, the number
+    ``segments[i]`` of target-size segments along it rounded.  A side of
+    ``warm`` within one of ``segments[i]`` keeps its node fractions; one off
+    by one to two is first edited to the fresh count (``_edit_side``) and its
+    nodes go to the fresh stations.  Interior nodes follow the harmonic
+    extension of the boundary move, and after an edit ``_SMOOTH_SWEEPS``
+    sweeps even them out.  A carried mesh that turns a triangle over or
+    breaks the angle bound gets one second chance: its nodes, smoothed by the
+    sweeps, triangulated afresh by ``_carve``.
     """
-    if warm.polygon.n != P.n or not np.array_equal(warm.grade, grade):
-        return None
-    if np.any(np.abs(np.bincount(warm.boundary_edges[:, 2], minlength=P.n) - segments) >= 1):
-        return None
-    W, t = warm.polygon, warm.triangles
+    if warm.polygon.n != P.n:
+        return None, "vertex count"
+    if not np.array_equal(warm.grade, grade):
+        return None, "grading"
+    off = np.abs(np.bincount(warm.boundary_edges[:, 2], minlength=P.n) - segments)
+    if np.any(off >= 2):
+        return None, "side count"
+    old, t, be, vmap = warm.nodes, warm.triangles, warm.boundary_edges, warm.vertex_map
+    edited = np.nonzero(off >= 1)[0]
+    for i in edited:
+        old, t, be, vmap = _edit_side(old, t, be, vmap, i, len(stations[i]) + 1)
+        if old is None:
+            return None, "side count"
+    W = warm.polygon
     # every boundary node starts exactly one chain edge
-    bnd, sid = warm.boundary_edges[:, 0], warm.boundary_edges[:, 2]
+    bnd, sid = be[:, 0], be[:, 2]
     sv = W.side_vectors[sid]
-    frac = np.sum((warm.nodes[bnd] - W.vertices[sid]) * sv, axis=1) / np.sum(sv * sv, axis=1)
-    nodes = warm.nodes.copy()
+    frac = np.sum((old[bnd] - W.vertices[sid]) * sv, axis=1) / np.sum(sv * sv, axis=1)
+    for i in edited:
+        frac[np.nonzero(sid == i)[0][1:]] = stations[i]
+    nodes = old.copy()
     nodes[bnd] = P.vertices[sid] + frac[:, None] * P.side_vectors[sid]
-    nodes[warm.vertex_map] = P.vertices
+    nodes[vmap] = P.vertices
     inner = np.ones(len(nodes), dtype=bool)
     inner[bnd] = False
-    if inner.any():
-        n = len(nodes)
-        e = warm.edges()
-        adj = sp.csr_matrix((np.ones(2 * len(e)), (e.T.ravel(), e[:, ::-1].T.ravel())),
-                            shape=(n, n))
-        lap = (sp.diags(np.bincount(e.ravel(), minlength=n).astype(float)) - adj).tocsr()
-        inner_ids = np.nonzero(inner)[0]
-        rhs = -(lap[inner_ids][:, bnd] @ (nodes[bnd] - warm.nodes[bnd]))
-        nodes[inner_ids] += splu(lap[inner_ids][:, inner_ids].tocsc()).solve(rhs)
+    inner_ids = np.nonzero(inner)[0]
+    n, m = len(nodes), len(inner_ids)
+    e = _unique_edges(t, n)
+    adj = sp.csr_matrix((np.ones(2 * len(e)), (e.T.ravel(), e[:, ::-1].T.ravel())),
+                        shape=(n, n))
+    deg = np.bincount(e.ravel(), minlength=n).astype(float)[inner_ids, None]
+
+    def smooth():
+        for _ in range(_SMOOTH_SWEEPS):
+            nodes[inner_ids] = (adj @ nodes)[inner_ids] / deg
+
+    if m:
+        # graph Laplacian over the interior nodes; only boundary nodes have
+        # moved yet, so the pull of their move is adj @ (nodes - old)
+        pos = np.cumsum(inner) - 1
+        a, b = e[inner[e].all(axis=1)].T
+        lap = sp.csc_matrix((np.concatenate([deg[:, 0], -np.ones(2 * len(a))]),
+                             (np.concatenate([np.arange(m), pos[a], pos[b]]),
+                              np.concatenate([np.arange(m), pos[b], pos[a]]))), shape=(m, m))
+        nodes[inner_ids] += splu(lap).solve((adj @ (nodes - old))[inner_ids])
+        if len(edited):
+            smooth()
+    mesh = Mesh(nodes=nodes, triangles=t.copy(), boundary_edges=be.copy(),
+                vertex_map=vmap.copy(), polygon=P, h=h, grade=grade, size_fn=size,
+                origin="warm")
+    reason = _carried_fault(nodes, t, min_angle)
+    if reason is None:
+        _check_conforming(mesh)
+        return mesh, None
+    smooth()
+    mesh.triangles = _carve(P, nodes, 1e-3 * h)
+    if (len(np.unique(mesh.triangles)) == n
+            and _min_angles(nodes, mesh.triangles).min() >= min_angle):
+        try:
+            _check_conforming(mesh)
+            return mesh, None
+        except MeshingError:
+            pass
+    return None, reason
+
+
+def _carried_fault(nodes: np.ndarray, t: np.ndarray, min_angle: float) -> str | None:
+    """Why carried triangles fail: "turned triangle", "angle bound" or None."""
     p = nodes[t]
-    if (np.any(_cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]) <= 0)
-            or _min_angles(nodes, t).min() < min_angle):
-        return None
-    mesh = Mesh(nodes=nodes, triangles=t.copy(), boundary_edges=warm.boundary_edges.copy(),
-                vertex_map=warm.vertex_map.copy(), polygon=P, h=h, grade=grade,
-                size_fn=size, origin="warm")
-    _check_conforming(mesh)
-    return mesh
+    if np.any(_cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]) <= 0):
+        return "turned triangle"
+    if _min_angles(nodes, t).min() < min_angle:
+        return "angle bound"
+    return None
+
+
+def _edit_side(nodes: np.ndarray, t: np.ndarray, be: np.ndarray, vmap: np.ndarray,
+               side: int, target: int):
+    """(nodes, triangles, boundary edges, vertex map) with side ``side``
+    brought to ``target`` chain edges one edge at a time, or four Nones when
+    a collapse would pinch the mesh.
+
+    A split cuts the side's longest chain edge at its midpoint, and the one
+    triangle on it into two of the same orientation.  A collapse merges the
+    side's shortest chain edge into whichever end is a polygon vertex (else
+    into its first end) and deletes the triangle on it; it applies only when
+    that triangle's third node is the one neighbour both ends share.  The
+    chain stays in polygon order.
+    """
+    while True:
+        rows = np.nonzero(be[:, 2] == side)[0]
+        if len(rows) == target:
+            return nodes, t, be, vmap
+        ell = np.linalg.norm(nodes[be[rows, 1]] - nodes[be[rows, 0]], axis=1)
+        r = rows[ell.argmax() if len(rows) < target else ell.argmin()]
+        a, b = be[r, :2]
+        on_edge = np.isin(t, (a, b))
+        k = int(np.nonzero(on_edge.sum(axis=1) == 2)[0][0])
+        j = int(np.nonzero(~on_edge[k])[0][0])          # corner opposite the edge
+        p, q, c = t[k, (j + 1) % 3], t[k, (j + 2) % 3], t[k, j]
+        if len(rows) < target:
+            m = len(nodes)
+            nodes = np.vstack([nodes, 0.5 * (nodes[a] + nodes[b])])
+            t = np.vstack([t, [[m, q, c]]])
+            t[k] = (p, m, c)
+            be = np.insert(be, r + 1, (m, b, side), axis=0)
+            be[r, 1] = m
+            continue
+        keep, drop = (b, a) if b in vmap else (a, b)
+        ring = [set(t[np.any(t == v, axis=1)].ravel()) - {a, b} for v in (a, b)]
+        if ring[0] & ring[1] != {c}:
+            return None, None, None, None
+        t = np.delete(t, k, axis=0)
+        be = np.delete(be, r, axis=0)
+        t[t == drop] = keep
+        be[:, :2][be[:, :2] == drop] = keep
+        nodes = np.delete(nodes, drop, axis=0)
+        t, vmap = t - (t > drop), vmap - (vmap > drop)
+        be[:, :2] -= be[:, :2] > drop
 
 
 def _min_angles(pts, t) -> np.ndarray:
@@ -561,4 +676,4 @@ def refine(mesh: Mesh) -> Mesh:
     return Mesh(nodes=all_nodes, triangles=new_tris, boundary_edges=new_bedges,
                 vertex_map=mesh.vertex_map.copy(), polygon=mesh.polygon,
                 h=mesh.h / 2, grade=mesh.grade, size_fn=mesh.size_fn,
-                level=mesh.level + 1, origin=mesh.origin)
+                level=mesh.level + 1, origin=mesh.origin, fallback=mesh.fallback)

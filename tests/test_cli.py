@@ -131,7 +131,23 @@ class TestCommands:
         rows = rep["summary"]
         assert rows[0]["t"] == 0.0 and rows[-1]["t"] == 1.0
         # both ends are the triangle itself, with the angle-pi vertex moved
-        assert rows[0]["mu"] == pytest.approx(rows[-1]["mu"], rel=1e-9)
+        # from w0 to w1: mirror images in the triangle's axis
+        from hotspots.cli import _load_path
+        from hotspots.eigensolver import solve_second
+        from hotspots.mesh import triangulate
+        path = _load_path(str(spec))
+        a, sv = T.vertices[0], T.side_vectors[0]
+        for t, w in ((0.0, 0.3), (1.0, 0.7)):
+            V = path.polygon_at(t).vertices
+            assert np.allclose(V, [T.vertices[0], a + w * sv, T.vertices[1], T.vertices[2]],
+                               rtol=0, atol=1e-12)
+        # t = 0 is meshed afresh, so its mu is the mirror image's to the last
+        # digits; t = 1 is carried along the path, a different mesh of the
+        # same triangle
+        mirror = solve_second(triangulate(path.polygon_at(1.0), 0.1)).mu
+        assert rows[0]["mu"] == pytest.approx(mirror, rel=1e-9)
+        assert rep["track"]["samples"][-1]["mesh"] == "warm"
+        assert rows[-1]["mu"] == pytest.approx(rows[0]["mu"], rel=1e-5)
 
     def test_path_lip1_reduction(self, tmp_path):
         from hotspots.geometry import triangle_from_angles, break_triangle

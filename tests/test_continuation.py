@@ -289,6 +289,20 @@ class TestTrackGapFloor:
         assert [(e.t_lo, e.t_hi) for e in gaps] == [(0.0, 0.5), (0.5, 1.0)]
         assert all(e.detail.startswith("eigenvalue gap ") for e in gaps)
 
+    def test_gap_already_below_the_floor_is_not_halved_on(self, monkeypatch):
+        """At the default ``track_max_halvings``: the square's gap is below
+        the floor at every sample, so halving cannot mend it; each step is
+        taken once and records its gap event."""
+        import hotspots.continuation as cont
+        solves = []
+        solve = cont.solve_second
+        monkeypatch.setattr(cont, "solve_second", lambda m: solves.append(m) or solve(m))
+        run = track(DeformationPath.constant(unit_square()), steps=2,
+                    h=lambda P: P.diameter / 12)
+        assert len(run.samples) == 3 and len(solves) == 3
+        assert [(e.t_lo, e.t_hi, e.kind) for e in run.events] == [
+            (0.0, 0.5, "eigenvalue gap below floor"), (0.5, 1.0, "eigenvalue gap below floor")]
+
 
 class TestTrackUnresolved:
     def test_unresolved_points_become_events(self, monkeypatch):

@@ -272,16 +272,23 @@ def _same_mesh(a, b) -> bool:
             and a.h == b.h and a.origin == b.origin)
 
 
+def _breaking_path():
+    T = isosceles_triangle(math.radians(50))
+    e = 0
+    a, sv = T.vertices[e], T.side_vectors[e]
+    return breaking_family(T, e, (a + 0.3 * sv, a + 0.7 * sv), 0.01 * float(T.side_lengths[e]))
+
+
+def _angle_bound(P) -> float:
+    return min(DEFAULTS.mesh_quality_min_angle, 0.9 * math.degrees(float(P.angles.min())))
+
+
 class TestWarmStart:
     """``triangulate(P, h, warm_start=m)`` carries m onto a nearby polygon."""
 
     @pytest.fixture(scope="class")
     def pair(self):
-        T = isosceles_triangle(math.radians(50))
-        e = 0
-        a, sv = T.vertices[e], T.side_vectors[e]
-        path = breaking_family(T, e, (a + 0.3 * sv, a + 0.7 * sv),
-                               0.01 * float(T.side_lengths[e]))
+        path = _breaking_path()
         P0, P1 = path.polygon_at(0.2), path.polygon_at(0.25)
         h = P1.diameter / 20.5
         m0 = triangulate(P0, P0.diameter / 20)
@@ -290,6 +297,7 @@ class TestWarmStart:
     def test_warm_mesh_is_conforming_on_the_new_polygon(self, pair):
         P, h, m0, m = pair
         assert m0.origin == "fresh" and m.origin == "warm"
+        assert m0.fallback is None and m.fallback is None
         mesh_mod._check_conforming(m)
         assert np.array_equal(m.nodes[m.vertex_map], P.vertices)
         for a, b, sid in m.boundary_edges:
@@ -300,8 +308,7 @@ class TestWarmStart:
     def test_meets_angle_bound_and_keeps_connectivity(self, pair):
         P, h, m0, m = pair
         assert np.all(m.triangle_areas() > 0)
-        bound = min(20.0, 0.9 * math.degrees(float(P.angles.min())))
-        assert m.min_angle() >= bound
+        assert m.min_angle() >= _angle_bound(P)
         assert np.array_equal(m.triangles, m0.triangles)
         assert np.array_equal(m.boundary_edges, m0.boundary_edges)
         assert np.array_equal(m.vertex_map, m0.vertex_map)
@@ -321,29 +328,132 @@ class TestWarmStart:
         P, h, m0, m = pair
         T = isosceles_triangle(math.radians(50))
         fresh = triangulate(T, T.diameter / 20)
-        assert _same_mesh(triangulate(T, T.diameter / 20, warm_start=m), fresh)
-        assert fresh.origin == "fresh"
+        carried = triangulate(T, T.diameter / 20, warm_start=m)
+        assert _same_mesh(carried, fresh)
+        assert fresh.origin == "fresh" and fresh.fallback is None
+        assert carried.fallback == "vertex count"
 
     def test_grade_change_or_refined_mesh_meshes_afresh(self, pair):
         P, h, m0, m = pair
         grade = np.full(P.n, 0.1)
-        assert _same_mesh(triangulate(P, h, grade, warm_start=m0), triangulate(P, h, grade))
-        assert _same_mesh(triangulate(P, h, warm_start=refine(m0)), triangulate(P, h))
+        graded = triangulate(P, h, grade, warm_start=m0)
+        assert _same_mesh(graded, triangulate(P, h, grade)) and graded.fallback == "grading"
+        finer = triangulate(P, h, warm_start=refine(m0))
+        assert _same_mesh(finer, triangulate(P, h)) and finer.fallback == "side count"
 
-    def test_failed_angle_bound_meshes_afresh(self):
+    @staticmethod
+    def _rhombus(deg):
         # a rhombus with the unit square's sides: every side gets the same
         # node count, so only the angle bound can refuse the carried mesh
-        a = math.radians(35)
-        R = Polygon([[0, 0], [1, 0], [1 + math.cos(a), math.sin(a)], [math.cos(a), math.sin(a)]])
+        a = math.radians(deg)
+        return Polygon([[0, 0], [1, 0], [1 + math.cos(a), math.sin(a)],
+                        [math.cos(a), math.sin(a)]])
+
+    def test_failed_angle_bound_gets_a_second_chance(self, monkeypatch):
+        R = self._rhombus(35)
         warm = triangulate(unit_square(), 0.2)
         nodes = warm.nodes.copy()
         size = mesh_mod._SizeFunction(R, 0.2, np.zeros(4))
-        segments = mesh_mod._boundary_stations(R, size)[1]
-        carried = mesh_mod._transported(warm, R, 0.2, np.zeros(4), size, segments, 0.0)
+        stations, segments = mesh_mod._boundary_stations(R, size)
+        carried, reason = mesh_mod._transported(warm, R, 0.2, np.zeros(4), size, stations,
+                                                segments, 0.0)
+        assert reason is None and np.array_equal(carried.triangles, warm.triangles)
         assert np.all(carried.triangle_areas() > 0)
         assert carried.min_angle() < 20.0
+        # at the real bound the carried triangles fail, and the smoothed
+        # carried nodes triangulated afresh meet it
+        carves = []
+        carve = mesh_mod._carve
+        monkeypatch.setattr(mesh_mod, "_carve", lambda *a: carves.append(a) or carve(*a))
+        m = triangulate(R, 0.2, warm_start=warm)
+        assert len(carves) == 1
+        assert m.origin == "warm" and m.fallback is None
+        assert m.n_nodes == warm.n_nodes and len(np.unique(m.triangles)) == m.n_nodes
+        assert np.all(m.triangle_areas() > 0) and m.min_angle() >= 20.0
+        _check_conforming(m)
+        assert abs(m.triangle_areas().sum() - R.area) < 1e-10 * R.area
         assert np.array_equal(warm.nodes, nodes)
-        assert _same_mesh(triangulate(R, 0.2, warm_start=warm), triangulate(R, 0.2))
+
+    def test_failed_second_chance_meshes_afresh(self):
+        R = self._rhombus(30)
+        m = triangulate(R, 0.2, warm_start=triangulate(unit_square(), 0.2))
+        assert _same_mesh(m, triangulate(R, 0.2))
+        assert m.origin == "fresh" and m.fallback == "angle bound"
+
+    @pytest.fixture(scope="class")
+    def edited(self, pair):
+        """P(0.3) at diam/20 carried from two meshes of P(0.2): the fixture's
+        m0 (diam/20) has one chain edge too few on side 0, a mesh at
+        diam/20.5 one too many on side 1."""
+        path = _breaking_path()
+        P0, P = path.polygon_at(0.2), path.polygon_at(0.3)
+        h = P.diameter / 20
+        m0, m1 = pair[2], triangulate(P0, P0.diameter / 20.5)
+        return P, {"split": (m0, triangulate(P, h, warm_start=m0)),
+                   "collapse": (m1, triangulate(P, h, warm_start=m1))}
+
+    @pytest.mark.parametrize("edit, side, change", [("split", 0, 1), ("collapse", 1, -1)])
+    def test_one_edge_side_change_is_edited(self, edited, edit, side, change):
+        P, meshes = edited
+        warm, m = meshes[edit]
+        assert m.origin == "warm" and m.fallback is None
+        stations = mesh_mod._boundary_stations(P, m.size_fn)[0]
+        counts = np.bincount(m.boundary_edges[:, 2], minlength=P.n)
+        assert np.array_equal(counts, [len(f) + 1 for f in stations])
+        before = np.bincount(warm.boundary_edges[:, 2], minlength=P.n)
+        assert np.array_equal(counts - before, change * np.eye(P.n, dtype=int)[side])
+        assert m.n_nodes - warm.n_nodes == change and m.n_triangles - warm.n_triangles == change
+        # the edited side's nodes sit at the fresh stations
+        chain = m.boundary_edges[m.boundary_edges[:, 2] == side, 1][:-1]
+        assert np.allclose(m.nodes[chain], P.vertices[side] + np.outer(stations[side],
+                                                                       P.side_vectors[side]),
+                           rtol=0, atol=1e-14)
+        assert np.all(m.triangle_areas() > 0) and m.min_angle() >= _angle_bound(P)
+        _check_conforming(m)
+        assert abs(m.triangle_areas().sum() - P.area) < 1e-10 * P.area
+
+    def test_side_off_by_two_meshes_afresh(self, pair):
+        m0 = pair[2]
+        P = _breaking_path().polygon_at(0.45)
+        h = P.diameter / 20
+        m = triangulate(P, h, warm_start=m0)
+        segments = mesh_mod._boundary_stations(P, m.size_fn)[1]
+        assert np.max(np.abs(np.bincount(m0.boundary_edges[:, 2]) - segments)) >= 2
+        assert _same_mesh(m, triangulate(P, h)) and m.fallback == "side count"
+
+    def test_collapse_that_would_pinch_meshes_afresh(self):
+        # side 0 holds the chain v0, p, q, v1 and node c lies inside the
+        # triangle p, q, y: p and q share the neighbours c and y, so merging
+        # the shortest chain edge p-q would fold two triangles onto each other
+        T = Polygon([[0, 0], [3, 0], [1.5, 2.6]])
+        v0, v1, v2, p, q, y, c = range(7)
+        warm = mesh_mod.Mesh(
+            nodes=np.array([[0, 0], [3, 0], [1.5, 2.6], [1.2, 0], [1.8, 0], [1.5, 1.0],
+                            [1.5, 0.35]]),
+            triangles=np.array([(p, q, c), (q, y, c), (y, p, c), (v0, p, y), (q, v1, y),
+                                (v1, v2, y), (v2, v0, y)]),
+            boundary_edges=np.array([(v0, p, 0), (p, q, 0), (q, v1, 0), (v1, v2, 1),
+                                     (v2, v0, 2)]),
+            vertex_map=np.arange(3), polygon=T, h=1.8, grade=np.zeros(3),
+            size_fn=_SizeFunction(T, 1.8, np.zeros(3)))
+        _check_conforming(warm)
+        # at h = 1.8 side 0 has room for 1.67 segments: one collapse short
+        m = triangulate(T, 1.8, warm_start=warm)
+        assert _same_mesh(m, triangulate(T, 1.8)) and m.fallback == "side count"
+
+    def test_breaking_run_meshes_afresh_at_most_four_times(self, monkeypatch):
+        """The n_membership triangle and t = 0 always mesh afresh; a carried
+        mesh falls back twice more at most, never for a side count."""
+        import hotspots.continuation as cont
+        meshes = []
+        tri = cont.triangulate
+        monkeypatch.setattr(cont, "triangulate",
+                            lambda *a, **k: meshes.append(tri(*a, **k)) or meshes[-1])
+        cont.breaking_experiment(isosceles_triangle(math.radians(49.75)), eps_rel=0.01,
+                                 steps=10, h=lambda Q: Q.diameter / 20)
+        fresh = [m.fallback for m in meshes if m.origin == "fresh"]
+        assert 2 <= len(fresh) <= 4 and "side count" not in fresh
+        assert fresh[:2] == [None, None]
 
     @pytest.mark.parametrize("scale, warm_h", [(1.2, 0.1), (2.0, 0.1), (1.0, 0.25)])
     def test_coarser_warm_mesh_meshes_afresh(self, scale, warm_h):
@@ -353,5 +463,6 @@ class TestWarmStart:
         S = unit_square()
         P = Polygon(scale * S.vertices)
         fresh = triangulate(P, 0.1)
-        assert _same_mesh(triangulate(P, 0.1, warm_start=triangulate(S, warm_h)), fresh)
+        carried = triangulate(P, 0.1, warm_start=triangulate(S, warm_h))
+        assert _same_mesh(carried, fresh) and carried.fallback == "side count"
         assert fresh.origin == "fresh"
