@@ -67,6 +67,7 @@ class BesselExpansion:
     scale: float                  # max |u| over the fit annulus
     contributions: np.ndarray     # |c_n| * max_annulus |J_{n nu}(sqrt(mu) r)|
     cond: float = 0.0
+    pinned: tuple[int, ...] = ()  # modes left out of the fit: their column underflows
 
     @property
     def K(self) -> int:
@@ -113,7 +114,10 @@ def fit_sector_coefficients(u_eval, mu: float, apex, alpha: float, beta: float,
     angle of the theta=0 ray.  The grid (``fit_n_radii`` radii by
     ``fit_n_theta`` angles, from ``arc_points``) takes one ``u_eval`` call; a
     mode's contribution is |c_n| times max |J_{n nu}(sqrt(mu) r)| over its
-    column.
+    column.  A mode whose column norm underflows to 0 (J_{n nu} at the large
+    nu of a sharp corner) cannot be identified at any radius the fit
+    reaches: it is left out of the solve, its coefficient is 0 and
+    ``pinned`` names it.
     """
     K, n_r, n_theta = DEFAULTS.bessel_K, DEFAULTS.fit_n_radii, DEFAULTS.fit_n_theta
     if not (0 < r_in < r_out):
@@ -137,14 +141,14 @@ def fit_sector_coefficients(u_eval, mu: float, apex, alpha: float, beta: float,
         A[:, n] = jcol * np.cos(n * nu * tt)
         colmax[n] = np.abs(jcol).max()
     colnorm = np.linalg.norm(A, axis=0)
-    if np.any(colnorm == 0):
-        raise FitError("degenerate design matrix")
-    As = A / colnorm
+    live = colnorm > 0
+    As = A[:, live] / colnorm[live]
     cond = float(np.linalg.cond(As))
     if cond > 1e10:
         raise FitError(f"ill-conditioned fit (cond {cond:.1e}): annulus too thin")
     sol, *_ = np.linalg.lstsq(As, U, rcond=None)
-    coeffs = sol / colnorm
+    coeffs = np.zeros(K + 1)
+    coeffs[live] = sol / colnorm[live]
     # a mode whose whole contribution sits below the fit error is
     # unidentifiable noise in an amplified raw coefficient; pin it to 0
     scale = float(np.abs(U).max())
@@ -156,7 +160,8 @@ def fit_sector_coefficients(u_eval, mu: float, apex, alpha: float, beta: float,
     return BesselExpansion(vertex=vertex, beta=beta, nu=nu, mu=mu,
                            coeffs=coeffs, r_in=r_in, r_out=r_out,
                            residual=resid, scale=scale,
-                           contributions=contributions, cond=cond)
+                           contributions=contributions, cond=cond,
+                           pinned=tuple(np.flatnonzero(~live).tolist()))
 
 
 def annulus_reference(P, i: int) -> float:

@@ -13,9 +13,9 @@ Each sample after the first is meshed with ``triangulate(...,
 warm_start=...)`` from the mesh of the last accepted sample: its nodes are
 carried onto the new polygon (boundary nodes keep their fraction along their
 side, interior nodes follow the harmonic extension of that move) and its
-triangles are kept.  A side whose node count is one or two off what h asks
-for is first edited to the fresh count by boundary-edge splits or collapses,
-and a carried mesh that fails the quality bound is smoothed and
+triangles are kept.  When a side's node count is one or two off what h
+asks for (that side then takes a fresh mesh's stations), or a carried
+triangle fails the quality bound, the carried nodes are smoothed and
 triangulated afresh once.  ``triangulate`` meshes afresh when the vertex
 count or the grading changes, a side is off by two segments or more, or the
 second chance fails too; ``Mesh.fallback`` says which.  Every sample records

@@ -297,6 +297,9 @@ def classify_vertex(sol, vid: int, *, absorbed=(), nearest=math.inf) -> dict:
     probe = _probe_index(sol, P.vertices[vid], locus, radii)
     final, more = _vertex_verdict(idx, probe, bool(absorbed))
     note = _join(note, more)
+    if expansion.pinned:
+        note = _join(note, f"modes {list(expansion.pinned)} pinned to 0: "
+                           f"their columns underflow over the fit annulus")
     if radii[0] == radii[1]:
         # the two-radius agreement check then compares a circle with itself
         note = _join(note, f"probe radii collapse to one circle at the "

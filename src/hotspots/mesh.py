@@ -6,7 +6,7 @@ polygon sides with spacing that follows a size function graded toward
 selected vertices, interior nodes start on a hexagonal lattice and relax
 under repulsive edge springs.  The contract is the mesh quality bound and
 the grading, not the particular algorithm.  No random numbers are drawn: a
-mesh is a pure function of the polygon, h and the grading.
+mesh is a pure function of the polygon and h.
 
 Between relaxation steps the nodes move little, so ``relax`` follows the
 displacement rule of distmesh (Persson & Strang, *A Simple Mesh Generator in
@@ -23,24 +23,23 @@ nodes follow the harmonic extension of that boundary move (one sparse solve
 with the mesh's graph Laplacian over the interior nodes).  A side's node
 count must stay close to the number of target-size segments that fit along
 it in P at h (a fresh mesh holds that number rounded):
-  * within one, the side is carried as it is;
-  * off by one to two, the side is first edited to the fresh count, one
-    boundary-edge split (of its longest chain edge, at the midpoint) or
-    collapse (of its shortest, into its polygon-vertex end if it has one)
-    at a time; its nodes then go to the fresh stations, and a few Jacobi
-    sweeps of graph-Laplacian averaging even out the interior;
+  * within one on every side, the carried triangles are kept;
+  * off by one to two, the side takes the fresh stations in place of its
+    own nodes, and the carried nodes are triangulated afresh (below);
   * off by two or more, P is meshed afresh.
 The count rule keeps the density that h asks for: a polygon scaled at
 constant h, a coarser warm mesh or a refined one all mesh afresh.  When a
-carried triangle turns over or the minimum angle falls below the bound a
-fresh mesh must meet, the carried nodes get one second chance: smoothed by
-the same sweeps and triangulated afresh, they are kept if every node is used,
-the boundary chain conforms and the bound holds.  ``triangulate`` meshes
-afresh, exactly as without a warm start, when the vertex count or the
-grading differs, when a side is off by two or more (or a collapse would
-pinch the mesh), or when the second chance fails too.
+side was off by one to two, a carried triangle turns over, or the minimum
+angle falls below the bound a fresh mesh must meet, the carried nodes get one
+second chance: the interior evened out by a few Jacobi sweeps of
+graph-Laplacian averaging and all nodes triangulated afresh, they are kept if
+every node is used, the boundary chain conforms and the bound holds.
+``triangulate`` meshes afresh, exactly as without a warm start, when the
+vertex count or the grading differs, when a side is off by two or more, or
+when the second chance fails.
 ``Mesh.origin`` records which route built the mesh, and ``Mesh.fallback``
-why a warm start was meshed afresh: "vertex count", "grading", "side count",
+why a warm start was meshed afresh: "vertex count", "grading", "side count"
+(off by two or more, or off by one to two and the second chance failed),
 "turned triangle" or "angle bound" (None for a carried mesh and for a mesh
 built without a warm start).
 """
@@ -246,23 +245,20 @@ def _carve(P: Polygon, pts: np.ndarray, geps: float) -> np.ndarray:
     return t
 
 
-def triangulate(P: Polygon, h: float, grade=None, *, warm_start: Mesh | None = None) -> Mesh:
-    """Graded conforming triangulation with a minimum-angle quality bound.
+def triangulate(P: Polygon, h: float, *, warm_start: Mesh | None = None) -> Mesh:
+    """Conforming triangulation graded by ``default_grading(P)``, with a
+    minimum-angle quality bound.
 
     With ``warm_start``, the nodes of that mesh (of a nearby polygon, meshed
     at a comparable h) are carried onto P and its connectivity is kept, but
-    for a side edited to the fresh node count or a second-chance
-    triangulation; the module docstring gives the transport and the cases
-    that mesh afresh instead.  ``h``, ``grade`` and the size function are
-    set as without a warm start, and the quality bound is the same.
+    for a second-chance triangulation of the carried nodes; the module
+    docstring gives the transport and the cases that mesh afresh instead.
+    ``h``, the grading and the size function are set as without a warm
+    start, and the quality bound is the same.
     """
     if h <= 0:
         raise MeshingError("h must be positive")
-    if grade is None:
-        grade = default_grading(P)
-    grade = np.asarray(grade, dtype=float)
-    if grade.shape != (P.n,):
-        raise MeshingError("grade must give one exponent per polygon vertex")
+    grade = default_grading(P)
     # corner elements cannot beat the polygon's own sharpest angle; thin-wedge
     # ladders realize a fixed fraction of it
     min_angle = min(DEFAULTS.mesh_quality_min_angle, 0.9 * math.degrees(float(P.angles.min())))
@@ -376,17 +372,17 @@ def triangulate(P: Polygon, h: float, grade=None, *, warm_start: Mesh | None = N
     pts = pts[used]
     t = remap[t]
 
-    boundary_edges = _boundary_chain(P, side_station_idx, remap)
-    mesh = Mesh(nodes=pts, triangles=t, boundary_edges=boundary_edges,
-                vertex_map=remap[np.arange(P.n)], polygon=P, h=h, grade=grade,
+    mesh = Mesh(nodes=pts, triangles=t,
+                boundary_edges=_boundary_chain(remap[:P.n], [remap[s] for s in side_station_idx]),
+                vertex_map=remap[:P.n], polygon=P, h=h, grade=grade,
                 size_fn=size, fallback=fallback)
     _check_conforming(mesh)
     return mesh
 
 
 _SMOOTH_SWEEPS = 5   # Jacobi sweeps of graph-Laplacian averaging over the interior
-                     # nodes of a carried mesh, after a side edit and before the
-                     # second chance
+                     # nodes of a carried mesh, before the second chance
+                     # triangulates them afresh
 
 
 def _transported(warm: Mesh, P: Polygon, h: float, grade: np.ndarray,
@@ -396,14 +392,14 @@ def _transported(warm: Mesh, P: Polygon, h: float, grade: np.ndarray,
 
     ``stations`` and ``segments`` are ``_boundary_stations(P, size)``: a
     fresh mesh gives side i ``len(stations[i]) + 1`` chain edges, the number
-    ``segments[i]`` of target-size segments along it rounded.  A side of
-    ``warm`` within one of ``segments[i]`` keeps its node fractions; one off
-    by one to two is first edited to the fresh count (``_edit_side``) and its
-    nodes go to the fresh stations.  Interior nodes follow the harmonic
-    extension of the boundary move, and after an edit ``_SMOOTH_SWEEPS``
-    sweeps even them out.  A carried mesh that turns a triangle over or
-    breaks the angle bound gets one second chance: its nodes, smoothed by the
-    sweeps, triangulated afresh by ``_carve``.
+    ``segments[i]`` of target-size segments along it rounded.  Every boundary
+    node keeps its fraction along its side, and interior nodes follow the
+    harmonic extension of the boundary move.  The carried triangles are kept
+    when every side of ``warm`` is within one of ``segments[i]`` and none
+    turns over or breaks the angle bound.  Otherwise the carried nodes get
+    one second chance: the interior smoothed by ``_SMOOTH_SWEEPS`` sweeps, a
+    side one to two off given the fresh stations in place of its own nodes,
+    and all of them triangulated afresh by ``_carve``.
     """
     if warm.polygon.n != P.n:
         return None, "vertex count"
@@ -413,18 +409,11 @@ def _transported(warm: Mesh, P: Polygon, h: float, grade: np.ndarray,
     if np.any(off >= 2):
         return None, "side count"
     old, t, be, vmap = warm.nodes, warm.triangles, warm.boundary_edges, warm.vertex_map
-    edited = np.nonzero(off >= 1)[0]
-    for i in edited:
-        old, t, be, vmap = _edit_side(old, t, be, vmap, i, len(stations[i]) + 1)
-        if old is None:
-            return None, "side count"
     W = warm.polygon
     # every boundary node starts exactly one chain edge
     bnd, sid = be[:, 0], be[:, 2]
     sv = W.side_vectors[sid]
     frac = np.sum((old[bnd] - W.vertices[sid]) * sv, axis=1) / np.sum(sv * sv, axis=1)
-    for i in edited:
-        frac[np.nonzero(sid == i)[0][1:]] = stations[i]
     nodes = old.copy()
     nodes[bnd] = P.vertices[sid] + frac[:, None] * P.side_vectors[sid]
     nodes[vmap] = P.vertices
@@ -436,11 +425,6 @@ def _transported(warm: Mesh, P: Polygon, h: float, grade: np.ndarray,
     adj = sp.csr_matrix((np.ones(2 * len(e)), (e.T.ravel(), e[:, ::-1].T.ravel())),
                         shape=(n, n))
     deg = np.bincount(e.ravel(), minlength=n).astype(float)[inner_ids, None]
-
-    def smooth():
-        for _ in range(_SMOOTH_SWEEPS):
-            nodes[inner_ids] = (adj @ nodes)[inner_ids] / deg
-
     if m:
         # graph Laplacian over the interior nodes; only boundary nodes have
         # moved yet, so the pull of their move is adj @ (nodes - old)
@@ -450,19 +434,33 @@ def _transported(warm: Mesh, P: Polygon, h: float, grade: np.ndarray,
                              (np.concatenate([np.arange(m), pos[a], pos[b]]),
                               np.concatenate([np.arange(m), pos[b], pos[a]]))), shape=(m, m))
         nodes[inner_ids] += splu(lap).solve((adj @ (nodes - old))[inner_ids])
-        if len(edited):
-            smooth()
-    mesh = Mesh(nodes=nodes, triangles=t.copy(), boundary_edges=be.copy(),
-                vertex_map=vmap.copy(), polygon=P, h=h, grade=grade, size_fn=size,
-                origin="warm")
-    reason = _carried_fault(nodes, t, min_angle)
+    edited = np.nonzero(off >= 1)[0]
+    reason = "side count" if len(edited) else _carried_fault(nodes, t, min_angle)
     if reason is None:
+        mesh = Mesh(nodes=nodes, triangles=t.copy(), boundary_edges=be.copy(),
+                    vertex_map=vmap.copy(), polygon=P, h=h, grade=grade, size_fn=size,
+                    origin="warm")
         _check_conforming(mesh)
         return mesh, None
-    smooth()
-    mesh.triangles = _carve(P, nodes, 1e-3 * h)
-    if (len(np.unique(mesh.triangles)) == n
-            and _min_angles(nodes, mesh.triangles).min() >= min_angle):
+    for _ in range(_SMOOTH_SWEEPS):
+        nodes[inner_ids] = (adj @ nodes)[inner_ids] / deg
+    # an edited side's own nodes give way to the fresh stations, appended
+    sides = [be[sid == i, 0][1:] for i in range(P.n)]
+    keep = np.ones(n, dtype=bool)
+    for i in edited:
+        keep[sides[i]] = False
+    remap = np.cumsum(keep) - 1
+    sides = [remap[s] for s in sides]
+    parts, k = [nodes[keep]], int(keep.sum())
+    for i in edited:
+        parts.append(P.vertices[i] + np.outer(stations[i], P.side_vectors[i]))
+        sides[i] = np.arange(k, k + len(stations[i]))
+        k += len(stations[i])
+    nodes, vmap = np.vstack(parts), remap[vmap]
+    tri = _carve(P, nodes, 1e-3 * h)
+    if len(np.unique(tri)) == k and _min_angles(nodes, tri).min() >= min_angle:
+        mesh = Mesh(nodes=nodes, triangles=tri, boundary_edges=_boundary_chain(vmap, sides),
+                    vertex_map=vmap, polygon=P, h=h, grade=grade, size_fn=size, origin="warm")
         try:
             _check_conforming(mesh)
             return mesh, None
@@ -481,51 +479,6 @@ def _carried_fault(nodes: np.ndarray, t: np.ndarray, min_angle: float) -> str | 
     return None
 
 
-def _edit_side(nodes: np.ndarray, t: np.ndarray, be: np.ndarray, vmap: np.ndarray,
-               side: int, target: int):
-    """(nodes, triangles, boundary edges, vertex map) with side ``side``
-    brought to ``target`` chain edges one edge at a time, or four Nones when
-    a collapse would pinch the mesh.
-
-    A split cuts the side's longest chain edge at its midpoint, and the one
-    triangle on it into two of the same orientation.  A collapse merges the
-    side's shortest chain edge into whichever end is a polygon vertex (else
-    into its first end) and deletes the triangle on it; it applies only when
-    that triangle's third node is the one neighbour both ends share.  The
-    chain stays in polygon order.
-    """
-    while True:
-        rows = np.nonzero(be[:, 2] == side)[0]
-        if len(rows) == target:
-            return nodes, t, be, vmap
-        ell = np.linalg.norm(nodes[be[rows, 1]] - nodes[be[rows, 0]], axis=1)
-        r = rows[ell.argmax() if len(rows) < target else ell.argmin()]
-        a, b = be[r, :2]
-        on_edge = np.isin(t, (a, b))
-        k = int(np.nonzero(on_edge.sum(axis=1) == 2)[0][0])
-        j = int(np.nonzero(~on_edge[k])[0][0])          # corner opposite the edge
-        p, q, c = t[k, (j + 1) % 3], t[k, (j + 2) % 3], t[k, j]
-        if len(rows) < target:
-            m = len(nodes)
-            nodes = np.vstack([nodes, 0.5 * (nodes[a] + nodes[b])])
-            t = np.vstack([t, [[m, q, c]]])
-            t[k] = (p, m, c)
-            be = np.insert(be, r + 1, (m, b, side), axis=0)
-            be[r, 1] = m
-            continue
-        keep, drop = (b, a) if b in vmap else (a, b)
-        ring = [set(t[np.any(t == v, axis=1)].ravel()) - {a, b} for v in (a, b)]
-        if ring[0] & ring[1] != {c}:
-            return None, None, None, None
-        t = np.delete(t, k, axis=0)
-        be = np.delete(be, r, axis=0)
-        t[t == drop] = keep
-        be[:, :2][be[:, :2] == drop] = keep
-        nodes = np.delete(nodes, drop, axis=0)
-        t, vmap = t - (t > drop), vmap - (vmap > drop)
-        be[:, :2] -= be[:, :2] > drop
-
-
 def _min_angles(pts, t) -> np.ndarray:
     p = pts[t]
     out = np.full(len(p), np.inf)
@@ -538,13 +491,14 @@ def _min_angles(pts, t) -> np.ndarray:
     return out
 
 
-def _boundary_chain(P: Polygon, side_station_idx, remap) -> np.ndarray:
+def _boundary_chain(vertex_map: np.ndarray, side_nodes) -> np.ndarray:
+    """Chain edges (a, b, side) in polygon order: side i runs from
+    ``vertex_map[i]`` through the nodes ``side_nodes[i]`` to the next vertex."""
+    n = len(vertex_map)
     rows = []
-    for i in range(P.n):
-        chain = [i] + list(side_station_idx[i]) + [(i + 1) % P.n]
-        chain = [int(remap[c]) for c in chain]
-        for a, b in zip(chain[:-1], chain[1:]):
-            rows.append((a, b, i))
+    for i in range(n):
+        chain = [vertex_map[i], *side_nodes[i], vertex_map[(i + 1) % n]]
+        rows += [(int(a), int(b), i) for a, b in zip(chain[:-1], chain[1:])]
     return np.asarray(rows, dtype=int)
 
 

@@ -129,6 +129,19 @@ class TestSectorFits:
         exp = fit_sector_coefficients(u, mu, [0, 0], alpha, beta, 0.05, 0.4)
         assert abs(exp.coeffs[1] - 2.0) < 1e-9
 
+    def test_underflowing_column_is_pinned_to_zero(self):
+        # at beta = pi/17 (nu = 17) J_68 over this annulus is below 1e-170,
+        # so the n = 4 column's norm underflows to 0 and no radius the fit
+        # reaches identifies c_4
+        beta = math.pi / 17
+        u, nu, mu = planted_mode(beta, 0, 1.7)
+        assert bessel_j(4 * nu, math.sqrt(mu) * 0.04) ** 2 == 0.0
+        exp = fit_sector_coefficients(u, mu, [0, 0], 0.0, beta, 0.01, 0.04)
+        assert exp.pinned == (4,) and exp.coeffs[4] == 0.0 and exp.contributions[4] == 0.0
+        assert abs(exp.coeffs[0] - 1.7) < 1e-12 and exp.residual < 1e-12
+        u, nu, mu = planted_mode(2 * math.pi / 3, 0, 1.7)
+        assert fit_sector_coefficients(u, mu, [0, 0], 0.0, 2 * math.pi / 3, 0.05, 0.4).pinned == ()
+
     def test_annulus_outside_domain_rejected(self, solve_cached, monkeypatch):
         # the square's corner 0 has annulus reference 1, so the annulus is (0.5, 2)
         sol = solve_cached(unit_square(), 0.1)

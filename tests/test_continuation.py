@@ -388,6 +388,50 @@ class TestLip1NoHotspots:
         with pytest.raises(GeometryError):
             lip1_no_hotspots(equilateral_triangle())
 
+    # two polygons of tests/lip1_sweep.py: sweep index 10 and sweep index 2
+    _QUADRILATERAL = Polygon([[0.924732248971972, 0.7852534935521409],
+                              [0.3825461142317432, 1.0649455037027722],
+                              [-0.422901588624029, 0.7857056675330492],
+                              [-0.8527649479706565, 0.5331397797112628]])
+    _PENTAGON = Polygon([[0.7458201368212027, 0.41019676092233764],
+                         [0.4965010139024717, 0.7226475734120851],
+                         [-0.7180978583357045, -0.45507246983289135],
+                         [-0.33564583366644274, -1.199680641118341],
+                         [0.8771838263352081, -0.1689049652145235]])
+
+    def test_quadrilateral_whose_acute_vertex_sharpens_passes(self):
+        # along the reduction path the 22.4 degree vertex sharpens to 8.1
+        # degrees; there J_{4 nu} underflows over the fit annulus, and the
+        # fit pins c_4 to 0 instead of failing the vertex
+        v = lip1_no_hotspots(self._QUADRILATERAL)
+        assert v.passed and not v.run.events
+        assert set(v.run.S_values()) == {2} and set(v.run.V_values()) == {0}
+        assert min(math.degrees(s.polygon.angles.min()) for s in v.run.samples) < 12.0
+        pinned = [e["expansion"].pinned for s in v.run.samples
+                  for e in s.critical.vertex_table.values() if e.get("expansion")]
+        assert (4,) in pinned and "pinned to 0" in " ".join(
+            e["note"] for s in v.run.samples for e in s.critical.vertex_table.values())
+
+    def test_pentagon_passes(self):
+        v = lip1_no_hotspots(self._PENTAGON)
+        assert v.passed and not v.run.events and sorted(v.acute_vertices) == [1, 3]
+        assert set(v.run.S_values()) == {2} and set(v.run.V_values()) == {0}
+
+    def test_one_sample_with_three_critical_points_fails(self, monkeypatch):
+        import hotspots.continuation as cont
+        real = cont.track
+
+        def track(*args, **kwargs):
+            run = real(*args, **kwargs)
+            run.samples[-1] = dataclasses.replace(run.samples[-1], S=3)
+            return run
+
+        monkeypatch.setattr(cont, "track", track)
+        T = triangle_from_angles(math.radians(30), math.radians(40))
+        v = lip1_no_hotspots(T, steps=2, h=lambda P: P.diameter / 18)
+        assert not v.passed and not v.S_ok
+        assert v.V_ok and v.critical_at_acute_vertices and not v.run.events
+
 
 class TestCoefficientDecayAtVertex:
     """Numerical mirror of the convergence-to-vertex statements: planting a

@@ -335,9 +335,10 @@ class TestWarmStart:
 
     def test_grade_change_or_refined_mesh_meshes_afresh(self, pair):
         P, h, m0, m = pair
-        grade = np.full(P.n, 0.1)
-        graded = triangulate(P, h, grade, warm_start=m0)
-        assert _same_mesh(graded, triangulate(P, h, grade)) and graded.fallback == "grading"
+        # two L-shapes whose reflex angles differ, so 1 - pi/beta differs
+        L = Polygon([[0, 0], [2, 0], [2, 1], [1.1, 1], [1, 2], [0, 2]])
+        graded = triangulate(L, 0.2, warm_start=triangulate(_L_SHAPE, 0.2))
+        assert _same_mesh(graded, triangulate(L, 0.2)) and graded.fallback == "grading"
         finer = triangulate(P, h, warm_start=refine(m0))
         assert _same_mesh(finer, triangulate(P, h)) and finer.fallback == "side count"
 
@@ -382,21 +383,28 @@ class TestWarmStart:
 
     @pytest.fixture(scope="class")
     def edited(self, pair):
-        """P(0.3) at diam/20 carried from two meshes of P(0.2): the fixture's
-        m0 (diam/20) has one chain edge too few on side 0, a mesh at
-        diam/20.5 one too many on side 1."""
+        """P(0.3) at diam/20 and two warm meshes of P(0.2): the fixture's m0
+        (diam/20) has one chain edge too few on side 0, a mesh at diam/20.5
+        one too many on side 1."""
         path = _breaking_path()
         P0, P = path.polygon_at(0.2), path.polygon_at(0.3)
-        h = P.diameter / 20
-        m0, m1 = pair[2], triangulate(P0, P0.diameter / 20.5)
-        return P, {"split": (m0, triangulate(P, h, warm_start=m0)),
-                   "collapse": (m1, triangulate(P, h, warm_start=m1))}
+        return P, P.diameter / 20, {"one-station-more": pair[2],
+                                    "one-station-fewer": triangulate(P0, P0.diameter / 20.5)}
 
-    @pytest.mark.parametrize("edit, side, change", [("split", 0, 1), ("collapse", 1, -1)])
-    def test_one_edge_side_change_is_edited(self, edited, edit, side, change):
-        P, meshes = edited
-        warm, m = meshes[edit]
+    @pytest.mark.parametrize("edit, side, change",
+                             [("one-station-more", 0, 1), ("one-station-fewer", 1, -1)])
+    def test_one_edge_side_change_is_edited(self, monkeypatch, edited, edit, side, change):
+        # the side takes the fresh stations and the carried nodes are
+        # triangulated afresh, once
+        P, h, warms = edited
+        warm = warms[edit]
+        carves = []
+        carve = mesh_mod._carve
+        monkeypatch.setattr(mesh_mod, "_carve", lambda *a: carves.append(a) or carve(*a))
+        m = triangulate(P, h, warm_start=warm)
+        assert len(carves) == 1
         assert m.origin == "warm" and m.fallback is None
+        assert len(np.unique(m.triangles)) == m.n_nodes
         stations = mesh_mod._boundary_stations(P, m.size_fn)[0]
         counts = np.bincount(m.boundary_edges[:, 2], minlength=P.n)
         assert np.array_equal(counts, [len(f) + 1 for f in stations])
@@ -421,10 +429,11 @@ class TestWarmStart:
         assert np.max(np.abs(np.bincount(m0.boundary_edges[:, 2]) - segments)) >= 2
         assert _same_mesh(m, triangulate(P, h)) and m.fallback == "side count"
 
-    def test_collapse_that_would_pinch_meshes_afresh(self):
-        # side 0 holds the chain v0, p, q, v1 and node c lies inside the
-        # triangle p, q, y: p and q share the neighbours c and y, so merging
-        # the shortest chain edge p-q would fold two triangles onto each other
+    def test_edited_side_whose_retriangulation_fails_meshes_afresh(self):
+        # side 0 holds the chain v0, p, q, v1, one station more than h asks
+        # for; its one fresh station (1.5, 0) lies straight below the
+        # interior nodes c and y, so the carried nodes triangulated afresh
+        # make slivers below the angle bound
         T = Polygon([[0, 0], [3, 0], [1.5, 2.6]])
         v0, v1, v2, p, q, y, c = range(7)
         warm = mesh_mod.Mesh(
@@ -437,13 +446,13 @@ class TestWarmStart:
             vertex_map=np.arange(3), polygon=T, h=1.8, grade=np.zeros(3),
             size_fn=_SizeFunction(T, 1.8, np.zeros(3)))
         _check_conforming(warm)
-        # at h = 1.8 side 0 has room for 1.67 segments: one collapse short
+        # at h = 1.8 side 0 has room for 1.67 segments: one station over
         m = triangulate(T, 1.8, warm_start=warm)
         assert _same_mesh(m, triangulate(T, 1.8)) and m.fallback == "side count"
 
-    def test_breaking_run_meshes_afresh_at_most_four_times(self, monkeypatch):
+    def test_breaking_run_meshes_afresh_at_most_three_times(self, monkeypatch):
         """The n_membership triangle and t = 0 always mesh afresh; a carried
-        mesh falls back twice more at most, never for a side count."""
+        mesh falls back once more at most, never for a side count."""
         import hotspots.continuation as cont
         meshes = []
         tri = cont.triangulate
@@ -452,7 +461,7 @@ class TestWarmStart:
         cont.breaking_experiment(isosceles_triangle(math.radians(49.75)), eps_rel=0.01,
                                  steps=10, h=lambda Q: Q.diameter / 20)
         fresh = [m.fallback for m in meshes if m.origin == "fresh"]
-        assert 2 <= len(fresh) <= 4 and "side count" not in fresh
+        assert 2 <= len(fresh) <= 3 and "side count" not in fresh
         assert fresh[:2] == [None, None]
 
     @pytest.mark.parametrize("scale, warm_h", [(1.2, 0.1), (2.0, 0.1), (1.0, 0.25)])
