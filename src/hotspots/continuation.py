@@ -17,10 +17,11 @@ triangles are kept.  When a side's node count is one or two off what h
 asks for (that side then takes a fresh mesh's stations), or a carried
 triangle fails the quality bound, the carried nodes are smoothed and
 triangulated afresh once.  ``triangulate`` meshes afresh when the vertex
-count or the grading changes, a side is off by two segments or more, or the
-second chance fails too; ``Mesh.fallback`` says which.  Every sample records
-the route in ``to_dict()["mesh"]`` ("warm" or "fresh"); a rejected step is
-retried from the same accepted mesh, so a run stays deterministic.
+count changes, a side is off by two segments or more, or the second chance
+fails too; ``Mesh.fallback`` says which.  A moved reflex angle, and with
+it the grading, does not refuse a carry.  Every sample records the route in
+``to_dict()["mesh"]`` ("warm" or "fresh"); a rejected step is retried from
+the same accepted mesh, so a run stays deterministic.
 
 On top of the tracker:
   * ``lip1_no_hotspots`` verifies that a Lip-1 polygon without orthogonal

@@ -291,8 +291,12 @@ class EigenSolution:
     residual: float
     neighbor_mu: float | None = None
     neighbor_coef: np.ndarray | None = None
-    multiplicity_flag: bool = False
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def multiplicity_flag(self) -> bool:
+        """The gap to mu3 is below ``DEFAULTS.degenerate_gap``, so u_3 is kept."""
+        return self.neighbor_coef is not None
 
     @property
     def mesh(self) -> Mesh:
@@ -329,8 +333,7 @@ class EigenSolution:
     def with_coef(self, coef: np.ndarray, mu: float | None = None) -> "EigenSolution":
         return EigenSolution(self.space, self.mu if mu is None else mu, coef,
                              self.gap, self.residual, self.neighbor_mu,
-                             self.neighbor_coef, self.multiplicity_flag,
-                             dict(self.diagnostics))
+                             self.neighbor_coef, dict(self.diagnostics))
 
     def align_sign_with(self, other: "EigenSolution") -> "EigenSolution":
         """Flip sign so u agrees with another solution at the polygon vertices.
@@ -602,11 +605,10 @@ def solve_second(mesh: Mesh) -> EigenSolution:
     elif c2.max() < -c2.min():
         c2 = -c2
 
-    multiple = len(pairs) > 1
     diag = {"spectrum_head": [mu2, mu3],
             "ndof": n, "residual": residual, "gap": gap,
             "mass_total": mass_total, "route": route, "applications": applications,
             "factor_nnz": int(lu.nnz)}        # stored in L and U; lu.L, lu.U would copy them
     return EigenSolution(space, mu2, c2, gap, residual,
-                         neighbor_mu=mu3, neighbor_coef=pairs[1][0] if multiple else None,
-                         multiplicity_flag=multiple, diagnostics=diag)
+                         neighbor_mu=mu3, neighbor_coef=pairs[1][0] if len(pairs) > 1 else None,
+                         diagnostics=diag)

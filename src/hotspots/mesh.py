@@ -6,7 +6,8 @@ polygon sides with spacing that follows a size function graded toward
 selected vertices, interior nodes start on a hexagonal lattice and relax
 under repulsive edge springs.  The contract is the mesh quality bound and
 the grading, not the particular algorithm.  No random numbers are drawn: a
-mesh is a pure function of the polygon and h.
+mesh is a pure function of the polygon and h: ``_SizeFunction(P, h)`` holds
+the size data, with the grading ``default_grading(P)`` derived from P.
 
 Between relaxation steps the nodes move little, so ``relax`` follows the
 displacement rule of distmesh (Persson & Strang, *A Simple Mesh Generator in
@@ -35,13 +36,13 @@ second chance: the interior evened out by a few Jacobi sweeps of
 graph-Laplacian averaging and all nodes triangulated afresh, they are kept if
 every node is used, the boundary chain conforms and the bound holds.
 ``triangulate`` meshes afresh, exactly as without a warm start, when the
-vertex count or the grading differs, when a side is off by two or more, or
-when the second chance fails.
+vertex count differs, when a side is off by two or more, or when the second
+chance fails (a grading that moved with a reflex angle is carried).
 ``Mesh.origin`` records which route built the mesh, and ``Mesh.fallback``
-why a warm start was meshed afresh: "vertex count", "grading", "side count"
-(off by two or more, or off by one to two and the second chance failed),
-"turned triangle" or "angle bound" (None for a carried mesh and for a mesh
-built without a warm start).
+why a warm start was meshed afresh: "vertex count", "side count" (off by two
+or more, or off by one to two and the second chance failed), "turned
+triangle" or "angle bound" (None for a carried mesh and for a mesh built
+without a warm start).
 """
 from __future__ import annotations
 
@@ -74,19 +75,17 @@ def _edge_keys(triangles: np.ndarray, n_nodes: int) -> np.ndarray:
     return np.minimum(a, b) * n_nodes + np.maximum(a, b)
 
 
-def _unique_edges(triangles: np.ndarray, n_nodes: int, *, return_inverse: bool = False,
-                  return_counts: bool = False):
+def _unique_edges(triangles: np.ndarray, n_nodes: int, *, return_inverse: bool = False):
     """Unique edges (a < b) of a triangle list as an (E, 2) array.
 
     The rows come out in lexicographic order, since that is the order of the
     integer keys.  Optionally also returns, as ``np.unique`` does, the row of
-    each edge in ``_edge_keys`` order and the number of triangles per edge.
+    each edge in ``_edge_keys`` order.
     """
-    out = np.unique(_edge_keys(triangles, n_nodes), return_inverse=return_inverse,
-                    return_counts=return_counts)
-    if not (return_inverse or return_counts):
+    out = np.unique(_edge_keys(triangles, n_nodes), return_inverse=return_inverse)
+    if not return_inverse:
         return np.column_stack(np.divmod(out, n_nodes))
-    return (np.column_stack(np.divmod(out[0], n_nodes)),) + out[1:]
+    return np.column_stack(np.divmod(out[0], n_nodes)), out[1]
 
 
 def default_grading(P: Polygon) -> np.ndarray:
@@ -100,14 +99,14 @@ def default_grading(P: Polygon) -> np.ndarray:
 
 
 class _SizeFunction:
-    """Target edge length field h * min_v clamp((r_v / diam)^g_v, floor, 1);
-    ``h0``, the finest size a node gets, is the size 0.1 h off the most
-    strongly graded vertex (exactly h when none is)."""
+    """Target size h * min_v clamp((r_v / diam)^g_v, floor, 1), g being
+    ``default_grading(P)``; ``h0``, the finest size a node gets, is the size
+    0.1 h off the most strongly graded vertex (exactly h when none is)."""
 
-    def __init__(self, P: Polygon, h: float, grade: np.ndarray):
+    def __init__(self, P: Polygon, h: float):
         self.P = P
         self.h = float(h)
-        self.grade = np.asarray(grade, dtype=float)
+        self.grade = default_grading(P)
         self.diam = P.diameter
         self.floor = 0.2
         self._graded = np.nonzero(self.grade > 1e-12)[0]
@@ -131,12 +130,15 @@ class Mesh:
     boundary_edges: np.ndarray        # (B, 3): node a, node b, polygon side id
     vertex_map: np.ndarray            # polygon vertex -> node index
     polygon: Polygon
-    h: float
-    grade: np.ndarray
     size_fn: _SizeFunction = field(repr=False)
     level: int = 0                    # refinement level
     origin: str = "fresh"             # "fresh" (meshed) or "warm" (transported)
     fallback: str | None = None       # why a warm start was meshed afresh
+
+    @property
+    def h(self) -> float:
+        """Target size of the mesh (halved by each refinement level)."""
+        return self.size_fn.h / 2 ** self.level
 
     @property
     def n_nodes(self) -> int:
@@ -253,23 +255,21 @@ def triangulate(P: Polygon, h: float, *, warm_start: Mesh | None = None) -> Mesh
     at a comparable h) are carried onto P and its connectivity is kept, but
     for a second-chance triangulation of the carried nodes; the module
     docstring gives the transport and the cases that mesh afresh instead.
-    ``h``, the grading and the size function are set as without a warm
+    The size function (``h`` and the grading) is set as without a warm
     start, and the quality bound is the same.
     """
     if h <= 0:
         raise MeshingError("h must be positive")
-    grade = default_grading(P)
     # corner elements cannot beat the polygon's own sharpest angle; thin-wedge
     # ladders realize a fixed fraction of it
     min_angle = min(DEFAULTS.mesh_quality_min_angle, 0.9 * math.degrees(float(P.angles.min())))
 
     h = min(h, 0.9 * float(P.side_lengths.min()))
-    size = _SizeFunction(P, h, grade)
+    size = _SizeFunction(P, h)
     stations, segments = _boundary_stations(P, size)
     fallback = None
     if warm_start is not None:
-        mesh, fallback = _transported(warm_start, P, h, grade, size, stations, segments,
-                                      min_angle)
+        mesh, fallback = _transported(warm_start, size, stations, segments, min_angle)
         if mesh is not None:
             return mesh
 
@@ -374,8 +374,7 @@ def triangulate(P: Polygon, h: float, *, warm_start: Mesh | None = None) -> Mesh
 
     mesh = Mesh(nodes=pts, triangles=t,
                 boundary_edges=_boundary_chain(remap[:P.n], [remap[s] for s in side_station_idx]),
-                vertex_map=remap[:P.n], polygon=P, h=h, grade=grade,
-                size_fn=size, fallback=fallback)
+                vertex_map=remap[:P.n], polygon=P, size_fn=size, fallback=fallback)
     _check_conforming(mesh)
     return mesh
 
@@ -385,10 +384,10 @@ _SMOOTH_SWEEPS = 5   # Jacobi sweeps of graph-Laplacian averaging over the inter
                      # triangulates them afresh
 
 
-def _transported(warm: Mesh, P: Polygon, h: float, grade: np.ndarray,
-                 size: _SizeFunction, stations: list[np.ndarray], segments: np.ndarray,
-                 min_angle: float) -> tuple[Mesh | None, str | None]:
-    """``warm`` carried onto P, or None and the reason to mesh afresh.
+def _transported(warm: Mesh, size: _SizeFunction, stations: list[np.ndarray],
+                 segments: np.ndarray, min_angle: float) -> tuple[Mesh | None, str | None]:
+    """``warm`` carried onto P = ``size.P`` at ``size.h``, or None and the
+    reason to mesh afresh; the grading of ``warm`` need not be P's.
 
     ``stations`` and ``segments`` are ``_boundary_stations(P, size)``: a
     fresh mesh gives side i ``len(stations[i]) + 1`` chain edges, the number
@@ -401,10 +400,9 @@ def _transported(warm: Mesh, P: Polygon, h: float, grade: np.ndarray,
     side one to two off given the fresh stations in place of its own nodes,
     and all of them triangulated afresh by ``_carve``.
     """
+    P = size.P
     if warm.polygon.n != P.n:
         return None, "vertex count"
-    if not np.array_equal(warm.grade, grade):
-        return None, "grading"
     off = np.abs(np.bincount(warm.boundary_edges[:, 2], minlength=P.n) - segments)
     if np.any(off >= 2):
         return None, "side count"
@@ -438,8 +436,7 @@ def _transported(warm: Mesh, P: Polygon, h: float, grade: np.ndarray,
     reason = "side count" if len(edited) else _carried_fault(nodes, t, min_angle)
     if reason is None:
         mesh = Mesh(nodes=nodes, triangles=t.copy(), boundary_edges=be.copy(),
-                    vertex_map=vmap.copy(), polygon=P, h=h, grade=grade, size_fn=size,
-                    origin="warm")
+                    vertex_map=vmap.copy(), polygon=P, size_fn=size, origin="warm")
         _check_conforming(mesh)
         return mesh, None
     for _ in range(_SMOOTH_SWEEPS):
@@ -457,10 +454,10 @@ def _transported(warm: Mesh, P: Polygon, h: float, grade: np.ndarray,
         sides[i] = np.arange(k, k + len(stations[i]))
         k += len(stations[i])
     nodes, vmap = np.vstack(parts), remap[vmap]
-    tri = _carve(P, nodes, 1e-3 * h)
+    tri = _carve(P, nodes, 1e-3 * size.h)
     if len(np.unique(tri)) == k and _min_angles(nodes, tri).min() >= min_angle:
         mesh = Mesh(nodes=nodes, triangles=tri, boundary_edges=_boundary_chain(vmap, sides),
-                    vertex_map=vmap, polygon=P, h=h, grade=grade, size_fn=size, origin="warm")
+                    vertex_map=vmap, polygon=P, size_fn=size, origin="warm")
         try:
             _check_conforming(mesh)
             return mesh, None
@@ -586,8 +583,7 @@ def structured_triangle_mesh(T: Polygon, k: int) -> Mesh:
     mesh = Mesh(nodes=nodes, triangles=tris,
                 boundary_edges=np.asarray(bedges, dtype=int),
                 vertex_map=np.array([index[(0, 0)], index[(k, 0)], index[(0, k)]]),
-                polygon=T, h=h, grade=np.zeros(3),
-                size_fn=_SizeFunction(T, h, np.zeros(3)))
+                polygon=T, size_fn=_SizeFunction(T, h))
     _check_conforming(mesh)
     return mesh
 
@@ -629,5 +625,4 @@ def refine(mesh: Mesh) -> Mesh:
 
     return Mesh(nodes=all_nodes, triangles=new_tris, boundary_edges=new_bedges,
                 vertex_map=mesh.vertex_map.copy(), polygon=mesh.polygon,
-                h=mesh.h / 2, grade=mesh.grade, size_fn=mesh.size_fn,
-                level=mesh.level + 1, origin=mesh.origin, fallback=mesh.fallback)
+                size_fn=mesh.size_fn, level=mesh.level + 1, origin=mesh.origin, fallback=mesh.fallback)

@@ -9,7 +9,8 @@ the reduction path to an obtuse triangle with warm-started meshes, and
 prints one JSON summary with, per polygon, the verdict, S(t), V(t), the
 number of path events, the meshes ``continuation`` built fresh and warm, and
 the reasons (``Mesh.fallback``) of the warm starts that meshed afresh.  It
-exits 1 when any polygon fails the verdict.
+exits 1 when any polygon fails the verdict or the 24 paths make more than
+``MAX_FRESH`` fresh meshes in all.
 """
 from __future__ import annotations
 
@@ -29,6 +30,10 @@ from hotspots.corpus import random_simple_polygon
 from hotspots.geometry import lip1_classify, orthogonal_side_pairs
 
 N_POLYGONS = 24
+# Measured: 38 fresh meshes over the 24 paths, 12 of them "side count" and 2
+# "angle bound" fallbacks (a warm start is carried whatever its grading).
+# The bound leaves two meshes of slack for platform roundoff.
+MAX_FRESH = 40
 
 
 def polygons():
@@ -53,12 +58,13 @@ def main() -> int:
         return m
 
     cont.triangulate = counted
-    runs, failed = [], []
+    runs, failed, n_fresh = [], [], 0
     for i, P in enumerate(polygons()):
         meshes.clear()
         v = cont.lip1_no_hotspots(P)
         fresh = [m for m in meshes if m.origin == "fresh"]
         reasons = collections.Counter(m.fallback for m in fresh if m.fallback is not None)
+        n_fresh += len(fresh)
         runs.append({"index": i, "n": P.n, "passed": v.passed, "S": v.run.S_values(),
                      "V": v.run.V_values(), "events": len(v.run.events),
                      "fresh": len(fresh), "warm": len(meshes) - len(fresh),
@@ -66,8 +72,9 @@ def main() -> int:
         if not v.passed:
             failed.append(i)
     print(json.dumps({"polygons": len(runs), "passed": len(runs) - len(failed),
-                      "runs": runs, "failed": failed}))
-    return 1 if failed else 0
+                      "fresh": n_fresh, "max_fresh": MAX_FRESH, "runs": runs,
+                      "failed": failed}))
+    return 1 if failed or n_fresh > MAX_FRESH else 0
 
 
 if __name__ == "__main__":

@@ -584,7 +584,7 @@ class TestLocate:
         # locate reads only the nodes and triangles; the fan hangs on the
         # large element's sides, which no conformity check sees here
         mesh = Mesh(nodes=nodes, triangles=np.array([(0, 1, 2)] + fan), boundary_edges=None,
-                    vertex_map=None, polygon=None, h=1.0, grade=None, size_fn=None)
+                    vertex_map=None, polygon=None, size_fn=None)
         space = P2Space(mesh)
         pts = np.array([[0.01, 0.01], [0.02, 0.005],        # in the large element
                         [-0.05, 0.01], [0.03, -0.04],       # in the fan
