@@ -105,6 +105,16 @@ class BesselExpansion:
         }
 
 
+def _polar_grid(beta: float, r_in: float, r_out: float) -> tuple[np.ndarray, np.ndarray]:
+    """The fit grid's ``fit_n_radii`` radii over [r_in, r_out] and
+    ``fit_n_theta`` angles over (0, beta), 1e-9 beta in from its ends."""
+    if not (0 < r_in < r_out):
+        raise FitError("need 0 < r_in < r_out")
+    pad = 1e-9 * beta
+    return (np.linspace(r_in, r_out, DEFAULTS.fit_n_radii),
+            np.linspace(pad, beta - pad, DEFAULTS.fit_n_theta))
+
+
 def fit_sector_coefficients(u_eval, mu: float, apex, alpha: float, beta: float,
                             r_in: float, r_out: float, *, vertex: int = -1) -> BesselExpansion:
     """Least-squares Fourier-Bessel fit of c_0..c_K (K = ``bessel_K``) over a
@@ -119,27 +129,33 @@ def fit_sector_coefficients(u_eval, mu: float, apex, alpha: float, beta: float,
     reaches: it is left out of the solve, its coefficient is 0 and
     ``pinned`` names it.
     """
-    K, n_r, n_theta = DEFAULTS.bessel_K, DEFAULTS.fit_n_radii, DEFAULTS.fit_n_theta
-    if not (0 < r_in < r_out):
-        raise FitError("need 0 < r_in < r_out")
+    radii, thetas = _polar_grid(beta, r_in, r_out)
+    U = u_eval(arc_points(apex, radii, alpha + thetas))
+    return _fit_on_grid(U, mu, beta, r_in, r_out, vertex)
 
-    radii = np.linspace(r_in, r_out, n_r)
-    pad = 1e-9 * beta
-    thetas = np.linspace(pad, beta - pad, n_theta)
-    rr, tt = np.repeat(radii, n_theta), np.tile(thetas, n_r)     # radius-major
 
-    U = np.asarray(u_eval(arc_points(apex, radii, alpha + thetas)), dtype=float)
+def _fit_on_grid(U, mu: float, beta: float, r_in: float, r_out: float,
+                 vertex: int) -> BesselExpansion:
+    """``fit_sector_coefficients`` from the values U on its grid.
+
+    A column is J_{n nu}(sqrt(mu) r) cos(n nu theta) over the radius-major
+    grid: J on the radii and cos on the angles, multiplied out.
+    """
+    K = DEFAULTS.bessel_K
+    U = np.asarray(U, dtype=float)
     if np.any(~np.isfinite(U)):
         raise FitError("annulus intersects the domain boundary: evaluation failed")
 
+    radii, thetas = _polar_grid(beta, r_in, r_out)
     nu = math.pi / beta
     smu = math.sqrt(mu)
-    A = np.empty((len(rr), K + 1))
+    A = np.empty((len(radii), len(thetas), K + 1))
     colmax = np.empty(K + 1)
     for n in range(K + 1):
-        jcol = bessel_j(n * nu, smu * rr)
-        A[:, n] = jcol * np.cos(n * nu * tt)
-        colmax[n] = np.abs(jcol).max()
+        jr = bessel_j(n * nu, smu * radii)
+        A[:, :, n] = jr[:, None] * np.cos(n * nu * thetas)
+        colmax[n] = np.abs(jr).max()
+    A = A.reshape(-1, K + 1)
     colnorm = np.linalg.norm(A, axis=0)
     live = colnorm > 0
     As = A[:, live] / colnorm[live]
@@ -172,19 +188,34 @@ def annulus_reference(P, i: int) -> float:
     return min(d, adj)
 
 
-def fit_coefficients(sol, vertex: int) -> BesselExpansion:
+def _vertex_annulus(P, vertex: int):
+    """apex, alpha, beta, r_in, r_out of the fit annulus at ``vertex``."""
+    apex, alpha, beta = P.vertex_frame(vertex)
+    ref = annulus_reference(P, vertex)
+    return apex, alpha, beta, DEFAULTS.annulus_inner * ref, DEFAULTS.annulus_outer * ref
+
+
+def vertex_fit_grid(P, vertex: int) -> np.ndarray:
+    """The points whose values ``fit_coefficients`` fits at ``vertex``."""
+    apex, alpha, beta, r_in, r_out = _vertex_annulus(P, vertex)
+    radii, thetas = _polar_grid(beta, r_in, r_out)
+    return arc_points(apex, radii, alpha + thetas)
+
+
+def fit_coefficients(sol, vertex: int, values=None) -> BesselExpansion:
     """Vertex expansion of a computed eigenfunction at polygon vertex ``vertex``.
 
     The annulus runs from ``annulus_inner`` to ``annulus_outer`` times
-    ``annulus_reference``.  A grid point off the mesh reads NaN, which
-    raises FitError.
+    ``annulus_reference``.  ``values`` are the solution's values on
+    ``vertex_fit_grid(P, vertex)``, evaluated here when not given.  A grid
+    point off the mesh reads NaN, which raises FitError.
     """
     P = sol.polygon
-    apex, alpha, beta = P.vertex_frame(vertex)
-    ref = annulus_reference(P, vertex)
-    return fit_sector_coefficients(sol.eval, sol.mu, apex, alpha, beta,
-                                   DEFAULTS.annulus_inner * ref, DEFAULTS.annulus_outer * ref,
-                                   vertex=vertex % P.n)
+    apex, alpha, beta, r_in, r_out = _vertex_annulus(P, vertex)
+    if values is None:
+        return fit_sector_coefficients(sol.eval, sol.mu, apex, alpha, beta, r_in, r_out,
+                                       vertex=vertex % P.n)
+    return _fit_on_grid(values, sol.mu, beta, r_in, r_out, vertex % P.n)
 
 
 @dataclass

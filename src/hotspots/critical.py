@@ -279,9 +279,11 @@ def _vertex_verdict(idx, probe: IndexResult, composite: bool):
     return probe.index, f"probe total {probe.index} overrides expansion index {idx}"
 
 
-def classify_vertex(sol, vid: int, *, absorbed=(), nearest=math.inf) -> dict:
+def classify_vertex(sol, vid: int, *, absorbed=(), nearest=math.inf, fit_values=None) -> dict:
     """Vertex index from the fitted expansion and the probe count, combined
     by ``_vertex_verdict``; the expansion-route index is kept in the entry.
+    ``fit_values``, when given, are the solution's values on the vertex's
+    fit grid (``bessel.vertex_fit_grid``).
 
     ``absorbed`` (distances of roots absorbed into the vertex) and
     ``nearest`` (distance to the nearest detected critical point) size the
@@ -290,7 +292,7 @@ def classify_vertex(sol, vid: int, *, absorbed=(), nearest=math.inf) -> dict:
     """
     P = sol.polygon
     vid = vid % P.n
-    expansion = _bessel.fit_coefficients(sol, vid)
+    expansion = _bessel.fit_coefficients(sol, vid, fit_values)
     idx, k, a, note = _expansion_index(expansion)
     locus = ("vertex", vid)
     radii = _probe_radii(sol, P.vertices[vid], locus, absorbed, nearest)
@@ -471,14 +473,19 @@ def find_critical_points(sol) -> CriticalSet:
     points += [_probed_point(sol, p, "interior") for p in found]
 
     # vertices last: probe radii adapt to the detected structure nearby,
-    # including the vertices reported before this one
+    # including the vertices reported before this one.  One evaluation
+    # serves every vertex's fit grid.
+    grids = [_bessel.vertex_fit_grid(P, vid) for vid in range(P.n)]
+    fit_values = np.split(np.asarray(sol.eval(np.vstack(grids)), dtype=float),
+                          np.cumsum([len(g) for g in grids[:-1]]))
     vertex_table = {}
     for vid in range(P.n):
         vpt = P.vertices[vid]
         nearest = min((float(np.linalg.norm(cp.location - vpt)) for cp in points),
                       default=np.inf)
         try:
-            info = classify_vertex(sol, vid, absorbed=absorbed.get(vid, ()), nearest=nearest)
+            info = classify_vertex(sol, vid, absorbed=absorbed.get(vid, ()), nearest=nearest,
+                                   fit_values=fit_values[vid])
         except _bessel.FitError as e:
             info = {"vertex": vid, "index": None, "note": f"fit failed: {e}",
                     "expansion": None, "leading_ratio": None}

@@ -23,9 +23,22 @@ halves it separates.  On a planar mesh this keeps the factor near
 O(n log n); at 83k dofs it holds about 56 % of the fill of SciPy's default
 column order and factors in about a third of the time.
 
+What depends on the mesh's connectivity alone is kept on its connectivity
+record (``mesh``), which a plain carry shares with its warm mesh: the edge
+and dof map, the dissection order (computed from the geometry of the mesh
+that owns the record, so it does not depend on which mesh of a chain is
+solved first) and, for the carries only, the CSR pattern of K and M with
+each element entry's slot and the permuted CSC pattern of K - sigma M with
+its gather map from K's data.  The owner assembles through SciPy's COO to
+CSR conversion and builds the permuted matrix itself, exactly as a mesh
+without a chain does; a carry scatters into the shared patterns, which
+changes K and M only in the order duplicate entries are added.  So
+``solve_second(mesh)`` depends on the mesh and its record alone.
+
 The eigensolve is a plain shift-invert Lanczos loop (Ericsson & Ruhe 1980)
 on OP = A^-1 M, which is self-adjoint in the M inner product; its largest
-eigenvalues theta = 1 / (mu - sigma) belong to the smallest mu.  The
+eigenvalues theta = 1 / (mu - sigma) belong to the smallest mu, found from
+the tridiagonal projection by LAPACK's ``stevd``.  The
 constant mode is projected out of the start vector and of every
 application, and each new vector is M-orthogonalized against the whole basis
 twice (classical Gram-Schmidt), so the Ritz values stay clean of spurious
@@ -59,7 +72,7 @@ from scipy.spatial import cKDTree
 
 from .config import DEFAULTS
 from .geometry import Polygon
-from .mesh import Mesh, _unique_edges, refine, triangulate
+from .mesh import Mesh, _read_only, _unique_edges, refine, triangulate
 
 
 class SolverError(RuntimeError):
@@ -123,15 +136,8 @@ class P2Space:
         self.mesh = mesh
         t = mesh.triangles
         n = mesh.n_nodes
-        uniq, inv = _unique_edges(t, n, return_inverse=True)
-        self.edge_nodes = uniq
-        m = len(t)
-        self.ndof = n + len(uniq)
-        self.dof = np.empty((m, 6), dtype=int)
-        self.dof[:, :3] = t
-        self.dof[:, 3] = n + inv[:m]
-        self.dof[:, 4] = n + inv[m:2 * m]
-        self.dof[:, 5] = n + inv[2 * m:]
+        self.edge_nodes, self.dof = mesh._connectivity.shared("p2 dofs", lambda: _p2_dofs(t, n))
+        self.ndof = n + len(self.edge_nodes)
         p = mesh.nodes[t]
         self.J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)  # (m,2,2)
         self.detJ = self.J[:, 0, 0] * self.J[:, 1, 1] - self.J[:, 0, 1] * self.J[:, 1, 0]
@@ -156,17 +162,24 @@ class P2Space:
 
     # -- assembly ---------------------------------------------------------------
     def assemble(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        dof, Jinv, detJ = self.dof, self.Jinv, self.detJ
+        """K and M on one CSR pattern.  The mesh that owns its connectivity
+        record converts the element entries from COO; a plain carry sums
+        them into the record's pattern (``_p2_pattern``), which differs
+        from the conversion only in the order duplicates are added."""
+        Jinv, detJ = self.Jinv, self.detJ
         # Ke = sum_ab C_ab S_ab with C = detJ Jinv Jinv^T; Me = detJ M_ref
         C = detJ[:, None, None] * (Jinv @ Jinv.transpose(0, 2, 1))
         Ke = C.reshape(-1, 4) @ _S_REF                                 # (m,36)
         Me = detJ[:, None] * _M_REF.ravel()                            # (m,36)
-
-        rows = np.repeat(dof, 6, axis=1).ravel()
-        cols = np.tile(dof, (1, 6)).ravel()
-        K = sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=(self.ndof, self.ndof)).tocsr()
-        M = sp.coo_matrix((Me.ravel(), (rows, cols)), shape=(self.ndof, self.ndof)).tocsr()
-        return K, M
+        shape = (self.ndof, self.ndof)
+        if not self.mesh._borrows_connectivity:
+            rows, cols = _element_rows_cols(self.dof)
+            return (sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=shape).tocsr(),
+                    sp.coo_matrix((Me.ravel(), (rows, cols)), shape=shape).tocsr())
+        slots, indices, indptr = self.mesh._connectivity.shared(
+            "p2 pattern", lambda: _p2_pattern(self.dof, self.ndof))
+        return tuple(sp.csr_matrix((np.bincount(slots, E.ravel(), len(indices)), indices, indptr),
+                                   shape=shape) for E in (Ke, Me))
 
     @cached_property
     def matrices(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -274,6 +287,35 @@ class P2Space:
         out = np.einsum("pi,pia->pa", coef[self.dof[tri]], Gphys)
         out[tri < 0] = np.nan
         return out if np.asarray(pts).ndim == 2 else out[0]
+
+
+def _p2_dofs(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edges (a < b, lexicographic) and the (m, 6) dof map of the triangles
+    ``t`` over ``n`` nodes: corners, then the midpoints of edges (0,1),
+    (1,2), (2,0), numbered n + edge row."""
+    uniq, inv = _unique_edges(t, n, return_inverse=True)
+    dof = np.empty((len(t), 6), dtype=int)
+    dof[:, :3] = t
+    dof[:, 3:] = n + inv.reshape(3, -1).T
+    return _read_only(uniq), _read_only(dof)
+
+
+def _element_rows_cols(dof: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each element matrix entry, element-major."""
+    return np.repeat(dof, 6, axis=1).ravel(), np.tile(dof, (1, 6)).ravel()
+
+
+def _p2_pattern(dof: np.ndarray, ndof: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR pattern (sorted columns, no duplicates) that element matrices
+    on ``dof`` scatter into: the slot of each element entry, in
+    ``_element_rows_cols`` order, and the pattern's indices and indptr,
+    with the index type SciPy gives it."""
+    rows, cols = _element_rows_cols(dof)
+    keys, slots = np.unique(rows * ndof + cols, return_inverse=True)
+    rows, cols = np.divmod(keys, ndof)
+    pattern = sp.csr_matrix((np.zeros(len(keys)), cols, np.searchsorted(rows, np.arange(ndof + 1))),
+                            shape=(ndof, ndof))
+    return _read_only(slots), _read_only(pattern.indices), _read_only(pattern.indptr)
 
 
 def assemble(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -406,7 +448,9 @@ class AnalyticSolution(EigenSolution):
 
 
 def _nested_dissection(space: P2Space) -> np.ndarray:
-    """Fill-reducing dof order for factoring K - sigma M (George 1973).
+    """Fill-reducing dof order for factoring K - sigma M (George 1973),
+    from the geometry of the mesh that owns the space's connectivity record,
+    so that every mesh sharing the record gets the same order.
 
     The elements are put in k-d tree order of their centroids: every segment
     of more than 8 elements is sorted along the longer axis of its bounding
@@ -424,7 +468,8 @@ def _nested_dissection(space: P2Space) -> np.ndarray:
     """
     dof = space.dof
     m = len(dof)
-    cent = space._tree.data                            # element centroids
+    record = space.mesh._connectivity
+    cent = record.nodes[record.triangles].mean(axis=1)  # the owner's element centroids
     order = at = np.arange(m)                          # elements in tree order
     s, e = np.zeros(m, dtype=int), np.full(m, m)       # segment of each position
     while np.any(split := e - s > 8):
@@ -460,7 +505,45 @@ def _nested_dissection(space: P2Space) -> np.ndarray:
         s, e = np.where(right, mid, s), np.where(left, mid, e)
 
 
+def _dissection(space: P2Space, index_type) -> tuple[np.ndarray, np.ndarray]:
+    """``_nested_dissection(space)`` p and its inverse, which relabels
+    indices and so keeps their type."""
+    p = _nested_dissection(space)
+    ip = np.empty(len(p), dtype=index_type)
+    ip[p] = np.arange(len(p))
+    return _read_only(p), _read_only(ip)
+
+
+def _shifted_operator(mesh: Mesh, K: sp.csr_matrix, M: sp.csr_matrix, sigma: float,
+                      p: np.ndarray, ip: np.ndarray) -> sp.csc_matrix:
+    """K - sigma M, with rows and columns in the dissection order p (ip its
+    inverse), as CSC.
+
+    K and M share the pattern assemble scatters them on, so K - sigma M is
+    one pass over the data.  The mesh that owns its connectivity record
+    relabels the columns, gathers the rows in order p, and the CSC transpose
+    sorts each column's rows; no name holds these matrices, so each is freed
+    once the next is built.  A plain carry gathers the data straight into
+    the CSC pattern that this route gives its record, found once by running
+    the route on the entries' positions.
+    """
+    if not mesh._borrows_connectivity:
+        return sp.csr_matrix((K.data - sigma * M.data, ip[K.indices], K.indptr),
+                             shape=K.shape)[p].tocsc()
+
+    def pattern():
+        at = sp.csr_matrix((np.arange(K.nnz, dtype=float), ip[K.indices], K.indptr),
+                           shape=K.shape)[p].tocsc()
+        return _read_only(at.data.astype(np.intp)), _read_only(at.indices), _read_only(at.indptr)
+
+    gather, indices, indptr = mesh._connectivity.shared("shifted pattern", pattern)
+    return sp.csc_matrix(((K.data - sigma * M.data)[gather], indices, indptr), shape=K.shape)
+
+
 _LANCZOS_CAP = 80       # Lanczos basis size at which solve_second gives up
+# LAPACK's divide-and-conquer tridiagonal eigensolver, the driver
+# eigh_tridiagonal picks for a full spectrum, called without its checks
+_STEVD = la.get_lapack_funcs("stevd", (np.zeros(1),))
 
 
 def _lanczos(solve, M, deflate, v0, tol, cap):
@@ -508,7 +591,9 @@ def _lanczos(solve, M, deflate, v0, tol, cap):
         if k == 0:
             yield None, None
             continue
-        theta, S = la.eigh_tridiagonal(alpha[:k + 1], beta[:k])
+        theta, S, info = _STEVD(alpha[:k + 1], beta[:k])
+        if info:
+            raise la.LinAlgError(f"stevd failed to converge (info {info})")
         theta, S = theta[:-3:-1], S[:, :-3:-1]           # the two largest, largest first
         converged = np.all(b * np.abs(S[-1]) <= tol * theta)
         yield theta, (S.T @ V[:k + 1] if converged else None)
@@ -543,18 +628,10 @@ def solve_second(mesh: Mesh) -> EigenSolution:
     n = space.ndof
     mu_scale = (2 * math.pi / mesh.polygon.diameter) ** 2
     sigma = -0.25 * mu_scale
-    p = _nested_dissection(space)
-    ip = np.empty(n, dtype=K.indices.dtype)            # relabelled indices keep K's width
-    ip[p] = np.arange(n)
-    # K and M share the pattern assemble scatters them on, so K - sigma M is
-    # one pass over the data.  Relabel its columns, gather its rows in the
-    # dissection order, and the CSC transpose sorts each column's rows.  No
-    # name holds these matrices, so each is freed once the next is built.
+    p, ip = mesh._connectivity.shared("dissection", lambda: _dissection(space, K.indices.dtype))
     try:
-        lu = spla.splu(sp.csr_matrix((K.data - sigma * M.data, ip[K.indices], K.indptr),
-                                     shape=K.shape)[p].tocsc(),
-                       permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
+        lu = spla.splu(_shifted_operator(mesh, K, M, sigma, p, ip), permc_spec="NATURAL",
+                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as err:       # SuperLU: "Factor is exactly singular"
         raise SolverError(f"factorization of K - sigma M failed on {n} dofs: {err}") from err
 

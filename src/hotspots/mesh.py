@@ -43,6 +43,14 @@ why a warm start was meshed afresh: "vertex count", "side count" (off by two
 or more, or off by one to two and the second chance failed), "turned
 triangle" or "angle bound" (None for a carried mesh and for a mesh built
 without a warm start).
+
+A mesh that keeps its warm start's triangles (a plain carry) also shares
+that mesh's private connectivity record, so along a path the work that
+depends on connectivity alone is done once per chain: here the harmonic
+extension operator and its sparse LU factor, in ``eigensolver`` the P2 dof
+map, the assembly pattern and the dissection order.  Every other mesh
+(fresh, second chance, ``refine``, ``structured_triangle_mesh``, built by
+hand) makes its own record and owns it.
 """
 from __future__ import annotations
 
@@ -123,6 +131,37 @@ class _SizeFunction:
         return s
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, set read-only: a connectivity record shares it."""
+    a.flags.writeable = False
+    return a
+
+
+class _Connectivity:
+    """The work that depends only on a mesh's triangles and boundary chain,
+    built on first use.
+
+    Every mesh makes one for itself and owns it; a plain carry
+    (``_transported``) keeps its warm mesh's triangles and chain and takes
+    that mesh's record instead, so a path chain builds this work once.
+    ``nodes`` and ``triangles`` are the owner's: work that needs one geometry
+    of the connectivity reads the owner's, so that it does not depend on
+    which mesh of the chain asks first.  Arrays kept here are read-only.
+    Every build is a pure function of the record, so two threads that both
+    build one key get equal results.
+    """
+
+    def __init__(self, nodes: np.ndarray, triangles: np.ndarray):
+        self.nodes, self.triangles = nodes, triangles
+        self._built: dict = {}
+
+    def shared(self, key: str, build):
+        """``build()``, called on the first request for ``key`` only."""
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+
 @dataclass
 class Mesh:
     nodes: np.ndarray                 # (N, 2)
@@ -134,6 +173,15 @@ class Mesh:
     level: int = 0                    # refinement level
     origin: str = "fresh"             # "fresh" (meshed) or "warm" (transported)
     fallback: str | None = None       # why a warm start was meshed afresh
+    _connectivity: _Connectivity = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._connectivity = _Connectivity(self.nodes, self.triangles)
+
+    @property
+    def _borrows_connectivity(self) -> bool:
+        """Whether the mesh shares a record it did not make (a plain carry)."""
+        return self._connectivity.nodes is not self.nodes
 
     @property
     def h(self) -> float:
@@ -379,6 +427,29 @@ def triangulate(P: Polygon, h: float, *, warm_start: Mesh | None = None) -> Mesh
     return mesh
 
 
+def _harmonic_operator(t: np.ndarray, be: np.ndarray, n: int):
+    """The harmonic extension of a boundary move on the triangles ``t`` over
+    ``n`` nodes with chain edges ``be``: the interior node ids, the node
+    adjacency matrix, the interior nodes' degrees (a column), and the sparse
+    LU factor of the graph Laplacian over the interior nodes (None without
+    interior nodes)."""
+    inner = np.ones(n, dtype=bool)
+    inner[be[:, 0]] = False                  # every boundary node starts one chain edge
+    inner_ids = np.nonzero(inner)[0]
+    m = len(inner_ids)
+    e = _unique_edges(t, n)
+    adj = sp.csr_matrix((np.ones(2 * len(e)), (e.T.ravel(), e[:, ::-1].T.ravel())), shape=(n, n))
+    deg = np.bincount(e.ravel(), minlength=n).astype(float)[inner_ids, None]
+    lu = None
+    if m:
+        pos = np.cumsum(inner) - 1
+        a, b = e[inner[e].all(axis=1)].T
+        lu = splu(sp.csc_matrix((np.concatenate([deg[:, 0], -np.ones(2 * len(a))]),
+                                 (np.concatenate([np.arange(m), pos[a], pos[b]]),
+                                  np.concatenate([np.arange(m), pos[b], pos[a]]))), shape=(m, m)))
+    return _read_only(inner_ids), adj, _read_only(deg), lu
+
+
 _SMOOTH_SWEEPS = 5   # Jacobi sweeps of graph-Laplacian averaging over the interior
                      # nodes of a carried mesh, before the second chance
                      # triangulates them afresh
@@ -415,35 +486,25 @@ def _transported(warm: Mesh, size: _SizeFunction, stations: list[np.ndarray],
     nodes = old.copy()
     nodes[bnd] = P.vertices[sid] + frac[:, None] * P.side_vectors[sid]
     nodes[vmap] = P.vertices
-    inner = np.ones(len(nodes), dtype=bool)
-    inner[bnd] = False
-    inner_ids = np.nonzero(inner)[0]
-    n, m = len(nodes), len(inner_ids)
-    e = _unique_edges(t, n)
-    adj = sp.csr_matrix((np.ones(2 * len(e)), (e.T.ravel(), e[:, ::-1].T.ravel())),
-                        shape=(n, n))
-    deg = np.bincount(e.ravel(), minlength=n).astype(float)[inner_ids, None]
-    if m:
-        # graph Laplacian over the interior nodes; only boundary nodes have
-        # moved yet, so the pull of their move is adj @ (nodes - old)
-        pos = np.cumsum(inner) - 1
-        a, b = e[inner[e].all(axis=1)].T
-        lap = sp.csc_matrix((np.concatenate([deg[:, 0], -np.ones(2 * len(a))]),
-                             (np.concatenate([np.arange(m), pos[a], pos[b]]),
-                              np.concatenate([np.arange(m), pos[b], pos[a]]))), shape=(m, m))
-        nodes[inner_ids] += splu(lap).solve((adj @ (nodes - old))[inner_ids])
+    inner_ids, adj, deg, lap = warm._connectivity.shared(
+        "harmonic", lambda: _harmonic_operator(t, be, len(old)))
+    if lap is not None:
+        # only boundary nodes have moved yet, so the pull of their move on
+        # the interior is adj @ (nodes - old)
+        nodes[inner_ids] += lap.solve((adj @ (nodes - old))[inner_ids])
     edited = np.nonzero(off >= 1)[0]
     reason = "side count" if len(edited) else _carried_fault(nodes, t, min_angle)
     if reason is None:
         mesh = Mesh(nodes=nodes, triangles=t.copy(), boundary_edges=be.copy(),
                     vertex_map=vmap.copy(), polygon=P, size_fn=size, origin="warm")
+        mesh._connectivity = warm._connectivity
         _check_conforming(mesh)
         return mesh, None
     for _ in range(_SMOOTH_SWEEPS):
         nodes[inner_ids] = (adj @ nodes)[inner_ids] / deg
     # an edited side's own nodes give way to the fresh stations, appended
     sides = [be[sid == i, 0][1:] for i in range(P.n)]
-    keep = np.ones(n, dtype=bool)
+    keep = np.ones(len(nodes), dtype=bool)
     for i in edited:
         keep[sides[i]] = False
     remap = np.cumsum(keep) - 1

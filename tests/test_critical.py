@@ -381,10 +381,10 @@ class TestFitFailure:
         import hotspots.bessel as bessel
         fit = bessel.fit_coefficients
 
-        def failing_at_0(sol, vid):
+        def failing_at_0(sol, vid, values=None):
             if vid == 0:
                 raise FitError("injected")
-            return fit(sol, vid)
+            return fit(sol, vid, values)
 
         monkeypatch.setattr(bessel, "fit_coefficients", failing_at_0)
         cs = find_critical_points(obtuse_sol)

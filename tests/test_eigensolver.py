@@ -599,3 +599,69 @@ class TestLocate:
         k = np.nonzero(tri >= 0)[0]
         assert held[k, tri[k]].all()
         assert np.allclose(xi[k], np.clip(lam[k, tri[k]], 0, 1), atol=1e-12)
+
+
+class TestSharedConnectivity:
+    """A chain of plain carries assembles into, and factors in, its record's
+    shared pattern and order; each solve is a pure function of its mesh."""
+
+    @staticmethod
+    def chain():
+        T = [isosceles_triangle(math.radians(a)) for a in (50, 50.02, 50.04)]
+        h = T[0].diameter / 20
+        meshes = [triangulate(T[0], h)]
+        for P in T[1:]:
+            meshes.append(triangulate(P, h, warm_start=meshes[-1]))
+        assert [m.origin for m in meshes] == ["fresh", "warm", "warm"]
+        assert all(m._connectivity is meshes[0]._connectivity for m in meshes)
+        return meshes
+
+    def test_carried_assembly_matches_scipys(self):
+        mesh = self.chain()[-1]
+        space = P2Space(mesh)
+        assert space.dof is P2Space(mesh).dof and not space.dof.flags.writeable
+        own = P2Space(dataclasses.replace(mesh))          # its own record: SciPy's COO -> CSR
+        assert np.array_equal(space.dof, own.dof)
+        for got, want in zip(space.matrices, own.matrices):
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.abs(got.data - want.data).max() <= 1e-14 * np.abs(want.data).max()
+
+    def test_carried_operator_is_the_permuted_shift(self, monkeypatch):
+        mesh = self.chain()[-1]
+        seen = []
+        splu = spla.splu
+        monkeypatch.setattr(eigensolver.spla, "splu",
+                            lambda A, **kwargs: seen.append(A) or splu(A, **kwargs))
+        sol = solve_second(mesh)
+        K, M = sol.space.matrices
+        sigma = -0.25 * (2 * math.pi / mesh.polygon.diameter) ** 2
+        p = eigensolver._nested_dissection(sol.space)
+        ref = (K - sigma * M)[p][:, p].tocsc()
+        (A,) = seen
+        for got, want in ((A.indptr, ref.indptr), (A.indices, ref.indices), (A.data, ref.data)):
+            assert np.array_equal(got, want)
+
+    def test_dissection_order_is_the_owners(self):
+        # a square's mesh carried onto a 35 deg rhombus, with no angle bound
+        import hotspots.mesh as mesh_mod
+        a = math.radians(35)
+        R = Polygon([[0, 0], [1, 0], [1 + math.cos(a), math.sin(a)], [math.cos(a), math.sin(a)]])
+        warm = triangulate(unit_square(), 0.2)
+        size = mesh_mod._SizeFunction(R, 0.2)
+        carried, reason = mesh_mod._transported(warm, size, *mesh_mod._boundary_stations(R, size),
+                                                0.0)
+        assert reason is None and carried._connectivity is warm._connectivity
+        order = eigensolver._nested_dissection(P2Space(carried))
+        assert np.array_equal(order, eigensolver._nested_dissection(P2Space(warm)))
+        # the rhombus's own centroids give another order
+        own = eigensolver._nested_dissection(P2Space(dataclasses.replace(carried)))
+        assert not np.array_equal(order, own)
+
+    def test_solves_do_not_depend_on_order(self):
+        forward = [solve_second(m) for m in self.chain()]
+        backward = [solve_second(m) for m in self.chain()[::-1]][::-1]
+        again = solve_second(forward[-1].mesh)
+        for a, b in zip(forward, backward):
+            assert a.mu == b.mu and a.coef.tobytes() == b.coef.tobytes()
+        assert again.mu == forward[-1].mu and again.coef.tobytes() == forward[-1].coef.tobytes()

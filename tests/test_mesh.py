@@ -281,16 +281,22 @@ def _angle_bound(P) -> float:
     return min(DEFAULTS.mesh_quality_min_angle, 0.9 * math.degrees(float(P.angles.min())))
 
 
+def _carried_pair():
+    """P(0.25) of the breaking path, h, a fresh mesh m0 of P(0.2) and m0
+    carried onto P(0.25) at h."""
+    path = _breaking_path()
+    P0, P1 = path.polygon_at(0.2), path.polygon_at(0.25)
+    h = P1.diameter / 20.5
+    m0 = triangulate(P0, P0.diameter / 20)
+    return P1, h, m0, triangulate(P1, h, warm_start=m0)
+
+
 class TestWarmStart:
     """``triangulate(P, h, warm_start=m)`` carries m onto a nearby polygon."""
 
     @pytest.fixture(scope="class")
     def pair(self):
-        path = _breaking_path()
-        P0, P1 = path.polygon_at(0.2), path.polygon_at(0.25)
-        h = P1.diameter / 20.5
-        m0 = triangulate(P0, P0.diameter / 20)
-        return P1, h, m0, triangulate(P1, h, warm_start=m0)
+        return _carried_pair()
 
     def test_warm_mesh_is_conforming_on_the_new_polygon(self, pair):
         P, h, m0, m = pair
@@ -479,3 +485,46 @@ class TestWarmStart:
         carried = triangulate(P, 0.1, warm_start=triangulate(S, warm_h))
         assert _same_mesh(carried, fresh) and carried.fallback == "side count"
         assert fresh.origin == "fresh"
+
+
+class TestConnectivityRecord:
+    """A plain carry shares its warm mesh's connectivity record; every other
+    mesh makes its own."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        return _carried_pair()
+
+    def test_plain_carries_share_one_record(self, pair):
+        P, h, m0, m = pair
+        assert m._connectivity is m0._connectivity
+        assert m._borrows_connectivity and not m0._borrows_connectivity
+        # the carry of a carry stays on the chain's record
+        Q = _breaking_path().polygon_at(0.255)
+        m2 = triangulate(Q, h, warm_start=m)
+        assert m2.origin == "warm" and np.array_equal(m2.triangles, m0.triangles)
+        assert m2._connectivity is m0._connectivity
+
+    def test_other_meshes_make_their_own(self, pair):
+        P, h, m0, m = pair
+        R = TestWarmStart._rhombus(35)
+        warm = triangulate(unit_square(), 0.2)
+        second = triangulate(R, 0.2, warm_start=warm)
+        assert second.origin == "warm" and not np.array_equal(second.triangles, warm.triangles)
+        T = isosceles_triangle(math.radians(50))
+        afresh = triangulate(T, T.diameter / 20, warm_start=m)
+        assert afresh.fallback == "vertex count"
+        for mesh, source in ((second, warm), (afresh, m), (refine(m), m),
+                             (dataclasses.replace(m), m)):
+            assert mesh._connectivity is not source._connectivity
+            assert not mesh._borrows_connectivity
+        assert not structured_triangle_mesh(T, 3)._borrows_connectivity
+
+    def test_carried_nodes_match_a_freshly_built_operator(self, pair):
+        # the fixture's carry built m0's harmonic extension operator; a copy
+        # of m0 has its own record and builds the operator afresh
+        P, h, m0, m = pair
+        assert "harmonic" in m0._connectivity._built
+        again = triangulate(P, h, warm_start=dataclasses.replace(m0))
+        assert again.nodes.tobytes() == m.nodes.tobytes()
+        assert triangulate(P, h, warm_start=m0).nodes.tobytes() == m.nodes.tobytes()

@@ -17,6 +17,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import hotspots.continuation as cont
@@ -37,23 +39,30 @@ def main() -> int:
 
     def counted(P, h, *, warm_start=None):
         m = real(P, h, warm_start=warm_start)
-        meshes.append(m)
+        meshes.append((m, warm_start))
         return m
 
     cont.triangulate = counted
-    runs, bad = [], []
+    runs, bad, unshared = [], [], []
     for apex in APEX_DEG:
         meshes.clear()
         cont.breaking_experiment(isosceles_triangle(math.radians(apex)), eps_rel=0.01,
                                  steps=10, h=lambda Q: Q.diameter / 20)
-        fresh = [m for m in meshes if m.origin == "fresh"]
+        fresh = [m for m, _ in meshes if m.origin == "fresh"]
         reasons = collections.Counter(m.fallback for m in fresh if m.fallback is not None)
+        plain = [m.origin == "warm" and np.array_equal(m.triangles, w.triangles)
+                 for m, w in meshes]
+        shares = [w is not None and m._connectivity is w._connectivity for m, w in meshes]
         runs.append({"apex_deg": apex, "fresh": len(fresh), "warm": len(meshes) - len(fresh),
-                     "fallbacks": dict(sorted(reasons.items()))})
+                     "fallbacks": dict(sorted(reasons.items())), "plain_carries": sum(plain),
+                     "sharing": sum(p and s for p, s in zip(plain, shares))})
         if len(fresh) > MAX_FRESH or reasons["side count"]:
             bad.append(apex)
-    print(json.dumps({"max_fresh": MAX_FRESH, "runs": runs, "over_bound": bad}))
-    return 1 if bad else 0
+        if plain != shares:
+            unshared.append(apex)
+    print(json.dumps({"max_fresh": MAX_FRESH, "runs": runs, "over_bound": bad,
+                      "sharing_wrong": unshared}))
+    return 1 if bad or unshared else 0
 
 
 if __name__ == "__main__":
