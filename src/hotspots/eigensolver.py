@@ -23,17 +23,20 @@ halves it separates.  On a planar mesh this keeps the factor near
 O(n log n); at 83k dofs it holds about 56 % of the fill of SciPy's default
 column order and factors in about a third of the time.
 
-What depends on the mesh's connectivity alone is kept on its connectivity
-record (``mesh``), which a plain carry shares with its warm mesh: the edge
-and dof map, the dissection order (computed from the geometry of the mesh
-that owns the record, so it does not depend on which mesh of a chain is
-solved first) and, for the carries only, the CSR pattern of K and M with
-each element entry's slot and the permuted CSC pattern of K - sigma M with
-its gather map from K's data.  The owner assembles through SciPy's COO to
-CSR conversion and builds the permuted matrix itself, exactly as a mesh
-without a chain does; a carry scatters into the shared patterns, which
-changes K and M only in the order duplicate entries are added.  So
-``solve_second(mesh)`` depends on the mesh and its record alone.
+What depends on the mesh's connectivity alone is kept in a ``_P2Structure``
+on its connectivity record (``mesh``), which a plain carry shares with its
+warm mesh: the edge and dof map, the dissection order (computed from the
+geometry of the mesh that made the record, so it does not depend on which
+mesh of a chain is solved first) and, once the record is shared, the CSR
+pattern of K and M with the order and slot in which SciPy's COO to CSR
+conversion sums each element entry, and the permuted CSC pattern of
+K - sigma M with its gather map from K's data.  A mesh whose record no
+other mesh shares (every mesh of ``fine`` and ``corpus``) converts from COO
+and builds the permuted matrix itself, because at 113k dofs the pattern
+costs 118 ms and its scatter 78 ms against 105 ms for two conversions; the
+shared patterns give K, M and K - sigma M bit for bit, so the route never
+changes a result and ``solve_second(mesh)`` depends on the mesh and its
+record alone.
 
 The eigensolve is a plain shift-invert Lanczos loop (Ericsson & Ruhe 1980)
 on OP = A^-1 M, which is self-adjoint in the M inner product; its largest
@@ -71,8 +74,8 @@ import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
 from .config import DEFAULTS
-from .geometry import Polygon
-from .mesh import Mesh, _read_only, _unique_edges, refine, triangulate
+from .geometry import Polygon, _read_only
+from .mesh import Mesh, _unique_edges, refine, triangulate
 
 
 class SolverError(RuntimeError):
@@ -134,11 +137,13 @@ class P2Space:
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        t = mesh.triangles
-        n = mesh.n_nodes
-        self.edge_nodes, self.dof = mesh._connectivity.shared("p2 dofs", lambda: _p2_dofs(t, n))
-        self.ndof = n + len(self.edge_nodes)
-        p = mesh.nodes[t]
+        record = mesh._connectivity
+        if record.p2 is None:
+            record.p2 = _P2Structure(record.nodes, record.triangles)
+        self._structure = record.p2
+        self.edge_nodes, self.dof = self._structure.edge_nodes, self._structure.dof
+        self.ndof = mesh.n_nodes + len(self.edge_nodes)
+        p = mesh.nodes[mesh.triangles]
         self.J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)  # (m,2,2)
         self.detJ = self.J[:, 0, 0] * self.J[:, 1, 1] - self.J[:, 0, 1] * self.J[:, 1, 0]
         self.Jinv = np.empty_like(self.J)
@@ -162,24 +167,23 @@ class P2Space:
 
     # -- assembly ---------------------------------------------------------------
     def assemble(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """K and M on one CSR pattern.  The mesh that owns its connectivity
-        record converts the element entries from COO; a plain carry sums
-        them into the record's pattern (``_p2_pattern``), which differs
-        from the conversion only in the order duplicates are added."""
+        """K and M on one CSR pattern, from SciPy's COO to CSR conversion.
+        On a connectivity record that a chain shares, the element entries
+        are summed into the record's copy of that conversion instead
+        (``_P2Structure.pattern``), with the same result bit for bit."""
         Jinv, detJ = self.Jinv, self.detJ
         # Ke = sum_ab C_ab S_ab with C = detJ Jinv Jinv^T; Me = detJ M_ref
         C = detJ[:, None, None] * (Jinv @ Jinv.transpose(0, 2, 1))
         Ke = C.reshape(-1, 4) @ _S_REF                                 # (m,36)
         Me = detJ[:, None] * _M_REF.ravel()                            # (m,36)
         shape = (self.ndof, self.ndof)
-        if not self.mesh._borrows_connectivity:
+        if not self.mesh._connectivity.shared:
             rows, cols = _element_rows_cols(self.dof)
             return (sp.coo_matrix((Ke.ravel(), (rows, cols)), shape=shape).tocsr(),
                     sp.coo_matrix((Me.ravel(), (rows, cols)), shape=shape).tocsr())
-        slots, indices, indptr = self.mesh._connectivity.shared(
-            "p2 pattern", lambda: _p2_pattern(self.dof, self.ndof))
-        return tuple(sp.csr_matrix((np.bincount(slots, E.ravel(), len(indices)), indices, indptr),
-                                   shape=shape) for E in (Ke, Me))
+        order, slots, indices, indptr = self._structure.pattern
+        return tuple(sp.csr_matrix((np.bincount(slots, E.ravel()[order], len(indices)),
+                                    indices, indptr), shape=shape) for E in (Ke, Me))
 
     @cached_property
     def matrices(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -289,33 +293,59 @@ class P2Space:
         return out if np.asarray(pts).ndim == 2 else out[0]
 
 
-def _p2_dofs(t: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Edges (a < b, lexicographic) and the (m, 6) dof map of the triangles
-    ``t`` over ``n`` nodes: corners, then the midpoints of edges (0,1),
-    (1,2), (2,0), numbered n + edge row."""
-    uniq, inv = _unique_edges(t, n, return_inverse=True)
-    dof = np.empty((len(t), 6), dtype=int)
-    dof[:, :3] = t
-    dof[:, 3:] = n + inv.reshape(3, -1).T
-    return _read_only(uniq), _read_only(dof)
+class _P2Structure:
+    """What the P2 spaces on one connectivity record (``mesh._Connectivity``)
+    share: it depends on the triangles alone, so a chain of plain carries
+    builds it once.  ``nodes`` and ``triangles`` are those of the mesh that
+    made the record.  Built when the first space is made: the edges (a < b,
+    lexicographic) and the (m, 6) dof map, corners then the midpoints of
+    edges (0,1), (1,2), (2,0), numbered n + edge row.  Filled in on first
+    use: the nested-dissection order (``solve_second``) and, on a shared
+    record only, the assembly pattern and the permuted pattern of
+    K - sigma M (``_shifted_operator``).  Every array is read-only.
+    """
+
+    def __init__(self, nodes: np.ndarray, triangles: np.ndarray):
+        self.nodes, self.triangles = nodes, triangles
+        n = len(nodes)
+        uniq, inv = _unique_edges(triangles, n, return_inverse=True)
+        dof = np.empty((len(triangles), 6), dtype=int)
+        dof[:, :3] = triangles
+        dof[:, 3:] = n + inv.reshape(3, -1).T
+        self.edge_nodes, self.dof = _read_only(uniq), _read_only(dof)
+        self.order = None
+        self.shifted = None
+
+    @cached_property
+    def pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """SciPy's COO to CSR conversion of the element entries, done once on
+        their positions: the order in which it sums them, each one's slot in
+        the result (ascending in that order), and the result's indices and
+        indptr.  The conversion sorts the entries by row, keeping their order
+        (a counting sort), then each row by column, and sums the runs of
+        equal columns in turn; ``np.bincount`` over the slots in that order
+        adds them in the same sequence."""
+        rows, cols = _element_rows_cols(self.dof)
+        n, ndof = len(rows), len(self.nodes) + len(self.edge_nodes)
+        # CSR to CSC of one entry per row is the counting sort by ``rows``
+        by_row = sp.csr_matrix((np.arange(n, dtype=float), rows, np.arange(n + 1)),
+                               shape=(n, ndof)).tocsc()
+        runs = sp.csr_matrix((by_row.indices.astype(float), cols[by_row.indices], by_row.indptr),
+                             shape=(ndof, ndof))
+        runs.has_sorted_indices = False
+        runs.sort_indices()                    # SciPy's sort of each row by column
+        start = np.ones(n, dtype=bool)
+        start[1:] = runs.indices[1:] != runs.indices[:-1]
+        start[runs.indptr[:-1][np.diff(runs.indptr) > 0]] = True
+        count = np.concatenate([[0], np.cumsum(start)])       # slots before each entry
+        indptr = count[runs.indptr].astype(runs.indptr.dtype)
+        return (_read_only(runs.data.astype(np.intp)), _read_only(count[1:] - 1),
+                _read_only(runs.indices[start]), _read_only(indptr))
 
 
 def _element_rows_cols(dof: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row and column of each element matrix entry, element-major."""
     return np.repeat(dof, 6, axis=1).ravel(), np.tile(dof, (1, 6)).ravel()
-
-
-def _p2_pattern(dof: np.ndarray, ndof: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The CSR pattern (sorted columns, no duplicates) that element matrices
-    on ``dof`` scatter into: the slot of each element entry, in
-    ``_element_rows_cols`` order, and the pattern's indices and indptr,
-    with the index type SciPy gives it."""
-    rows, cols = _element_rows_cols(dof)
-    keys, slots = np.unique(rows * ndof + cols, return_inverse=True)
-    rows, cols = np.divmod(keys, ndof)
-    pattern = sp.csr_matrix((np.zeros(len(keys)), cols, np.searchsorted(rows, np.arange(ndof + 1))),
-                            shape=(ndof, ndof))
-    return _read_only(slots), _read_only(pattern.indices), _read_only(pattern.indptr)
 
 
 def assemble(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -449,7 +479,7 @@ class AnalyticSolution(EigenSolution):
 
 def _nested_dissection(space: P2Space) -> np.ndarray:
     """Fill-reducing dof order for factoring K - sigma M (George 1973),
-    from the geometry of the mesh that owns the space's connectivity record,
+    from the geometry of the mesh that made the space's connectivity record,
     so that every mesh sharing the record gets the same order.
 
     The elements are put in k-d tree order of their centroids: every segment
@@ -468,8 +498,8 @@ def _nested_dissection(space: P2Space) -> np.ndarray:
     """
     dof = space.dof
     m = len(dof)
-    record = space.mesh._connectivity
-    cent = record.nodes[record.triangles].mean(axis=1)  # the owner's element centroids
+    structure = space._structure
+    cent = structure.nodes[structure.triangles].mean(axis=1)  # the record maker's centroids
     order = at = np.arange(m)                          # elements in tree order
     s, e = np.zeros(m, dtype=int), np.full(m, m)       # segment of each position
     while np.any(split := e - s > 8):
@@ -505,38 +535,30 @@ def _nested_dissection(space: P2Space) -> np.ndarray:
         s, e = np.where(right, mid, s), np.where(left, mid, e)
 
 
-def _dissection(space: P2Space, index_type) -> tuple[np.ndarray, np.ndarray]:
-    """``_nested_dissection(space)`` p and its inverse, which relabels
-    indices and so keeps their type."""
-    p = _nested_dissection(space)
-    ip = np.empty(len(p), dtype=index_type)
-    ip[p] = np.arange(len(p))
-    return _read_only(p), _read_only(ip)
-
-
-def _shifted_operator(mesh: Mesh, K: sp.csr_matrix, M: sp.csr_matrix, sigma: float,
-                      p: np.ndarray, ip: np.ndarray) -> sp.csc_matrix:
+def _shifted_operator(space: P2Space, sigma: float, p: np.ndarray,
+                      ip: np.ndarray) -> sp.csc_matrix:
     """K - sigma M, with rows and columns in the dissection order p (ip its
     inverse), as CSC.
 
     K and M share the pattern assemble scatters them on, so K - sigma M is
-    one pass over the data.  The mesh that owns its connectivity record
-    relabels the columns, gathers the rows in order p, and the CSC transpose
-    sorts each column's rows; no name holds these matrices, so each is freed
-    once the next is built.  A plain carry gathers the data straight into
-    the CSC pattern that this route gives its record, found once by running
-    the route on the entries' positions.
+    one pass over the data.  Relabel its columns, gather its rows in order
+    p, and the CSC transpose sorts each column's rows; no name holds these
+    matrices, so each is freed once the next is built.  On a shared record
+    the route runs once on the entries' positions, and the data is gathered
+    straight into the pattern it gives, which moves the same values to the
+    same places.
     """
-    if not mesh._borrows_connectivity:
+    K, M = space.matrices
+    if not space.mesh._connectivity.shared:
         return sp.csr_matrix((K.data - sigma * M.data, ip[K.indices], K.indptr),
                              shape=K.shape)[p].tocsc()
-
-    def pattern():
+    structure = space._structure
+    if structure.shifted is None:
         at = sp.csr_matrix((np.arange(K.nnz, dtype=float), ip[K.indices], K.indptr),
                            shape=K.shape)[p].tocsc()
-        return _read_only(at.data.astype(np.intp)), _read_only(at.indices), _read_only(at.indptr)
-
-    gather, indices, indptr = mesh._connectivity.shared("shifted pattern", pattern)
+        structure.shifted = (_read_only(at.data.astype(np.intp)), _read_only(at.indices),
+                             _read_only(at.indptr))
+    gather, indices, indptr = structure.shifted
     return sp.csc_matrix(((K.data - sigma * M.data)[gather], indices, indptr), shape=K.shape)
 
 
@@ -628,9 +650,13 @@ def solve_second(mesh: Mesh) -> EigenSolution:
     n = space.ndof
     mu_scale = (2 * math.pi / mesh.polygon.diameter) ** 2
     sigma = -0.25 * mu_scale
-    p, ip = mesh._connectivity.shared("dissection", lambda: _dissection(space, K.indices.dtype))
+    if space._structure.order is None:
+        space._structure.order = _read_only(_nested_dissection(space))
+    p = space._structure.order
+    ip = np.empty(n, dtype=K.indices.dtype)            # relabelled indices keep K's width
+    ip[p] = np.arange(n)
     try:
-        lu = spla.splu(_shifted_operator(mesh, K, M, sigma, p, ip), permc_spec="NATURAL",
+        lu = spla.splu(_shifted_operator(space, sigma, p, ip), permc_spec="NATURAL",
                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as err:       # SuperLU: "Factor is exactly singular"
         raise SolverError(f"factorization of K - sigma M failed on {n} dofs: {err}") from err

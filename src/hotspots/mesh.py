@@ -50,12 +50,13 @@ depends on connectivity alone is done once per chain: here the harmonic
 extension operator and its sparse LU factor, in ``eigensolver`` the P2 dof
 map, the assembly pattern and the dissection order.  Every other mesh
 (fresh, second chance, ``refine``, ``structured_triangle_mesh``, built by
-hand) makes its own record and owns it.
+hand) makes its own record.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,7 +64,7 @@ from scipy.sparse.linalg import splu
 from scipy.spatial import Delaunay
 
 from .config import DEFAULTS
-from .geometry import Polygon
+from .geometry import Polygon, _read_only
 
 
 class MeshingError(RuntimeError):
@@ -131,35 +132,48 @@ class _SizeFunction:
         return s
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """``a``, set read-only: a connectivity record shares it."""
-    a.flags.writeable = False
-    return a
-
-
 class _Connectivity:
-    """The work that depends only on a mesh's triangles and boundary chain,
-    built on first use.
+    """A mesh's triangles and boundary chain, the record of them that a path
+    chain shares.
 
-    Every mesh makes one for itself and owns it; a plain carry
-    (``_transported``) keeps its warm mesh's triangles and chain and takes
-    that mesh's record instead, so a path chain builds this work once.
-    ``nodes`` and ``triangles`` are the owner's: work that needs one geometry
-    of the connectivity reads the owner's, so that it does not depend on
-    which mesh of the chain asks first.  Arrays kept here are read-only.
-    Every build is a pure function of the record, so two threads that both
-    build one key get equal results.
+    Every mesh makes one for itself; a plain carry (``_transported``) keeps
+    its warm mesh's triangles and chain, takes that mesh's record instead and
+    marks it ``shared``.  So what depends on connectivity alone is built once
+    per chain: here the harmonic extension operator, in ``eigensolver`` the
+    P2 structure it keeps in ``p2``.  ``nodes`` are those of the mesh that
+    made the record: work that needs one geometry of the connectivity reads
+    them, so that it does not depend on which mesh of the chain asks first.
     """
 
-    def __init__(self, nodes: np.ndarray, triangles: np.ndarray):
-        self.nodes, self.triangles = nodes, triangles
-        self._built: dict = {}
+    def __init__(self, nodes: np.ndarray, triangles: np.ndarray, boundary_edges: np.ndarray):
+        self.nodes, self.triangles, self.boundary_edges = nodes, triangles, boundary_edges
+        self.shared = False
+        self.p2 = None
 
-    def shared(self, key: str, build):
-        """``build()``, called on the first request for ``key`` only."""
-        if key not in self._built:
-            self._built[key] = build()
-        return self._built[key]
+    @cached_property
+    def harmonic(self):
+        """The harmonic extension of a boundary move: the interior node ids,
+        the node adjacency matrix, the interior nodes' degrees (a column), and
+        the sparse LU factor of the graph Laplacian over the interior nodes
+        (None without interior nodes)."""
+        t, be, n = self.triangles, self.boundary_edges, len(self.nodes)
+        inner = np.ones(n, dtype=bool)
+        inner[be[:, 0]] = False              # every boundary node starts one chain edge
+        inner_ids = np.nonzero(inner)[0]
+        m = len(inner_ids)
+        e = _unique_edges(t, n)
+        adj = sp.csr_matrix((np.ones(2 * len(e)), (e.T.ravel(), e[:, ::-1].T.ravel())),
+                            shape=(n, n))
+        deg = np.bincount(e.ravel(), minlength=n).astype(float)[inner_ids, None]
+        lu = None
+        if m:
+            pos = np.cumsum(inner) - 1
+            a, b = e[inner[e].all(axis=1)].T
+            lu = splu(sp.csc_matrix((np.concatenate([deg[:, 0], -np.ones(2 * len(a))]),
+                                     (np.concatenate([np.arange(m), pos[a], pos[b]]),
+                                      np.concatenate([np.arange(m), pos[b], pos[a]]))),
+                                    shape=(m, m)))
+        return _read_only(inner_ids), adj, _read_only(deg), lu
 
 
 @dataclass
@@ -176,12 +190,7 @@ class Mesh:
     _connectivity: _Connectivity = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._connectivity = _Connectivity(self.nodes, self.triangles)
-
-    @property
-    def _borrows_connectivity(self) -> bool:
-        """Whether the mesh shares a record it did not make (a plain carry)."""
-        return self._connectivity.nodes is not self.nodes
+        self._connectivity = _Connectivity(self.nodes, self.triangles, self.boundary_edges)
 
     @property
     def h(self) -> float:
@@ -427,29 +436,6 @@ def triangulate(P: Polygon, h: float, *, warm_start: Mesh | None = None) -> Mesh
     return mesh
 
 
-def _harmonic_operator(t: np.ndarray, be: np.ndarray, n: int):
-    """The harmonic extension of a boundary move on the triangles ``t`` over
-    ``n`` nodes with chain edges ``be``: the interior node ids, the node
-    adjacency matrix, the interior nodes' degrees (a column), and the sparse
-    LU factor of the graph Laplacian over the interior nodes (None without
-    interior nodes)."""
-    inner = np.ones(n, dtype=bool)
-    inner[be[:, 0]] = False                  # every boundary node starts one chain edge
-    inner_ids = np.nonzero(inner)[0]
-    m = len(inner_ids)
-    e = _unique_edges(t, n)
-    adj = sp.csr_matrix((np.ones(2 * len(e)), (e.T.ravel(), e[:, ::-1].T.ravel())), shape=(n, n))
-    deg = np.bincount(e.ravel(), minlength=n).astype(float)[inner_ids, None]
-    lu = None
-    if m:
-        pos = np.cumsum(inner) - 1
-        a, b = e[inner[e].all(axis=1)].T
-        lu = splu(sp.csc_matrix((np.concatenate([deg[:, 0], -np.ones(2 * len(a))]),
-                                 (np.concatenate([np.arange(m), pos[a], pos[b]]),
-                                  np.concatenate([np.arange(m), pos[b], pos[a]]))), shape=(m, m)))
-    return _read_only(inner_ids), adj, _read_only(deg), lu
-
-
 _SMOOTH_SWEEPS = 5   # Jacobi sweeps of graph-Laplacian averaging over the interior
                      # nodes of a carried mesh, before the second chance
                      # triangulates them afresh
@@ -486,8 +472,7 @@ def _transported(warm: Mesh, size: _SizeFunction, stations: list[np.ndarray],
     nodes = old.copy()
     nodes[bnd] = P.vertices[sid] + frac[:, None] * P.side_vectors[sid]
     nodes[vmap] = P.vertices
-    inner_ids, adj, deg, lap = warm._connectivity.shared(
-        "harmonic", lambda: _harmonic_operator(t, be, len(old)))
+    inner_ids, adj, deg, lap = warm._connectivity.harmonic
     if lap is not None:
         # only boundary nodes have moved yet, so the pull of their move on
         # the interior is adj @ (nodes - old)
@@ -498,6 +483,7 @@ def _transported(warm: Mesh, size: _SizeFunction, stations: list[np.ndarray],
         mesh = Mesh(nodes=nodes, triangles=t.copy(), boundary_edges=be.copy(),
                     vertex_map=vmap.copy(), polygon=P, size_fn=size, origin="warm")
         mesh._connectivity = warm._connectivity
+        mesh._connectivity.shared = True
         _check_conforming(mesh)
         return mesh, None
     for _ in range(_SMOOTH_SWEEPS):

@@ -616,16 +616,24 @@ class TestSharedConnectivity:
         assert all(m._connectivity is meshes[0]._connectivity for m in meshes)
         return meshes
 
-    def test_carried_assembly_matches_scipys(self):
+    def test_carried_assembly_is_scipys(self):
         mesh = self.chain()[-1]
         space = P2Space(mesh)
         assert space.dof is P2Space(mesh).dof and not space.dof.flags.writeable
         own = P2Space(dataclasses.replace(mesh))          # its own record: SciPy's COO -> CSR
         assert np.array_equal(space.dof, own.dof)
         for got, want in zip(space.matrices, own.matrices):
-            assert np.array_equal(got.indptr, want.indptr)
-            assert np.array_equal(got.indices, want.indices)
-            assert np.abs(got.data - want.data).max() <= 1e-14 * np.abs(want.data).max()
+            for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                         (got.data, want.data)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert "pattern" in vars(space._structure)
+
+    def test_unshared_record_builds_no_pattern(self):
+        sol = solve_second(triangulate(L_SHAPE, 0.2))
+        structure = sol.space._structure
+        assert not sol.mesh._connectivity.shared
+        assert "pattern" not in vars(structure) and structure.shifted is None
+        assert structure.order is not None
 
     def test_carried_operator_is_the_permuted_shift(self, monkeypatch):
         mesh = self.chain()[-1]

@@ -497,8 +497,7 @@ class TestConnectivityRecord:
 
     def test_plain_carries_share_one_record(self, pair):
         P, h, m0, m = pair
-        assert m._connectivity is m0._connectivity
-        assert m._borrows_connectivity and not m0._borrows_connectivity
+        assert m._connectivity is m0._connectivity and m0._connectivity.shared
         # the carry of a carry stays on the chain's record
         Q = _breaking_path().polygon_at(0.255)
         m2 = triangulate(Q, h, warm_start=m)
@@ -517,14 +516,14 @@ class TestConnectivityRecord:
         for mesh, source in ((second, warm), (afresh, m), (refine(m), m),
                              (dataclasses.replace(m), m)):
             assert mesh._connectivity is not source._connectivity
-            assert not mesh._borrows_connectivity
-        assert not structured_triangle_mesh(T, 3)._borrows_connectivity
+            assert not mesh._connectivity.shared
+        assert not structured_triangle_mesh(T, 3)._connectivity.shared
 
     def test_carried_nodes_match_a_freshly_built_operator(self, pair):
         # the fixture's carry built m0's harmonic extension operator; a copy
         # of m0 has its own record and builds the operator afresh
         P, h, m0, m = pair
-        assert "harmonic" in m0._connectivity._built
+        assert "harmonic" in vars(m0._connectivity)
         again = triangulate(P, h, warm_start=dataclasses.replace(m0))
         assert again.nodes.tobytes() == m.nodes.tobytes()
         assert triangulate(P, h, warm_start=m0).nodes.tobytes() == m.nodes.tobytes()
