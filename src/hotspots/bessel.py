@@ -131,40 +131,41 @@ def fit_sector_coefficients(u_eval, mu: float, apex, alpha: float, beta: float,
     """
     radii, thetas = _polar_grid(beta, r_in, r_out)
     U = u_eval(arc_points(apex, radii, alpha + thetas))
-    return _fit_on_grid(U, mu, beta, r_in, r_out, vertex)
+    return _fit_on_grid(U, mu, beta, radii, thetas, vertex)
 
 
-def _fit_on_grid(U, mu: float, beta: float, r_in: float, r_out: float,
+def _fit_on_grid(U, mu: float, beta: float, radii: np.ndarray, thetas: np.ndarray,
                  vertex: int) -> BesselExpansion:
-    """``fit_sector_coefficients`` from the values U on its grid.
+    """``fit_sector_coefficients`` from the values U on its grid of ``radii``
+    by ``thetas`` (``_polar_grid``, so 0 < r_in < r_out).
 
     A column is J_{n nu}(sqrt(mu) r) cos(n nu theta) over the radius-major
-    grid: J on the radii and cos on the angles, multiplied out.
+    grid: J on the radii and cos on the angles, multiplied out.  One SVD of
+    the column-scaled matrix gives both its condition number and the
+    least-squares coefficients.
     """
     K = DEFAULTS.bessel_K
     U = np.asarray(U, dtype=float)
     if np.any(~np.isfinite(U)):
         raise FitError("annulus intersects the domain boundary: evaluation failed")
 
-    radii, thetas = _polar_grid(beta, r_in, r_out)
     nu = math.pi / beta
     smu = math.sqrt(mu)
     A = np.empty((len(radii), len(thetas), K + 1))
     colmax = np.empty(K + 1)
     for n in range(K + 1):
-        jr = bessel_j(n * nu, smu * radii)
+        jr = jv(n * nu, smu * radii)
         A[:, :, n] = jr[:, None] * np.cos(n * nu * thetas)
         colmax[n] = np.abs(jr).max()
     A = A.reshape(-1, K + 1)
     colnorm = np.linalg.norm(A, axis=0)
     live = colnorm > 0
-    As = A[:, live] / colnorm[live]
-    cond = float(np.linalg.cond(As))
+    Q, s, Vt = np.linalg.svd(A[:, live] / colnorm[live], full_matrices=False)
+    cond = float(s[0] / s[-1]) if s[-1] > 0 else math.inf
     if cond > 1e10:
         raise FitError(f"ill-conditioned fit (cond {cond:.1e}): annulus too thin")
-    sol, *_ = np.linalg.lstsq(As, U, rcond=None)
     coeffs = np.zeros(K + 1)
-    coeffs[live] = sol / colnorm[live]
+    coeffs[live] = Vt.T @ ((Q.T @ U) / s) / colnorm[live]
     # a mode whose whole contribution sits below the fit error is
     # unidentifiable noise in an amplified raw coefficient; pin it to 0
     scale = float(np.abs(U).max())
@@ -174,48 +175,39 @@ def _fit_on_grid(U, mu: float, beta: float, r_in: float, r_out: float,
     resid = float(np.linalg.norm(U - A @ coeffs) / max(np.linalg.norm(U), 1e-300))
     contributions = np.abs(coeffs) * colmax
     return BesselExpansion(vertex=vertex, beta=beta, nu=nu, mu=mu,
-                           coeffs=coeffs, r_in=r_in, r_out=r_out,
+                           coeffs=coeffs, r_in=float(radii[0]), r_out=float(radii[-1]),
                            residual=resid, scale=scale,
                            contributions=contributions, cond=cond,
                            pinned=tuple(np.flatnonzero(~live).tolist()))
 
 
-def annulus_reference(P, i: int) -> float:
-    """Reference length at vertex i: clearance to non-adjacent sides, capped
-    by the adjacent side lengths so the fit annulus stays in the vertex wedge."""
-    d = P.nonadjacent_side_distance(i)
-    adj = min(P.side_lengths[i % P.n], P.side_lengths[(i - 1) % P.n])
-    return min(d, adj)
-
-
-def _vertex_annulus(P, vertex: int):
-    """apex, alpha, beta, r_in, r_out of the fit annulus at ``vertex``."""
+def _vertex_grid(P, vertex: int):
+    """apex, alpha, beta, radii and thetas of the fit grid at ``vertex``."""
     apex, alpha, beta = P.vertex_frame(vertex)
-    ref = annulus_reference(P, vertex)
-    return apex, alpha, beta, DEFAULTS.annulus_inner * ref, DEFAULTS.annulus_outer * ref
+    ref = float(P.vertex_clearance[vertex % P.n])
+    return (apex, alpha, beta,
+            *_polar_grid(beta, DEFAULTS.annulus_inner * ref, DEFAULTS.annulus_outer * ref))
 
 
 def vertex_fit_grid(P, vertex: int) -> np.ndarray:
     """The points whose values ``fit_coefficients`` fits at ``vertex``."""
-    apex, alpha, beta, r_in, r_out = _vertex_annulus(P, vertex)
-    radii, thetas = _polar_grid(beta, r_in, r_out)
+    apex, alpha, _, radii, thetas = _vertex_grid(P, vertex)
     return arc_points(apex, radii, alpha + thetas)
 
 
 def fit_coefficients(sol, vertex: int, values=None) -> BesselExpansion:
     """Vertex expansion of a computed eigenfunction at polygon vertex ``vertex``.
 
-    The annulus runs from ``annulus_inner`` to ``annulus_outer`` times
-    ``annulus_reference``.  ``values`` are the solution's values on
-    ``vertex_fit_grid(P, vertex)``, evaluated here when not given.  A grid
-    point off the mesh reads NaN, which raises FitError.
+    The annulus runs from ``annulus_inner`` to ``annulus_outer`` times the
+    vertex's ``Polygon.vertex_clearance``.  ``values`` are the solution's
+    values on ``vertex_fit_grid(P, vertex)``, evaluated here when not given.
+    A grid point off the mesh reads NaN, which raises FitError.
     """
     P = sol.polygon
-    apex, alpha, beta, r_in, r_out = _vertex_annulus(P, vertex)
+    apex, alpha, beta, radii, thetas = _vertex_grid(P, vertex)
     if values is None:
-        return fit_sector_coefficients(sol.eval, sol.mu, apex, alpha, beta, r_in, r_out,
-                                       vertex=vertex % P.n)
-    return _fit_on_grid(values, sol.mu, beta, r_in, r_out, vertex % P.n)
+        values = sol.eval(arc_points(apex, radii, alpha + thetas))
+    return _fit_on_grid(values, sol.mu, beta, radii, thetas, vertex % P.n)
 
 
 @dataclass

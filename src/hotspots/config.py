@@ -8,7 +8,7 @@ alone (the run settings a call takes, h and steps, plus
 The exceptions are fixed design constants, each stated beside its rule
 rather than offered as a knob: the factors that size the probe circles
 around ``probe_radius_factor`` (boundary clearance, the composite and
-nearest-structure rules, the annulus cap) in ``critical._probe_radii``, the
+nearest-structure rules, the clearance cap) in ``critical._probe_radii``, the
 only code that sizes a probe; the |a| band of ``critical._expansion_index``
 (``_A_BAND``); the 0.5 h and 1.2 h vertex and boundary zones of
 ``critical.find_critical_points``; the radii, sampling and side band of
@@ -41,7 +41,7 @@ class Defaults:
 
     # vertex expansions
     bessel_K: int = 4
-    annulus_inner: float = 0.05     # fraction of distance to nearest non-adjacent side
+    annulus_inner: float = 0.05     # fractions of Polygon.vertex_clearance
     annulus_outer: float = 0.25
     fit_n_theta: int = 24
     fit_n_radii: int = 12

@@ -142,7 +142,7 @@ def _probe_radii(sol, p, locus, absorbed=(), nearest=math.inf) -> list[float]:
     distance d) give max(3.3 h, 2.8 d) and max(2.5 h, 2.2 d), clearing the
     level arc's return near 2 d; else a detected point ``nearest`` < 3.5 h
     away gives 0.7 and 0.35 of that distance.  Each vertex radius is capped
-    at half the ``annulus_reference``.
+    at half the vertex's ``Polygon.vertex_clearance``.
     """
     P = sol.polygon
     h = float(sol.h_at(p[None, :])[0])
@@ -153,7 +153,7 @@ def _probe_radii(sol, p, locus, absorbed=(), nearest=math.inf) -> list[float]:
         others, vdist = _side_clearance(P, p, locus[1])
         r1 = min(r1, 0.7 * others, 0.45 * vdist)
     else:
-        r_cap = 0.5 * _bessel.annulus_reference(P, locus[1])
+        r_cap = 0.5 * float(P.vertex_clearance[locus[1]])
         if absorbed:
             d = max(absorbed)
             return [min(max(3.3 * h, 2.8 * d), r_cap), min(max(2.5 * h, 2.2 * d), r_cap)]
@@ -214,7 +214,7 @@ def index_of(sol, p, locus="interior") -> IndexResult:
 
 
 def _probed_point(sol, p, locus) -> CriticalPoint:
-    res = _probe_index(sol, p, locus, _probe_radii(sol, p, locus))
+    res = index_of(sol, p, locus)
     g = sol.eval_grad(p[None, :])[0]
     return CriticalPoint(p, locus, res.index, res.index == 1,
                          {"n_arcs": res.n_arcs, "counts": res.counts, "radii": res.radii,

@@ -299,10 +299,10 @@ class _P2Structure:
     builds it once.  ``nodes`` and ``triangles`` are those of the mesh that
     made the record.  Built when the first space is made: the edges (a < b,
     lexicographic) and the (m, 6) dof map, corners then the midpoints of
-    edges (0,1), (1,2), (2,0), numbered n + edge row.  Filled in on first
-    use: the nested-dissection order (``solve_second``) and, on a shared
-    record only, the assembly pattern and the permuted pattern of
-    K - sigma M (``_shifted_operator``).  Every array is read-only.
+    edges (0,1), (1,2), (2,0), numbered n + edge row.  Computed on first
+    use: the dissection ``order`` (``solve_second``) and, on a shared record
+    only, the assembly ``pattern`` and the ``shifted`` pattern of K - sigma M
+    (``_shifted_operator``).  Every array is read-only.
     """
 
     def __init__(self, nodes: np.ndarray, triangles: np.ndarray):
@@ -313,8 +313,11 @@ class _P2Structure:
         dof[:, :3] = triangles
         dof[:, 3:] = n + inv.reshape(3, -1).T
         self.edge_nodes, self.dof = _read_only(uniq), _read_only(dof)
-        self.order = None
-        self.shifted = None
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """The dof order in which K - sigma M is factored."""
+        return _read_only(_nested_dissection(self))
 
     @cached_property
     def pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -341,6 +344,18 @@ class _P2Structure:
         indptr = count[runs.indptr].astype(runs.indptr.dtype)
         return (_read_only(runs.data.astype(np.intp)), _read_only(count[1:] - 1),
                 _read_only(runs.indices[start]), _read_only(indptr))
+
+    @cached_property
+    def shifted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The permuted CSC pattern of K - sigma M and the gather map that fills
+        it from K's data: ``_shifted_operator``'s route run on positions."""
+        _, _, indices, indptr = self.pattern
+        n, p = len(indptr) - 1, self.order
+        at = sp.csr_matrix((np.arange(len(indices), dtype=float), indices, indptr), shape=(n, n))
+        ip = np.empty(n, dtype=at.indices.dtype)
+        ip[p] = np.arange(n)
+        at = sp.csr_matrix((at.data, ip[at.indices], at.indptr), shape=(n, n))[p].tocsc()
+        return _read_only(at.data.astype(np.intp)), _read_only(at.indices), _read_only(at.indptr)
 
 
 def _element_rows_cols(dof: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -477,10 +492,10 @@ class AnalyticSolution(EigenSolution):
         return tuple(self.eval_grad(self.space.dof_points()).T)
 
 
-def _nested_dissection(space: P2Space) -> np.ndarray:
+def _nested_dissection(structure: _P2Structure) -> np.ndarray:
     """Fill-reducing dof order for factoring K - sigma M (George 1973),
-    from the geometry of the mesh that made the space's connectivity record,
-    so that every mesh sharing the record gets the same order.
+    from the dof map and the geometry of the mesh that made the connectivity
+    record, so that every mesh sharing the record gets the same order.
 
     The elements are put in k-d tree order of their centroids: every segment
     of more than 8 elements is sorted along the longer axis of its bounding
@@ -496,9 +511,8 @@ def _nested_dissection(space: P2Space) -> np.ndarray:
     so both halves come before their separator.  Any permutation gives the
     same operator; this one only keeps the factor sparse.
     """
-    dof = space.dof
-    m = len(dof)
-    structure = space._structure
+    dof = structure.dof
+    m, ndof = len(dof), len(structure.nodes) + len(structure.edge_nodes)
     cent = structure.nodes[structure.triangles].mean(axis=1)  # the record maker's centroids
     order = at = np.arange(m)                          # elements in tree order
     s, e = np.zeros(m, dtype=int), np.full(m, m)       # segment of each position
@@ -519,14 +533,14 @@ def _nested_dissection(space: P2Space) -> np.ndarray:
     pos = np.empty(m, dtype=int)
     pos[order] = at
     pos = np.repeat(pos, 6)                            # final position of each dof's element
-    lo, hi = np.full(space.ndof, m), np.full(space.ndof, -1)
+    lo, hi = np.full(ndof, m), np.full(ndof, -1)
     np.minimum.at(lo, dof.ravel(), pos)
     np.maximum.at(hi, dof.ravel(), pos)
     # Later levels only permute inside a segment, so a dof's elements lie in
     # one segment of a level exactly when its first and last positions do.
     # The segments depend on m alone: descend them from the root while both
     # positions fall on one side of the split.
-    s, e = np.zeros(space.ndof, dtype=int), np.full(space.ndof, m)
+    s, e = np.zeros(ndof, dtype=int), np.full(ndof, m)
     while True:
         mid, split = (s + e) // 2, e - s > 8
         left, right = split & (hi < mid), split & (lo >= mid)
@@ -552,13 +566,7 @@ def _shifted_operator(space: P2Space, sigma: float, p: np.ndarray,
     if not space.mesh._connectivity.shared:
         return sp.csr_matrix((K.data - sigma * M.data, ip[K.indices], K.indptr),
                              shape=K.shape)[p].tocsc()
-    structure = space._structure
-    if structure.shifted is None:
-        at = sp.csr_matrix((np.arange(K.nnz, dtype=float), ip[K.indices], K.indptr),
-                           shape=K.shape)[p].tocsc()
-        structure.shifted = (_read_only(at.data.astype(np.intp)), _read_only(at.indices),
-                             _read_only(at.indptr))
-    gather, indices, indptr = structure.shifted
+    gather, indices, indptr = space._structure.shifted
     return sp.csc_matrix(((K.data - sigma * M.data)[gather], indices, indptr), shape=K.shape)
 
 
@@ -650,8 +658,6 @@ def solve_second(mesh: Mesh) -> EigenSolution:
     n = space.ndof
     mu_scale = (2 * math.pi / mesh.polygon.diameter) ** 2
     sigma = -0.25 * mu_scale
-    if space._structure.order is None:
-        space._structure.order = _read_only(_nested_dissection(space))
     p = space._structure.order
     ip = np.empty(n, dtype=K.indices.dtype)            # relabelled indices keep K's width
     ip[p] = np.arange(n)

@@ -239,12 +239,14 @@ class Polygon:
         t = np.clip(np.dot(p - a, sv) / np.dot(sv, sv), 0.0, 1.0)
         return float(np.linalg.norm(p - (a + t * sv)))
 
-    def nonadjacent_side_distance(self, i: int) -> float:
-        """Distance from vertex i to the nearest side not adjacent to it."""
-        n = self.n
-        adj = {i % n, (i - 1) % n}
-        d = [self.distance_to_side(self._v[i % n], j) for j in range(n) if j not in adj]
-        return min(d) if d else self.side_lengths.min()
+    @cached_property
+    def vertex_clearance(self) -> np.ndarray:
+        """Each vertex's distance to the nearest side not adjacent to it,
+        capped by the two adjacent side lengths (vertex fits and probes)."""
+        L, n = self.side_lengths, self.n
+        return _read_only(np.array([
+            min(L[i], L[i - 1], *(self.distance_to_side(v, j) for j in range(i + 1, i + n - 1)))
+            for i, v in enumerate(self._v)]))
 
     def effective_sides(self) -> list[list[int]]:
         """Maximal runs of sides separated only by angle-pi vertices.

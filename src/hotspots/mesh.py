@@ -360,9 +360,8 @@ def triangulate(P: Polygon, h: float, *, warm_start: Mesh | None = None) -> Mesh
             L0 = hbar * 1.2 * math.sqrt(np.sum(L ** 2) / np.sum(hbar ** 2))
             Fmag = np.maximum(L0 - L, 0.0) / np.maximum(L, 1e-30)
             Fvec = Fmag[:, None] * vec
-            force = np.zeros_like(pts)
-            np.add.at(force, e[:, 0], Fvec)
-            np.add.at(force, e[:, 1], -Fvec)
+            at, w = e.T.ravel(), np.concatenate([Fvec, -Fvec])     # np.add.at's order
+            force = np.column_stack([np.bincount(at, w[:, k], len(pts)) for k in range(2)])
             force[:n_fixed] = 0.0
             move = 0.2 * force
             pts = pts + move

@@ -210,7 +210,7 @@ def wedge_probe(field: ScalarField, vid: int) -> WedgeProbe:
     """
     P = field.sol.polygon
     apex, alpha, beta = P.vertex_frame(vid)
-    r0 = DEFAULTS.annulus_inner * _bessel.annulus_reference(P, vid)
+    r0 = DEFAULTS.annulus_inner * float(P.vertex_clearance[vid])
     radii = [r0, 0.5 * r0, 0.25 * r0]
     n_theta = 241
     pad = 0.04 * beta

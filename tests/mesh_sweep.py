@@ -7,10 +7,11 @@ in this order, the polygons a ``default_rng(12345)`` draws: 150
 diam/18 and diam/26; then the L-shape at h = 0.3, 0.2, 0.1 and 0.05.  It
 prints one JSON summary: the ``MeshingError``s, percentiles of the meshes'
 minimum angles, the node count, the ``Delaunay`` calls of graded and
-ungraded meshes, and a SHA-256 over the nodes and triangles of every
-ungraded mesh (a mesher change that must leave ungraded meshes alone keeps
-it).  It exits 1 when a mesh raises outside the three known quality-bound
-triangles, or when a mesh falls below its angle bound.
+ungraded meshes, and a SHA-256 over the nodes and triangles of every graded
+and of every ungraded mesh.  It exits 1 when a mesh raises outside the three
+known quality-bound triangles, when a mesh falls below its angle bound, or
+when either SHA-256 differs from its pinned value (``PINNED``): a change that
+moves meshes on purpose updates the pin and says why.
 """
 from __future__ import annotations
 
@@ -38,6 +39,8 @@ L_SHAPE_H = (0.3, 0.2, 0.1, 0.05)
 # TestQualityBoundDefect pins them)
 KNOWN_FAILURES = {("random_triangle", 38, 18), ("random_obtuse_triangle", 32, 18),
                   ("random_obtuse_triangle", 32, 26)}
+# the first 16 hex digits of each SHA-256, numpy 2.4.6 and scipy 1.17.1
+PINNED = {"graded": "a07ff9a904baab26", "ungraded": "f707bdad1819da9f"}
 
 
 def cases():
@@ -59,7 +62,7 @@ def main() -> int:
     calls = []
     real = mesh_mod.Delaunay
     mesh_mod.Delaunay = lambda p: calls.append(1) or real(p)
-    digest = hashlib.sha256()
+    digests = {"graded": hashlib.sha256(), "ungraded": hashlib.sha256()}
     errors, unexpected, below = [], [], []
     angles, nodes = [], 0
     count = {"graded": [0, 0], "ungraded": [0, 0]}     # meshes, Delaunay calls
@@ -83,9 +86,8 @@ def main() -> int:
             below.append([family, i, k, angle, bound])
         angles.append(angle)
         nodes += m.n_nodes
-        if not graded:
-            digest.update(m.nodes.tobytes())
-            digest.update(m.triangles.tobytes())
+        digests[key].update(m.nodes.tobytes())
+        digests[key].update(m.triangles.tobytes())
     summary = {
         "meshes": sum(c[0] for c in count.values()),
         "errors": errors,
@@ -96,10 +98,15 @@ def main() -> int:
         "nodes": nodes,
         "graded": {"meshes": count["graded"][0], "delaunay_calls": count["graded"][1]},
         "ungraded": {"meshes": count["ungraded"][0], "delaunay_calls": count["ungraded"][1]},
-        "ungraded_sha256": digest.hexdigest()[:16],
+        "graded_sha256": digests["graded"].hexdigest()[:16],
+        "ungraded_sha256": digests["ungraded"].hexdigest()[:16],
     }
     print(json.dumps(summary))
-    return 1 if unexpected or below else 0
+    moved = {key: summary[f"{key}_sha256"] for key in PINNED
+             if summary[f"{key}_sha256"] != PINNED[key]}
+    if moved:
+        print(f"meshes moved: {moved}, pinned {PINNED}", file=sys.stderr)
+    return 1 if unexpected or below or moved else 0
 
 
 if __name__ == "__main__":

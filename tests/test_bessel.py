@@ -143,12 +143,61 @@ class TestSectorFits:
         assert fit_sector_coefficients(u, mu, [0, 0], 0.0, 2 * math.pi / 3, 0.05, 0.4).pinned == ()
 
     def test_annulus_outside_domain_rejected(self, solve_cached, monkeypatch):
-        # the square's corner 0 has annulus reference 1, so the annulus is (0.5, 2)
+        # the square's corner 0 has clearance 1, so the annulus is (0.5, 2)
         sol = solve_cached(unit_square(), 0.1)
         monkeypatch.setattr(bessel, "DEFAULTS", dataclasses.replace(
             bessel.DEFAULTS, annulus_inner=0.5, annulus_outer=2.0))
         with pytest.raises(FitError):
             fit_coefficients(sol, 0)
+
+
+class TestOneRouteFit:
+    """``fit_coefficients`` builds its grid once and ``_fit_on_grid`` takes
+    one SVD for both the condition number and the coefficients."""
+
+    def test_given_values_give_the_same_expansion(self, solve_cached):
+        from hotspots.geometry import triangle_from_angles
+        sol = solve_cached(triangle_from_angles(math.radians(30), math.radians(35)), 0.035)
+        P = sol.polygon
+        for v in range(P.n):
+            own = fit_coefficients(sol, v)
+            given = fit_coefficients(sol, v, values=sol.eval(bessel.vertex_fit_grid(P, v)))
+            for f in dataclasses.fields(own):
+                a, b = getattr(own, f.name), getattr(given, f.name)
+                if isinstance(a, np.ndarray):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+                else:
+                    assert a == b, f.name
+
+    def test_one_svd_matches_lstsq_and_cond(self):
+        rng = np.random.default_rng(17)
+        K = bessel.DEFAULTS.bessel_K
+        for _ in range(40):
+            beta = rng.uniform(0.2, 1.9) * math.pi
+            r_in = rng.uniform(0.01, 0.2)
+            radii, thetas = bessel._polar_grid(beta, r_in, r_in * rng.uniform(1.5, 10.0))
+            mu = rng.uniform(0.5, 60.0)
+            nu = math.pi / beta
+            cols = [np.outer(bessel_j(n * nu, math.sqrt(mu) * radii),
+                             np.cos(n * nu * thetas)).ravel() for n in range(K + 1)]
+            A = np.column_stack(cols)
+            colnorm = np.linalg.norm(A, axis=0)
+            colmax = np.abs(A).max(axis=0)
+            # every mode contributes O(1), and a little noise leaves none below the floor
+            U = A @ (rng.uniform(0.5, 2.0, K + 1) / colmax) + 1e-6 * rng.standard_normal(len(A))
+            exp = bessel._fit_on_grid(U, mu, beta, radii, thetas, 0)
+            As = A / colnorm
+            want = np.linalg.lstsq(As, U, rcond=None)[0] / colnorm
+            assert exp.pinned == () and np.all(exp.coeffs != 0.0)
+            assert np.abs(exp.coeffs - want).max() <= 1e-12 * np.abs(want).max()
+            assert abs(exp.cond - np.linalg.cond(As)) <= 1e-12 * np.linalg.cond(As)
+
+    def test_ill_conditioned_fit_raises(self):
+        # one angle and a thin annulus: the radial columns are nearly parallel
+        radii, thetas = np.linspace(0.1, 0.1001, 12), np.array([0.3])
+        U = np.ones(len(radii))
+        with pytest.raises(FitError, match="ill-conditioned"):
+            bessel._fit_on_grid(U, 5.0, 2 * math.pi / 3, radii, thetas, 0)
 
 
 def square_corner_moment_oracle(n, r, mu=math.pi ** 2):

@@ -251,10 +251,9 @@ class TestProbeFallback:
         and both of its composite probe radii hit the cap of half the
         annulus reference, so the two probe circles are one.  The index
         stays the probe total; the note names the collapse and the radius."""
-        from hotspots.bessel import annulus_reference
         P = polygon_corpus[18]
         info = find_critical_points(corpus_solutions[18]).vertex_table[2]
-        r_cap = 0.5 * annulus_reference(P, 2)
+        r_cap = 0.5 * P.vertex_clearance[2]
         assert abs(r_cap - 0.15081) < 5e-6
         assert info["absorbed_distances"]
         assert (info["index"], info["expansion_index"], info["probe_index"]) == (1, 0, 1)

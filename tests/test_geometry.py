@@ -293,3 +293,25 @@ def test_arc_points_are_radius_major():
     expect = [[2, -2], [1, -1], [0, -2], [1.5, -2], [1, -1.5], [0.5, -2]]
     assert np.allclose(pts, expect, atol=1e-15)
     assert np.allclose(np.linalg.norm(pts - c, axis=1), [1, 1, 1, 0.5, 0.5, 0.5])
+
+
+def test_vertex_clearance_is_the_per_vertex_definition():
+    """The distance to the nearest side not adjacent to the vertex, capped by
+    the two adjacent side lengths, bit for bit, on random polygons and
+    triangles; cached and read-only."""
+    rng = np.random.default_rng(21)
+    polygons = [random_simple_polygon(rng, int(rng.integers(3, 9)), avoid_right_angles=False)
+                for _ in range(40)]
+    polygons += [random_triangle(rng) for _ in range(20)]
+    for P in polygons:
+        n, L = P.n, P.side_lengths
+        want = [min(min(P.distance_to_side(P.vertices[i], j) for j in range(n)
+                        if j not in (i, (i - 1) % n)), min(L[i], L[(i - 1) % n]))
+                for i in range(n)]
+        assert P.vertex_clearance.tobytes() == np.array(want).tobytes()
+    assert P.vertex_clearance is P.vertex_clearance
+    with pytest.raises(ValueError):
+        P.vertex_clearance[0] = 0.0
+    # the equilateral triangle: every clearance is the height
+    T = equilateral_triangle()
+    assert np.allclose(T.vertex_clearance, math.sqrt(3) / 2 * T.side_lengths)
