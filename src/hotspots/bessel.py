@@ -116,7 +116,7 @@ def _polar_grid(beta: float, r_in: float, r_out: float) -> tuple[np.ndarray, np.
 
 
 def fit_sector_coefficients(u_eval, mu: float, apex, alpha: float, beta: float,
-                            r_in: float, r_out: float, *, vertex: int = -1) -> BesselExpansion:
+                            r_in: float, r_out: float) -> BesselExpansion:
     """Least-squares Fourier-Bessel fit of c_0..c_K (K = ``bessel_K``) over a
     polar grid in a vertex frame.
 
@@ -127,11 +127,12 @@ def fit_sector_coefficients(u_eval, mu: float, apex, alpha: float, beta: float,
     column.  A mode whose column norm underflows to 0 (J_{n nu} at the large
     nu of a sharp corner) cannot be identified at any radius the fit
     reaches: it is left out of the solve, its coefficient is 0 and
-    ``pinned`` names it.
+    ``pinned`` names it.  The expansion's ``vertex`` is -1: the sector
+    belongs to no polygon.
     """
     radii, thetas = _polar_grid(beta, r_in, r_out)
     U = u_eval(arc_points(apex, radii, alpha + thetas))
-    return _fit_on_grid(U, mu, beta, radii, thetas, vertex)
+    return _fit_on_grid(U, mu, beta, radii, thetas, -1)
 
 
 def _fit_on_grid(U, mu: float, beta: float, radii: np.ndarray, thetas: np.ndarray,

@@ -5,7 +5,7 @@ run writes report.json (and optional SVGs) into the output directory; errors
 produce error.json and a nonzero exit status.
 
 Spec file formats (JSON):
-  polygon: {"vertices": [[x, y], ...], "labels": [...]}
+  polygon: {"vertices": [[x, y], ...]}   (other keys are ignored)
   path:    {"kind": "vertex-lerp", "from": [[x, y], ...], "to": [[x, y], ...]}
            {"kind": "breaking", "triangle": [[x, y], ...], "side": 0,
             "w0": 0.3, "w1": 0.7, "eps": 0.01}

@@ -10,13 +10,12 @@ from .geometry import Polygon, GeometryError, triangle_from_angles
 
 def random_simple_polygon(rng: np.random.Generator, n_sides: int, *,
                           avoid_right_angles: bool = True,
-                          angle_margin: float = 0.06,
                           max_tries: int = 800) -> Polygon:
     """Star-shaped polygon with n_sides vertices on random rays.
 
-    Rejects shapes with vertex angles near multiples of pi/2 (when asked),
-    near-straight vertices, or very sharp corners, so the vertex-expansion
-    machinery stays well posed.
+    Rejects shapes with vertex angles within 0.06 of pi/2 or 3 pi/2 (when
+    asked), near-straight vertices, or very sharp corners, so the
+    vertex-expansion machinery stays well posed.
     """
     for _ in range(max_tries):
         phi = np.sort(rng.uniform(0, 2 * math.pi, n_sides))
@@ -33,34 +32,35 @@ def random_simple_polygon(rng: np.random.Generator, n_sides: int, *,
             continue
         if avoid_right_angles and np.any(
                 np.min(np.abs(ang[:, None] - np.array([[math.pi / 2, 3 * math.pi / 2]])), axis=1)
-                < angle_margin):
+                < 0.06):
             continue
         return P
     raise RuntimeError(f"no valid {n_sides}-gon found in {max_tries} tries")
 
 
-def random_triangle(rng: np.random.Generator, *, min_angle: float = 0.12,
-                    max_tries: int = 400) -> Polygon:
-    for _ in range(max_tries):
+def random_triangle(rng: np.random.Generator) -> Polygon:
+    """Triangle with vertices uniform in [-1, 1]^2 and every angle at least
+    0.12 rad (400 tries)."""
+    for _ in range(400):
         verts = rng.uniform(-1, 1, (3, 2))
         try:
             T = Polygon(verts)
         except GeometryError:
             continue
-        if T.angles.min() >= min_angle:
+        if T.angles.min() >= 0.12:
             return T
     raise RuntimeError("no valid triangle found")
 
 
-def random_obtuse_triangle(rng: np.random.Generator, *,
-                           obtuse_range=(1.66, 2.6), min_acute: float = 0.26) -> Polygon:
-    """Obtuse triangle with the obtuse angle in the given range (radians)."""
+def random_obtuse_triangle(rng: np.random.Generator) -> Polygon:
+    """Obtuse triangle with the obtuse angle in [1.66, 2.6) and both acute
+    angles at least 0.26 (radians)."""
     while True:
-        gamma = rng.uniform(*obtuse_range)
+        gamma = rng.uniform(1.66, 2.6)
         rest = math.pi - gamma
-        alpha = rng.uniform(min_acute, rest - min_acute)
+        alpha = rng.uniform(0.26, rest - 0.26)
         beta = rest - alpha
-        if min(alpha, beta) < min_acute:
+        if min(alpha, beta) < 0.26:
             continue
         # place the obtuse vertex opposite the base
         return triangle_from_angles(alpha, beta)

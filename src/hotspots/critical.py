@@ -286,7 +286,8 @@ def classify_vertex(sol, vid: int, *, absorbed=(), nearest=math.inf, fit_values=
     fit grid (``bessel.vertex_fit_grid``).
 
     ``absorbed`` (distances of roots absorbed into the vertex) and
-    ``nearest`` (distance to the nearest detected critical point) size the
+    ``nearest`` (distance to the nearest side or interior critical point;
+    ``find_critical_points`` counts no other vertex) size the
     probe through ``_probe_radii``; a vertex with absorbed roots is
     composite, and its table entry keeps their distances.
     """
@@ -472,16 +473,17 @@ def find_critical_points(sol) -> CriticalSet:
 
     points += [_probed_point(sol, p, "interior") for p in found]
 
-    # vertices last: probe radii adapt to the detected structure nearby,
-    # including the vertices reported before this one.  One evaluation
-    # serves every vertex's fit grid.
+    # vertices last: probe radii adapt to the side and interior points
+    # nearby, so no vertex depends on another.  One evaluation serves every
+    # vertex's fit grid.
+    detected = list(points)
     grids = [_bessel.vertex_fit_grid(P, vid) for vid in range(P.n)]
     fit_values = np.split(np.asarray(sol.eval(np.vstack(grids)), dtype=float),
                           np.cumsum([len(g) for g in grids[:-1]]))
     vertex_table = {}
     for vid in range(P.n):
         vpt = P.vertices[vid]
-        nearest = min((float(np.linalg.norm(cp.location - vpt)) for cp in points),
+        nearest = min((float(np.linalg.norm(cp.location - vpt)) for cp in detected),
                       default=np.inf)
         try:
             info = classify_vertex(sol, vid, absorbed=absorbed.get(vid, ()), nearest=nearest,

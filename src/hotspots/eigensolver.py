@@ -241,7 +241,8 @@ class P2Space:
 
     # -- point location ---------------------------------------------------------
     def locate(self, pts: np.ndarray):
-        """Triangle index and reference coordinates for each point.
+        """Triangle index and reference coordinates for each of the (n, 2)
+        points.
 
         A point goes to the first of its nearest-centroid elements, in k-d
         tree order, that holds it (barycentric slack 1e-9), tested for all
@@ -250,7 +251,6 @@ class P2Space:
         points lie in their nearest centroid's element, so the first query
         asks for that one alone.
         """
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
         npts, m = len(pts), len(self._p0)
         tri = np.full(npts, -1, dtype=int)
         xi = np.zeros((npts, 2))
@@ -273,24 +273,23 @@ class P2Space:
             k *= 8
         return tri, xi
 
-    def eval(self, coef: np.ndarray, pts) -> np.ndarray:
-        """u_h at the points; NaN at a point off the mesh."""
-        pts_arr = np.atleast_2d(np.asarray(pts, dtype=float))
-        tri, xi = self.locate(pts_arr)
+    def eval(self, coef: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """u_h at each of the (n, 2) points; NaN at a point off the mesh."""
+        tri, xi = self.locate(pts)
         V = _p2_values(xi[:, 0], xi[:, 1])
         out = np.einsum("pi,pi->p", coef[self.dof[tri]], V)
         out[tri < 0] = np.nan
-        return out if np.asarray(pts).ndim == 2 else float(out[0])
+        return out
 
-    def eval_grad(self, coef: np.ndarray, pts) -> np.ndarray:
-        """grad u_h at the points; NaN at a point off the mesh."""
-        pts_arr = np.atleast_2d(np.asarray(pts, dtype=float))
-        tri, xi = self.locate(pts_arr)
+    def eval_grad(self, coef: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """grad u_h at each of the (n, 2) points, one row each; NaN at a
+        point off the mesh."""
+        tri, xi = self.locate(pts)
         G = _p2_grads(xi[:, 0], xi[:, 1])                  # (p,6,2)
         Gphys = np.einsum("pba,pib->pia", self.Jinv[tri], G)
         out = np.einsum("pi,pia->pa", coef[self.dof[tri]], Gphys)
         out[tri < 0] = np.nan
-        return out if np.asarray(pts).ndim == 2 else out[0]
+        return out
 
 
 class _P2Structure:
@@ -370,7 +369,8 @@ def assemble(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
 
 @dataclass
 class EigenSolution:
-    """Second Neumann eigenpair with point evaluation of u and grad u."""
+    """Second Neumann eigenpair with point evaluation of u and grad u; the
+    point queries (``eval``, ``eval_grad``, ``h_at``) take an (n, 2) array."""
     space: P2Space
     mu: float
     coef: np.ndarray
@@ -478,14 +478,10 @@ class AnalyticSolution(EigenSolution):
         super().__init__(space, float(mu), self.eval(space.dof_points()), np.inf, 0.0)
 
     def eval(self, pts):
-        pts_arr = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.asarray(self._f(pts_arr), dtype=float)
-        return out if np.asarray(pts).ndim == 2 else float(out[0])
+        return np.asarray(self._f(pts), dtype=float)
 
     def eval_grad(self, pts):
-        pts_arr = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.asarray(self._grad(pts_arr), dtype=float)
-        return out if np.asarray(pts).ndim == 2 else out[0]
+        return np.asarray(self._grad(pts), dtype=float)
 
     @cached_property
     def _recovered(self) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -72,27 +72,21 @@ def _segments_properly_intersect(p1, p2, q1, q2) -> bool:
 class Polygon:
     """Simple counterclockwise polygon with derived side and angle data."""
 
-    def __init__(self, vertices, *, labels: Sequence[str] | None = None):
+    def __init__(self, vertices):
         v = _as_points(vertices)
         if _signed_area(v) < 0:
             v = v[::-1].copy()
-            if labels is not None:
-                labels = list(labels)[::-1]
         self._v = v
         self._v.setflags(write=False)
-        self.labels = list(labels) if labels is not None else None
         self._validate()
 
     # -- construction helpers -------------------------------------------------
     @staticmethod
     def from_dict(d: dict) -> "Polygon":
-        return Polygon(d["vertices"], labels=d.get("labels"))
+        return Polygon(d["vertices"])
 
     def to_dict(self) -> dict:
-        d = {"vertices": [[float(x), float(y)] for x, y in self._v]}
-        if self.labels is not None:
-            d["labels"] = list(self.labels)
-        return d
+        return {"vertices": [[float(x), float(y)] for x, y in self._v]}
 
     # -- basic quantities ------------------------------------------------------
     @property
@@ -190,9 +184,9 @@ class Polygon:
                 if _segments_properly_intersect(p1, p2, q1, q2):
                     raise GeometryError(f"self-intersecting chain: sides {i} and {j} cross")
 
-    def contains(self, points, *, include_boundary: bool = True):
-        """Vectorized point-in-polygon (crossing number)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+    def contains(self, pts: np.ndarray) -> np.ndarray:
+        """Whether each of the (n, 2) points lies inside, by the vectorized
+        crossing number; a point on the boundary may read either way."""
         v = self._v
         n = self.n
         x, y = pts[:, 0], pts[:, 1]
@@ -204,13 +198,10 @@ class Polygon:
             with np.errstate(divide="ignore", invalid="ignore"):
                 xint = (x1 - x0) * (y - y0) / (y1 - y0) + x0
             inside ^= crosses & (x < xint)
-        if include_boundary:
-            inside |= self.boundary_distance(pts) <= 1e-12 * self.diameter
-        return inside if np.asarray(points).ndim == 2 else bool(inside[0])
+        return inside
 
-    def boundary_distance(self, points) -> np.ndarray:
-        """Unsigned distance from each point to the boundary."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+    def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
+        """Unsigned distance from each of the (n, 2) points to the boundary."""
         v = self._v
         sv = self.side_vectors
         d = pts[:, None, :] - v[None, :, :]
@@ -219,12 +210,9 @@ class Polygon:
         dist = np.linalg.norm(pts[:, None, :] - proj, axis=2)
         return dist.min(axis=1)
 
-    def signed_distance(self, points) -> np.ndarray:
-        """Negative inside, positive outside."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d = self.boundary_distance(pts)
-        sign = np.where(self.contains(pts, include_boundary=False), -1.0, 1.0)
-        return sign * d
+    def signed_distance(self, pts: np.ndarray) -> np.ndarray:
+        """Negative inside, positive outside, for each of the (n, 2) points."""
+        return np.where(self.contains(pts), -1.0, 1.0) * self.boundary_distance(pts)
 
     # -- side geometry ----------------------------------------------------------
     def side_point(self, i: int, s: float) -> np.ndarray:
@@ -281,13 +269,12 @@ class DeformationPath:
 
     def __init__(self, kind: str, vertex_fn: Callable[[float], np.ndarray], *,
                  breakpoints: tuple[np.ndarray, list[np.ndarray]] | None = None,
-                 params: dict | None = None, n_vertices: int | None = None):
+                 params: dict | None = None):
         self.kind = kind
         self._fn = vertex_fn
         self.breakpoints = breakpoints
         self.params = params or {}
-        v0 = vertex_fn(0.0)
-        self.n_vertices = n_vertices if n_vertices is not None else len(v0)
+        self.n_vertices = len(vertex_fn(0.0))
 
     @staticmethod
     def from_breakpoints(kind: str, ts, vertex_arrays, params=None) -> "DeformationPath":
@@ -305,8 +292,7 @@ class DeformationPath:
             s = (t - ts[k]) / (ts[k + 1] - ts[k])
             return (1 - s) * vs[k] + s * vs[k + 1]
 
-        return DeformationPath(kind, fn, breakpoints=(ts, vs), params=params,
-                               n_vertices=len(vs[0]))
+        return DeformationPath(kind, fn, breakpoints=(ts, vs), params=params)
 
     @staticmethod
     def constant(P: Polygon, kind: str = "vertex-lerp") -> "DeformationPath":
@@ -547,7 +533,7 @@ def breaking_family(T: Polygon, e: int, w_path, eps: float) -> DeformationPath:
         return np.insert(T.vertices, e + 1, w + eps_t * T.side_normals[e], axis=0)
 
     return DeformationPath("breaking", vertex_fn,
-                           params={"eps": float(eps), "side": int(e)}, n_vertices=4)
+                           params={"eps": float(eps), "side": int(e)})
 
 
 # ---------------------------------------------------------------------------

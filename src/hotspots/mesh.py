@@ -122,8 +122,7 @@ class _SizeFunction:
         g = self.grade[self._graded].max(initial=0.0)
         self.h0 = self.h * max(self.floor, (0.1 * self.h / self.diam) ** g)
 
-    def __call__(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+    def __call__(self, pts: np.ndarray) -> np.ndarray:
         s = np.full(len(pts), self.h)
         for i in self._graded:
             r = np.linalg.norm(pts - self.P.vertices[i], axis=1)
@@ -222,9 +221,10 @@ class Mesh:
         e = self.edges()
         return np.linalg.norm(self.nodes[e[:, 0]] - self.nodes[e[:, 1]], axis=1)
 
-    def h_at(self, points) -> np.ndarray:
-        """Local target size at the given points (scaled by refinement level)."""
-        return self.size_fn(points) / (2 ** self.level)
+    def h_at(self, pts: np.ndarray) -> np.ndarray:
+        """Local target size at each of the (n, 2) points (scaled by
+        refinement level)."""
+        return self.size_fn(pts) / (2 ** self.level)
 
     def to_dict(self) -> dict:
         return {

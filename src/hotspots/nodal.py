@@ -67,10 +67,11 @@ class ScalarField:
             return -(pts[:, 1] - self.w[1]) * gx + (pts[:, 0] - self.w[0]) * gy
         raise ValueError(f"unknown field kind {self.kind}")
 
-    def eval(self, pts) -> np.ndarray:
-        """The P2 field of ``dofs`` at the points (NaN outside the mesh)."""
+    def eval(self, pts: np.ndarray) -> np.ndarray:
+        """The P2 field of ``dofs`` at each of the (n, 2) points (NaN outside
+        the mesh)."""
         space, vals = self.dofs
-        return space.eval(vals, np.atleast_2d(np.asarray(pts, dtype=float)))
+        return space.eval(vals, pts)
 
     @functools.cached_property
     def dofs(self) -> tuple[P2Space, np.ndarray]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import is_dataclass, asdict
 
 import numpy as np
 
@@ -21,25 +20,19 @@ SCHEMA_VERSION = "1.0"
 
 
 def to_jsonable(obj):
+    """A report value as JSON data: None, bool, int and str as they are, a
+    float as itself (its repr when not finite), dicts, lists and tuples item
+    by item.  Any other type raises TypeError, so no value reaches a report
+    as a silent string."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else repr(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return to_jsonable(float(obj))
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(x) for x in obj.tolist()]
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(x) for x in obj]
-    if hasattr(obj, "to_dict"):
-        return to_jsonable(obj.to_dict())
-    if is_dataclass(obj):
-        return to_jsonable(asdict(obj))
-    return repr(obj)
+    raise TypeError(f"not a report value: {type(obj).__name__}")
 
 
 def write_report(path, payload: dict):

@@ -212,3 +212,11 @@ class TestCommands:
         r1 = r1.replace(out1, "OUT")
         r2 = r2.replace(out2, "OUT")
         assert r1 == r2
+
+
+def test_report_values_are_plain_json():
+    from hotspots.report import to_jsonable
+    assert to_jsonable({1: (2.5, None, True, "s", float("inf"))}) == {"1": [2.5, None, True, "s", "inf"]}
+    # a value of any other type would otherwise reach report.json as a string
+    with pytest.raises(TypeError, match="ndarray"):
+        to_jsonable({"a": [np.zeros(2)]})

@@ -284,6 +284,26 @@ class TestProbeRadii:
     def test_vertex_rules(self, h, kw, expected):
         assert self.radii(h, **kw) == pytest.approx(expected, rel=1e-12)
 
+    def test_vertex_probe_ignores_the_other_vertices(self, solve_cached, monkeypatch):
+        """The `corpus` benchmark workload, seed 2, polygon 19: no side or
+        interior point lies near vertex 5, so its probe is sized with
+        ``nearest`` = inf.  Vertex 4 (index 1), reported before it, lies
+        3.10 h away; counting it would size the probe by the vertex
+        numbering."""
+        from hotspots import critical
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            P = random_simple_polygon(rng, int(rng.integers(5, 8)))
+        nearest = {}
+
+        def spy(sol, vid, **kw):
+            nearest[vid] = kw["nearest"]
+            return classify_vertex(sol, vid, **kw)
+
+        monkeypatch.setattr(critical, "classify_vertex", spy)
+        find_critical_points(solve_cached(P, P.diameter / 26))
+        assert nearest[5] == math.inf
+
 
 class TestCountSignChanges:
     def test_counts_runs(self):

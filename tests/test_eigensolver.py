@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -274,6 +275,19 @@ class TestSolverRoute:
         assert abs(sol.mu - 21.0744221445779) <= 1e-12 * sol.mu
         assert 0.5 <= sol.residual / 2.5565413525053135e-12 <= 2.0
 
+    def test_basis_grows_past_its_first_block(self):
+        # the loop stops only at the cap, so all 40 applications run and V
+        # and MV grow from 16 rows to 32 and then to 40
+        rng = np.random.default_rng(0)
+        Q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+        A = Q @ np.diag(np.arange(1.0, 61.0)) @ Q.T
+        M = np.diag(rng.uniform(1.0, 2.0, 60))
+        steps = list(eigensolver._lanczos(lambda b: np.linalg.solve(A, b), M, lambda x: x,
+                                          rng.standard_normal(60), 0.0, 40))
+        assert len(steps) == 40
+        want = 1.0 / scipy.linalg.eigh(A, M, eigvals_only=True)[:2]
+        assert steps[-1][0] == pytest.approx(want, rel=1e-10)
+
     def test_factored_operator_is_the_permuted_shift(self, monkeypatch):
         seen = []
         splu = spla.splu
@@ -448,7 +462,7 @@ class TestEval:
         assert np.array_equal(np.isnan(square_sol.eval(pts)), [True, True, False])
         g = square_sol.eval_grad(pts)
         assert np.isnan(g[:2]).all() and np.isfinite(g[2]).all()
-        assert math.isnan(square_sol.eval(np.array([2.0, 2.0])))
+        assert math.isnan(square_sol.eval(np.array([[2.0, 2.0]]))[0])
 
     def test_quadrature_mean_zero(self, square_sol):
         # restating the integral invariant through the mass matrix

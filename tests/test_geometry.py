@@ -68,6 +68,10 @@ class TestPolygonValidation:
         with pytest.raises(GeometryError):
             Polygon([[0, 0], [1, 1], [1, 0], [0, 1]])
 
+    def test_names_the_crossing_sides(self):
+        with pytest.raises(GeometryError, match="self-intersecting chain: sides 0 and 3 cross"):
+            Polygon([[0, 0], [4, 0], [4, 3], [1, 3], [3, -1], [0, 2]])
+
     def test_rejects_duplicate_vertices(self):
         with pytest.raises(GeometryError):
             Polygon([[0, 0], [0, 0], [1, 0], [0, 1]])
@@ -76,13 +80,17 @@ class TestPolygonValidation:
         P = Polygon([[0, 0], [0, 1], [1, 1], [1, 0]])
         assert P.area > 0
 
+    def test_spec_dict_holds_the_vertices_only(self):
+        # a spec file's other keys, such as "labels", are ignored
+        P = Polygon.from_dict({"vertices": [[0, 0], [1, 0], [0, 1]], "labels": ["a", "b", "c"]})
+        assert P.to_dict() == {"vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
+
     def test_contains_and_distance(self):
         P = unit_square()
-        assert P.contains([0.5, 0.5])
-        assert not P.contains([1.5, 0.5])
-        assert abs(P.boundary_distance([[0.5, 0.25]])[0] - 0.25) < 1e-14
-        assert P.signed_distance([[0.5, 0.5]])[0] < 0
-        assert P.signed_distance([[2.0, 0.5]])[0] > 0
+        assert P.contains(np.array([[0.5, 0.5], [1.5, 0.5]])).tolist() == [True, False]
+        assert abs(P.boundary_distance(np.array([[0.5, 0.25]]))[0] - 0.25) < 1e-14
+        assert P.signed_distance(np.array([[0.5, 0.5]]))[0] < 0
+        assert P.signed_distance(np.array([[2.0, 0.5]]))[0] > 0
 
 
 class TestLip1:
@@ -251,7 +259,7 @@ def test_polygon_invariants_property(n, seed):
     # outward normals: a small step along the normal leaves the polygon
     mids = P.vertices + 0.5 * P.side_vectors
     out_pts = mids + 1e-6 * P.diameter * nrm
-    assert not np.any(P.contains(out_pts, include_boundary=False))
+    assert not np.any(P.contains(out_pts))
 
 
 def test_side_geometry_is_cached_and_read_only():

@@ -160,7 +160,7 @@ class TestSizeFunction:
         for h in (0.3, 0.1, 0.01):
             size = _SizeFunction(_L_SHAPE, h)
             off = _L_SHAPE.vertices[3] + [0.1 * h, 0.0]
-            assert size.h0 == pytest.approx(size(off)[0], rel=1e-12)
+            assert size.h0 == pytest.approx(size(off[None, :])[0], rel=1e-12)
             assert size.h0 < h
 
 
@@ -249,6 +249,19 @@ class TestBoundaryChain:
             be = be[np.random.default_rng(0).permutation(len(be))]
         with pytest.raises(MeshingError, match="one chain"):
             _check_conforming(dataclasses.replace(square_mesh, boundary_edges=be))
+
+    def test_dropped_triangle_raises(self, square_mesh):
+        with pytest.raises(MeshingError, match="non-conforming mesh"):
+            _check_conforming(dataclasses.replace(square_mesh,
+                                                  triangles=square_mesh.triangles[1:]))
+
+    def test_side_node_off_its_side_raises(self, square_mesh):
+        # the end of side 0's first chain edge, moved 1e-6 outward
+        node, side = square_mesh.boundary_edges[0, 1:]
+        nodes = square_mesh.nodes.copy()
+        nodes[node] += 1e-6 * square_mesh.polygon.side_normals[side]
+        with pytest.raises(MeshingError, match=f"boundary node {node} off side {side}"):
+            _check_conforming(dataclasses.replace(square_mesh, nodes=nodes))
 
 
 class TestUniqueEdges:
