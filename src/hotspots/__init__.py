@@ -17,10 +17,10 @@ from .geometry import (
     triangle_from_angles, regular_polygon,
     GeometryError, NotLip1Error, OrthogonalSidesError, ReductionFailure,
 )
-from .mesh import Mesh, triangulate, refine, structured_triangle_mesh, MeshingError
-from .eigensolver import EigenSolution, AnalyticSolution, assemble, solve_second, SolverError
+from .mesh import Mesh, triangulate, refine, MeshingError
+from .eigensolver import EigenSolution, solve_second, SolverError
 from .bessel import (
-    BesselExpansion, bessel_j, fit_coefficients, fit_sector_coefficients,
+    BesselExpansion, fit_coefficients, fit_sector_coefficients,
     leading_coefficient_test, FitError,
 )
 from .nodal import ScalarField, NodalGraph, trace, arc_ends_at_vertex

@@ -1,4 +1,4 @@
-"""Bessel functions of the first kind for real order, and vertex expansions.
+"""Vertex expansions of the eigenfunction in Bessel functions of real order.
 
 Near a vertex of angle beta, a Neumann eigenfunction with eigenvalue mu has
 the expansion
@@ -6,9 +6,9 @@ the expansion
     u(r e^{i theta}) = sum_n c_n J_{n nu}(sqrt(mu) r) cos(n nu theta),
     nu = pi / beta,
 
-in the local frame of the vertex.  This module evaluates J_nu through
-``scipy.special.jv`` and extracts c_0..c_K from point samples of a computed
-eigenfunction by least squares over a polar annulus.
+in the local frame of the vertex.  This module extracts c_0..c_K from point
+samples of a computed eigenfunction by least squares over a polar annulus,
+with J_nu from ``scipy.special.jv``.
 
 With J_nu(sqrt(mu) r) = r^nu g_nu(r^2), the values g_nu(0) and g_0'(0)
 (``g_at_zero``, ``g0_prime_at_zero``) feed the right-angle index test.
@@ -31,17 +31,6 @@ class FitError(RuntimeError):
 
 class UndefinedLeadingCoefficient(ValueError):
     """beta = pi/2: neither c0 nor c1 is the leading coefficient."""
-
-
-def bessel_j(nu: float, x) -> np.ndarray | float:
-    """J_nu(x) for real nu >= 0 and x >= 0 (``scipy.special.jv``)."""
-    if nu < 0:
-        raise ValueError("order must be nonnegative")
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0):
-        raise ValueError("argument must be nonnegative")
-    out = jv(nu, xa)
-    return out if xa.ndim else float(out)
 
 
 def g_at_zero(nu: float, mu: float) -> float:

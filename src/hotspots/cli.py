@@ -63,25 +63,44 @@ def _load_json(path):
         return json.load(f)
 
 
+def _require(d, path, *keys) -> dict:
+    """A spec's JSON object; ValueError for any other JSON value or a missing key."""
+    if not isinstance(d, dict):
+        raise ValueError(f"spec {path} holds a JSON {type(d).__name__}, not an object")
+    for k in keys:
+        if k not in d:
+            raise ValueError(f"spec {path} lacks key {k!r}")
+    return d
+
+
+def _side(P: Polygon, i: int) -> int:
+    if not 0 <= i < P.n:
+        raise ValueError(f"side {i} is not a side of a {P.n}-gon (0..{P.n - 1})")
+    return i
+
+
 def _load_polygon(path) -> Polygon:
-    return Polygon.from_dict(_load_json(path))
+    return Polygon.from_dict(_require(_load_json(path), path, "vertices"))
 
 
 def _load_path(path) -> DeformationPath:
-    d = _load_json(path)
+    d = _require(_load_json(path), path)
     kind = d.get("kind")
     if kind == "vertex-lerp":
+        _require(d, path, "from", "to")
         return DeformationPath.from_breakpoints(
             "vertex-lerp", [0.0, 1.0],
             [np.asarray(d["from"], dtype=float), np.asarray(d["to"], dtype=float)])
     if kind == "breaking":
+        _require(d, path, "triangle", "side", "w0", "w1", "eps")
         T = Polygon(d["triangle"])
-        e = int(d["side"])
+        e = _side(T, int(d["side"]))
         a, sv = T.vertices[e], T.side_vectors[e]
         w0 = a + float(d["w0"]) * sv
         w1 = a + float(d["w1"]) * sv
         return breaking_family(T, e, (w0, w1), float(d["eps"]) * T.side_lengths[e])
     if kind == "lip1-reduction":
+        _require(d, path, "polygon")
         return lip1_reduction_path(Polygon(d["polygon"]))
     raise ValueError(f"unknown path kind {kind!r}")
 
@@ -92,7 +111,7 @@ def _parse_field(sol, spec: str) -> ScalarField:
     if spec.startswith("L:"):
         return ScalarField.directional(sol, math.radians(float(spec[2:])))
     if spec.startswith("side:"):
-        return ScalarField.side_directional(sol, int(spec[5:]))
+        return ScalarField.side_directional(sol, _side(sol.polygon, int(spec[5:])))
     if spec.startswith("R:"):
         x, y = (float(v) for v in spec[2:].split(","))
         return ScalarField.rotational(sol, (x, y))

@@ -6,7 +6,7 @@ when it lies in that element.  On a boundary edge u_h is the quadratic
 through the edge's three dofs, so the tangential derivative is linear and
 its root is closed form; a sign change of the derivative across a boundary
 node is a root at that node.  Probes and vertex fits read the solution's
-point evaluation, which for an AnalyticSolution is its closed form.
+point evaluation.
 
 A point p gets index 1 - n/2 (interior) or 1 - n (boundary), where n counts
 the level-set arcs of u through u(p) that emanate from p.  The count is

@@ -75,7 +75,7 @@ from scipy.spatial import cKDTree
 
 from .config import DEFAULTS
 from .geometry import Polygon, _read_only
-from .mesh import Mesh, _unique_edges, refine, triangulate
+from .mesh import Mesh, _unique_edges
 
 
 class SolverError(RuntimeError):
@@ -362,11 +362,6 @@ def _element_rows_cols(dof: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(dof, 6, axis=1).ravel(), np.tile(dof, (1, 6)).ravel()
 
 
-def assemble(mesh: Mesh) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Stiffness and mass matrices of the Neumann Laplacian (quadratic elements)."""
-    return P2Space(mesh).assemble()
-
-
 @dataclass
 class EigenSolution:
     """Second Neumann eigenpair with point evaluation of u and grad u; the
@@ -453,39 +448,6 @@ class EigenSolution:
         if nrm == 0:
             return self
         return self.with_coef(comb / nrm)
-
-
-class AnalyticSolution(EigenSolution):
-    """A closed-form field f with gradient grad_f on a polygon, as a solution.
-
-    Its P2 part interpolates f on a uniform mesh at ``h_nominal``
-    (``triangulate`` at 8 h_nominal refined three times): ``coef`` is f at
-    the dof points and the recovered gradient is grad_f there.  Point
-    evaluation reads f and grad_f exactly, so probes and vertex fits see
-    the closed form; critical points and traces are found on the P2 part.
-    ``mu`` is an eigenvalue-like scale; there is no spectral gap.
-    """
-
-    def __init__(self, polygon: Polygon, mu: float, f, grad_f, *, h_nominal: float | None = None):
-        if h_nominal is None:
-            h_nominal = polygon.diameter / 64
-        mesh = triangulate(polygon, 8 * h_nominal)
-        for _ in range(3):
-            mesh = refine(mesh)
-        space = P2Space(mesh)
-        self._f = f
-        self._grad = grad_f
-        super().__init__(space, float(mu), self.eval(space.dof_points()), np.inf, 0.0)
-
-    def eval(self, pts):
-        return np.asarray(self._f(pts), dtype=float)
-
-    def eval_grad(self, pts):
-        return np.asarray(self._grad(pts), dtype=float)
-
-    @cached_property
-    def _recovered(self) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(self.eval_grad(self.space.dof_points()).T)
 
 
 def _nested_dissection(structure: _P2Structure) -> np.ndarray:

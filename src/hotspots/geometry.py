@@ -540,9 +540,9 @@ def breaking_family(T: Polygon, e: int, w_path, eps: float) -> DeformationPath:
 # canonical shapes
 # ---------------------------------------------------------------------------
 
-def regular_polygon(n: int, radius: float = 1.0) -> Polygon:
+def regular_polygon(n: int) -> Polygon:
     th = np.linspace(0, TWO_PI, n, endpoint=False)
-    return Polygon(np.column_stack([radius * np.cos(th), radius * np.sin(th)]))
+    return Polygon(np.column_stack([np.cos(th), np.sin(th)]))
 
 
 def unit_square() -> Polygon:
@@ -553,24 +553,23 @@ def rectangle(a: float, b: float) -> Polygon:
     return Polygon([[0, 0], [a, 0], [a, b], [0, b]])
 
 
-def equilateral_triangle(side: float = 1.0) -> Polygon:
-    return Polygon([[0, 0], [side, 0], [side / 2, side * math.sqrt(3) / 2]])
+def equilateral_triangle() -> Polygon:
+    return Polygon([[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]])
 
 
-def isosceles_triangle(apex_angle: float, *, base: float = 1.0) -> Polygon:
-    """Isosceles triangle with the given apex angle, base on the x-axis."""
+def isosceles_triangle(apex_angle: float) -> Polygon:
+    """Isosceles triangle with the given apex angle and base [0, 1] on the x-axis."""
     if not (0 < apex_angle < math.pi):
         raise GeometryError("apex angle must lie in (0, pi)")
-    half = apex_angle / 2
-    height = (base / 2) / math.tan(half)
-    return Polygon([[0, 0], [base, 0], [base / 2, height]])
+    height = 0.5 / math.tan(apex_angle / 2)
+    return Polygon([[0, 0], [1, 0], [0.5, height]])
 
 
-def triangle_from_angles(alpha: float, beta: float, *, base: float = 1.0) -> Polygon:
-    """Triangle with angles alpha at (0,0) and beta at (base,0)."""
+def triangle_from_angles(alpha: float, beta: float) -> Polygon:
+    """Triangle with angles alpha at (0,0) and beta at (1,0)."""
     gamma = math.pi - alpha - beta
     if min(alpha, beta, gamma) <= 0:
         raise GeometryError("angles must sum to less than pi")
-    x = base * math.tan(beta) / (math.tan(alpha) + math.tan(beta))
+    x = math.tan(beta) / (math.tan(alpha) + math.tan(beta))
     y = x * math.tan(alpha)
-    return Polygon([[0, 0], [base, 0], [x, y]])
+    return Polygon([[0, 0], [1, 0], [x, y]])

@@ -49,8 +49,7 @@ that mesh's private connectivity record, so along a path the work that
 depends on connectivity alone is done once per chain: here the harmonic
 extension operator and its sparse LU factor, in ``eigensolver`` the P2 dof
 map, the assembly pattern and the dissection order.  Every other mesh
-(fresh, second chance, ``refine``, ``structured_triangle_mesh``, built by
-hand) makes its own record.
+(fresh, second chance, ``refine``, built by hand) makes its own record.
 """
 from __future__ import annotations
 
@@ -579,59 +578,6 @@ def _check_conforming(mesh: Mesh):
     if len(off):
         k = off[0]
         raise MeshingError(f"boundary node {nid[k]} off side {sid[k]}")
-
-
-def structured_triangle_mesh(T: Polygon, k: int) -> Mesh:
-    """Uniform barycentric k^2-subdivision of a triangle.
-
-    The node lattice is invariant under any symmetry of the triangle, so for
-    an isosceles triangle the discrete problem inherits the reflection
-    exactly.  Sub-triangles are similar to T: quality equals the triangle's
-    own minimum angle.
-    """
-    if T.n != 3:
-        raise MeshingError("structured mesh requires a triangle")
-    if k < 1:
-        raise MeshingError("k must be >= 1")
-    v0, v1, v2 = T.vertices
-
-    index = {}
-    nodes = []
-    for i in range(k + 1):          # lambda1 = i/k
-        for j in range(k + 1 - i):  # lambda2 = j/k
-            index[(i, j)] = len(nodes)
-            lam0 = (k - i - j) / k
-            nodes.append(lam0 * v0 + (i / k) * v1 + (j / k) * v2)
-    nodes = np.asarray(nodes)
-
-    tris = []
-    for i in range(k):
-        for j in range(k - i):
-            a, b, c = index[(i, j)], index[(i + 1, j)], index[(i, j + 1)]
-            tris.append((a, b, c))
-            if i + j < k - 1:
-                d = index[(i + 1, j + 1)]
-                tris.append((b, d, c))
-    tris = np.asarray(tris, dtype=int)
-    p = nodes[tris]
-    areas = 0.5 * _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    flip = areas < 0
-    tris[flip] = tris[flip][:, [0, 2, 1]]
-
-    bedges = []
-    for s, chain in enumerate((
-            [index[(i, 0)] for i in range(k + 1)],                       # v0 -> v1
-            [index[(k - j, j)] for j in range(k + 1)],                   # v1 -> v2
-            [index[(0, k - i)] for i in range(k + 1)])):                 # v2 -> v0
-        for a, b in zip(chain[:-1], chain[1:]):
-            bedges.append((a, b, s))
-    h = float(T.side_lengths.max()) / k
-    mesh = Mesh(nodes=nodes, triangles=tris,
-                boundary_edges=np.asarray(bedges, dtype=int),
-                vertex_map=np.array([index[(0, 0)], index[(k, 0)], index[(0, k)]]),
-                polygon=T, size_fn=_SizeFunction(T, h))
-    _check_conforming(mesh)
-    return mesh
 
 
 def refine(mesh: Mesh) -> Mesh:

@@ -53,14 +53,14 @@ _INDEX_COLORS = {1: "#c62828", -1: "#1565c0", 0: "#6a1b9a", None: "#757575"}
 
 
 class SvgScene:
-    def __init__(self, polygon, *, size: int = 640, margin: float = 0.06):
+    def __init__(self, polygon):
         self.P = polygon
         v = polygon.vertices
         lo, hi = v.min(axis=0), v.max(axis=0)
         span = float(max(hi - lo))
-        pad = margin * span
+        pad = 0.06 * span
         self.lo = lo - pad
-        self.scale = size / (span + 2 * pad)
+        self.scale = 640 / (span + 2 * pad)
         self.size_x = int((hi[0] - lo[0] + 2 * pad) * self.scale) + 1
         self.size_y = int((hi[1] - lo[1] + 2 * pad) * self.scale) + 1
         self.items: list[str] = []
@@ -76,12 +76,12 @@ class SvgScene:
         self.items.append(f'<polygon points="{pts}" fill="#fafafa" '
                           f'stroke="#212121" stroke-width="1.5"/>')
 
-    def add_polyline(self, pts, color="#2e7d32", width=1.6, dashed=False):
+    def add_polyline(self, pts, width=1.6, dashed=False):
         if len(pts) < 2:
             return
         s = " ".join(self._xy(p) for p in pts)
         dash = ' stroke-dasharray="6,4"' if dashed else ""
-        self.items.append(f'<polyline points="{s}" fill="none" stroke="{color}" '
+        self.items.append(f'<polyline points="{s}" fill="none" stroke="#2e7d32" '
                           f'stroke-width="{width}"{dash}/>')
 
     def add_point(self, p, *, index=None, radius=4.5):
@@ -90,19 +90,19 @@ class SvgScene:
         self.items.append(f'<circle cx="{x}" cy="{y}" r="{radius}" fill="{color}" '
                           f'stroke="white" stroke-width="1"/>')
 
-    def add_badge(self, p, text, *, dx=8, dy=-8, color="#424242"):
+    def add_badge(self, p, text):
         x, y = self._xy(p).split(",")
-        self.items.append(f'<text x="{float(x)+dx:.1f}" y="{float(y)+dy:.1f}" '
-                          f'font-size="12" font-family="monospace" fill="{color}">'
+        self.items.append(f'<text x="{float(x) + 8:.1f}" y="{float(y) - 8:.1f}" '
+                          f'font-size="12" font-family="monospace" fill="#424242">'
                           f'{text}</text>')
 
-    def add_nodal_graph(self, graph, color="#2e7d32"):
+    def add_nodal_graph(self, graph):
         for _, _, pl in graph.edges:
-            self.add_polyline(pl, color=color)
+            self.add_polyline(pl)
         for i in graph.zero_sides:
             a = self.P.vertices[i]
             b = self.P.vertices[(i + 1) % self.P.n]
-            self.add_polyline(np.array([a, b]), color=color, dashed=True, width=2.2)
+            self.add_polyline(np.array([a, b]), dashed=True, width=2.2)
         for n in graph.degree_one_nodes():
             self.add_point(n.point, index=None, radius=3.0)
 

@@ -9,13 +9,14 @@ import time
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import jv
 
 from hotspots.geometry import (Polygon, DeformationPath, unit_square, rectangle,
                                equilateral_triangle, isosceles_triangle,
                                triangle_from_angles, lip1_classify)
 from hotspots.mesh import triangulate, refine
 from hotspots.eigensolver import solve_second
-from hotspots.bessel import (bessel_j, fit_sector_coefficients, fit_coefficients,
+from hotspots.bessel import (fit_sector_coefficients, fit_coefficients,
                              leading_coefficient_test)
 from hotspots.nodal import ScalarField, trace, arc_ends_at_vertex, wedge_probe
 from hotspots.critical import find_critical_points, verify_index_formula
@@ -23,6 +24,7 @@ from hotspots.continuation import track, breaking_experiment
 from hotspots.corpus import random_obtuse_triangle, random_simple_polygon, random_triangle
 
 from conftest import CORPUS_SEED, solve_polygon
+from oracles import AnalyticSolution
 
 PI2 = math.pi ** 2
 
@@ -147,7 +149,7 @@ def test_criterion_5_bessel_recovery(solve_cached):
             def u(pts):
                 r = np.linalg.norm(pts, axis=1)
                 th = np.arctan2(pts[:, 1], pts[:, 0]) % (2 * math.pi)
-                return amp * bessel_j(n_mode * nu, math.sqrt(mu) * r) * np.cos(n_mode * nu * th)
+                return amp * jv(n_mode * nu, math.sqrt(mu) * r) * np.cos(n_mode * nu * th)
 
             exp = fit_sector_coefficients(u, mu, [0, 0], 0.0, beta, 0.05, 0.4)
             want = np.zeros(5)
@@ -166,7 +168,7 @@ def test_criterion_5_bessel_recovery(solve_cached):
         om = 2.0 if n > 0 else 1.0
         val, _ = quad(lambda th: math.cos(math.pi * r_ref * math.cos(th))
                       * math.cos(2 * n * th), 0.0, beta, limit=200)
-        return om * val / beta / bessel_j(2 * n, math.pi * r_ref)
+        return om * val / beta / jv(2 * n, math.pi * r_ref)
 
     oracle = np.array([moment(n) for n in range(3)])
     fem_err = np.abs((exp.coeffs[:3] - oracle) / oracle).max()
@@ -187,8 +189,8 @@ def test_criterion_6_nodal_sector_criteria():
     def u(pts):
         r = np.linalg.norm(pts, axis=1)
         th = np.arctan2(pts[:, 1], pts[:, 0])
-        return (bessel_j(0, math.sqrt(mu) * r)
-                + 0.25 * bessel_j(2 * nu, math.sqrt(mu) * r) * np.cos(2 * nu * th))
+        return (jv(0, math.sqrt(mu) * r)
+                + 0.25 * jv(2 * nu, math.sqrt(mu) * r) * np.cos(2 * nu * th))
 
     def gu(pts):
         d = 1e-7
@@ -196,7 +198,6 @@ def test_criterion_6_nodal_sector_criteria():
         gy = (u(pts + [0, d]) - u(pts - [0, d])) / (2 * d)
         return np.column_stack([gx, gy])
 
-    from hotspots.eigensolver import AnalyticSolution
     sol = AnalyticSolution(W, mu, u, gu, h_nominal=0.01)
 
     v_true = arc_ends_at_vertex(ScalarField.directional(sol, math.pi / 2 + beta / 2), 0)

@@ -183,6 +183,70 @@ class TestCommands:
         err = json.loads(Path(out, "error.json").read_text())
         assert err["error"] == "FileNotFoundError"
 
+    @pytest.mark.parametrize("command, spec, message", [
+        ("solve", {"verts": [[0, 0], [1, 0], [0, 1]]}, "lacks key 'vertices'"),
+        ("solve", [[0, 0], [1, 0], [0, 1]], "holds a JSON list, not an object"),
+        ("path", {"kind": "breaking", "triangle": [[0, 0], [1, 0], [0.5, 1]],
+                  "w0": 0.3, "w1": 0.7, "eps": 0.01}, "lacks key 'side'"),
+        ("path", {"kind": "breaking", "triangle": [[0, 0], [1, 0], [0.5, 1]], "side": 3,
+                  "w0": 0.3, "w1": 0.7, "eps": 0.01}, "side 3 is not a side of a 3-gon (0..2)"),
+    ], ids=["no-vertices-key", "top-level-list", "breaking-without-side", "breaking-side-3"])
+    def test_malformed_spec_writes_error_record(self, tmp_path, command, spec, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = str(tmp_path / "out")
+        assert main([command, "--spec", str(path), "--out", out]) == 2
+        err = json.loads(Path(out, "error.json").read_text())
+        assert err["error"] == "ValueError" and message in err["message"]
+        assert not Path(out, "report.json").exists()
+
+    @pytest.mark.parametrize("side", ["4", "-1"])
+    def test_side_field_outside_the_polygon_rejected(self, square_spec, tmp_path, side):
+        # side i of a square is 0..3; i mod 4 would trace another side
+        out = str(tmp_path / "out")
+        assert main(["nodal", "--spec", square_spec, "--h", "0.25", "--field", f"side:{side}",
+                     "--out", out]) == 2
+        err = json.loads(Path(out, "error.json").read_text())
+        assert err["message"] == f"side {side} is not a side of a 4-gon (0..3)"
+
+    def test_nodal_svg_dashes_the_zero_sides(self, tmp_path):
+        # u_x of the 2 x 1 rectangle's mode cos(pi x / 2) vanishes on the
+        # sides x = 0 and x = 2 (sides 3 and 1), which are drawn dashed
+        spec = tmp_path / "rect.json"
+        spec.write_text(json.dumps({"vertices": [[0, 0], [2, 0], [2, 1], [0, 1]]}))
+        out = str(tmp_path / "out")
+        assert main(["nodal", "--spec", str(spec), "--h", "0.12", "--field", "L:0", "--svg",
+                     "--out", out]) == 0
+        assert _report(out)["graph"]["zero_sides"] == [1, 3]
+        dashed = [line for line in Path(out, "nodal.svg").read_text().splitlines()
+                  if "stroke-dasharray" in line]
+        assert len(dashed) == 2
+        # the outline is 641 px wide (640 px span, 6 % margins): x = 0 and
+        # x = 2 sit at the margins, 640 * 0.06 / 1.12 px in from either edge
+        xs = sorted({float(pt.split(",")[0]) for line in dashed
+                     for pt in line.split('points="')[1].split('"')[0].split()})
+        assert xs == [34.29, 605.71]
+
+    def test_path_svg_writes_one_frame_per_sample(self, tmp_path):
+        from hotspots.geometry import triangle_from_angles
+        T0 = triangle_from_angles(math.radians(30), math.radians(35))
+        T1 = triangle_from_angles(math.radians(38), math.radians(30))
+        spec = tmp_path / "path.json"
+        spec.write_text(json.dumps({"kind": "vertex-lerp", "from": T0.vertices.tolist(),
+                                    "to": T1.vertices.tolist()}))
+        out = str(tmp_path / "out")
+        assert main(["path", "--spec", str(spec), "--steps", "2", "--h", "0.09", "--svg",
+                     "--out", out]) == 0
+        samples = _report(out)["track"]["samples"]
+        frames = sorted(Path(out).glob("frame_*.svg"))
+        assert [f.name for f in frames] == [f"frame_{k:03d}.svg" for k in range(len(samples))]
+        for frame, sample in zip(frames, samples):
+            svg = frame.read_text()
+            assert svg.startswith("<svg") and svg.count("<polygon") == 1
+            # one dot and one index badge per critical point of the sample
+            n_points = len(sample["critical"]["points"])
+            assert svg.count("<circle") == svg.count("<text") == n_points > 0
+
     def test_cli_defaults_are_run_config_defaults(self, square_spec, tmp_path):
         out = str(tmp_path / "out")
         assert main(["lip1", "--spec", square_spec, "--out", out]) == 0
@@ -220,3 +284,15 @@ def test_report_values_are_plain_json():
     # a value of any other type would otherwise reach report.json as a string
     with pytest.raises(TypeError, match="ndarray"):
         to_jsonable({"a": [np.zeros(2)]})
+
+
+def test_polyline_of_fewer_than_two_points_is_not_drawn():
+    from hotspots.geometry import unit_square
+    from hotspots.report import SvgScene
+    scene = SvgScene(unit_square())
+    before = list(scene.items)
+    scene.add_polyline(np.zeros((1, 2)))
+    scene.add_polyline(np.zeros((0, 2)))
+    assert scene.items == before
+    scene.add_polyline(np.array([[0.0, 0.0], [1.0, 1.0]]))
+    assert len(scene.items) == len(before) + 1 and scene.items[-1].startswith("<polyline")

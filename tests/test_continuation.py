@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from hotspots.geometry import (Polygon, DeformationPath, GeometryError, unit_square,
                                isosceles_triangle, equilateral_triangle,
                                triangle_from_angles)
-from hotspots.bessel import bessel_j, fit_sector_coefficients, leading_coefficient_test
+from hotspots.bessel import fit_sector_coefficients, leading_coefficient_test
 from hotspots.report import to_jsonable
 from hotspots.critical import CriticalPoint, CriticalSet, find_critical_points
 from hotspots.continuation import (track, lip1_no_hotspots, n_membership,
@@ -446,14 +447,14 @@ class TestCoefficientDecayAtVertex:
         eps = 1e-7
 
         def jp(order, x):
-            return (bessel_j(order, x + eps) - bessel_j(order, x - eps)) / (2 * eps)
+            return (jv(order, x + eps) - jv(order, x - eps)) / (2 * eps)
 
         c0 = -jp(nu, s * d) / jp(0, s * d)
 
         def u(pts):
             r = np.linalg.norm(pts, axis=1)
             th = np.arctan2(pts[:, 1], pts[:, 0])
-            return c0 * bessel_j(0, s * r) + bessel_j(nu, s * r) * np.cos(nu * th)
+            return c0 * jv(0, s * r) + jv(nu, s * r) * np.cos(nu * th)
 
         return u, mu, c0
 
@@ -482,7 +483,7 @@ class TestCoefficientDecayAtVertex:
         eps = 1e-7
 
         def jp(order, x):
-            return (bessel_j(order, x + eps) - bessel_j(order, x - eps)) / (2 * eps)
+            return (jv(order, x + eps) - jv(order, x - eps)) / (2 * eps)
 
         ratios = []
         for d in (0.4, 0.2, 0.1, 0.05):
@@ -491,7 +492,7 @@ class TestCoefficientDecayAtVertex:
             def u(pts, c1=c1):
                 r = np.linalg.norm(pts, axis=1)
                 th = np.arctan2(pts[:, 1], pts[:, 0])
-                return bessel_j(0, s * r) + c1 * bessel_j(nu, s * r) * np.cos(nu * th)
+                return jv(0, s * r) + c1 * jv(nu, s * r) * np.cos(nu * th)
 
             exp = fit_sector_coefficients(u, 4.0, [0, 0], 0.0, beta, 0.01, 0.08)
             ratios.append(leading_coefficient_test(exp).ratio)   # leading = c1

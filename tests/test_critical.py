@@ -8,7 +8,7 @@ from hotspots.geometry import (Polygon, unit_square, isosceles_triangle,
                                triangle_from_angles)
 from hotspots.config import DEFAULTS
 from hotspots.mesh import triangulate, refine
-from hotspots.eigensolver import solve_second, AnalyticSolution
+from hotspots.eigensolver import solve_second
 from hotspots.bessel import BesselExpansion, FitError
 from hotspots.critical import (find_critical_points, index_of, verify_index_formula,
                                cusp_diagnostic, classify_vertex, CriticalPoint, IndexResult,
@@ -17,6 +17,8 @@ from hotspots.critical import (find_critical_points, index_of, verify_index_form
                                _expansion_index, _vertex_verdict)
 from hotspots.nodal import ScalarField, trace
 from hotspots.corpus import random_simple_polygon
+
+from oracles import AnalyticSolution
 
 
 @pytest.fixture(scope="module")

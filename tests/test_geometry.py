@@ -243,6 +243,31 @@ class TestDeformationPath:
         assert np.allclose(p.polygon_at(0.5).vertices, A + [0.25, 0.0])
 
 
+class TestCanonicalShapes:
+    @pytest.mark.parametrize("apex", [0.0, math.pi, -0.5, 4.0])
+    def test_isosceles_apex_outside_open_interval_rejected(self, apex):
+        with pytest.raises(GeometryError, match=r"apex angle must lie in \(0, pi\)"):
+            isosceles_triangle(apex)
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (math.pi / 2, math.pi / 2),            # sum pi: no third angle
+        (2.0, 1.5),                            # sum above pi
+        (0.0, 1.0),                            # a zero angle
+    ])
+    def test_triangle_angles_summing_to_pi_or_more_rejected(self, alpha, beta):
+        with pytest.raises(GeometryError, match="angles must sum to less than pi"):
+            triangle_from_angles(alpha, beta)
+
+    def test_shapes_have_unit_base(self):
+        for T in (equilateral_triangle(), isosceles_triangle(math.radians(50)),
+                  triangle_from_angles(math.radians(30), math.radians(35))):
+            assert np.array_equal(T.vertices[:2], [[0.0, 0.0], [1.0, 0.0]])
+        assert np.allclose(np.linalg.norm(regular_polygon(5).vertices, axis=1), 1.0)
+        assert np.allclose(equilateral_triangle().side_lengths, 1.0, rtol=0, atol=1e-15)
+        iso = isosceles_triangle(math.radians(50))
+        assert abs(iso.angles[2] - math.radians(50)) < 1e-14
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(3, 8), st.integers(0, 10_000))
 def test_polygon_invariants_property(n, seed):

@@ -8,10 +8,12 @@ import hotspots.mesh as mesh_mod
 from hotspots.config import DEFAULTS
 from hotspots.geometry import (Polygon, unit_square, isosceles_triangle,
                                triangle_from_angles, breaking_family)
-from hotspots.mesh import (triangulate, refine, structured_triangle_mesh,
+from hotspots.mesh import (triangulate, refine,
                            default_grading, MeshingError, _unique_edges, _check_conforming,
                            _SizeFunction)
 from hotspots.corpus import random_simple_polygon
+
+from oracles import structured_triangle_mesh
 
 _L_SHAPE = Polygon([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]])
 
