@@ -10,6 +10,7 @@ Spec file formats (JSON):
            {"kind": "breaking", "triangle": [[x, y], ...], "side": 0,
             "w0": 0.3, "w1": 0.7, "eps": 0.01}
            {"kind": "lip1-reduction", "polygon": [[x, y], ...]}
+  x, y, w0, w1 and eps are finite numbers and side an integer (true is neither).
 """
 from __future__ import annotations
 
@@ -19,8 +20,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from functools import partial
 
 from .geometry import (Polygon, DeformationPath, GeometryError,
                        lip1_classify, lip1_reduction_path, orthogonal_side_pairs,
@@ -52,25 +52,45 @@ class RunConfig:
         if self.command not in COMMANDS:
             raise ValueError(f"command must be one of {COMMANDS}")
         for name in ("h", "eps"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:   # NaN fails too
                 raise ValueError(f"{name} must be positive")
         if self.steps <= 0:
             raise ValueError("steps must be positive")
 
 
-def _load_json(path):
+def _load_json(path) -> dict:
+    """A spec file's JSON object; ValueError for any other JSON value."""
     with open(path) as f:
-        return json.load(f)
-
-
-def _require(d, path, *keys) -> dict:
-    """A spec's JSON object; ValueError for any other JSON value or a missing key."""
+        d = json.load(f)
     if not isinstance(d, dict):
         raise ValueError(f"spec {path} holds a JSON {type(d).__name__}, not an object")
-    for k in keys:
-        if k not in d:
-            raise ValueError(f"spec {path} lacks key {k!r}")
     return d
+
+
+def _is_number(x) -> bool:
+    # a finite float's worth: no bool, NaN, Infinity or int beyond float range
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
+
+
+def _is_points(v) -> bool:
+    return isinstance(v, list) and all(isinstance(p, list) and len(p) == 2
+                                       and all(map(_is_number, p)) for p in v)
+
+
+_TYPES = {"points": (_is_points, "a list of [x, y] finite numbers"),
+          "integer": (lambda v: _is_number(v) and isinstance(v, int), "an integer"),
+          "number": (_is_number, "a finite number")}
+
+
+def _get(d, path, key, kind: str):
+    """d[key] of ``kind`` (see ``_TYPES``); else a ValueError naming the key."""
+    if key not in d:
+        raise ValueError(f"spec {path} lacks key {key!r}")
+    ok, what = _TYPES[kind]
+    if not ok(d[key]):
+        raise ValueError(f"spec {path}: {key!r} must be {what}, not {json.dumps(d[key])}")
+    return d[key]
 
 
 def _side(P: Polygon, i: int) -> int:
@@ -80,48 +100,38 @@ def _side(P: Polygon, i: int) -> int:
 
 
 def _load_polygon(path) -> Polygon:
-    return Polygon.from_dict(_require(_load_json(path), path, "vertices"))
+    return Polygon(_get(_load_json(path), path, "vertices", "points"))
 
 
 def _load_path(path) -> DeformationPath:
-    d = _require(_load_json(path), path)
+    d = _load_json(path)
     kind = d.get("kind")
     if kind == "vertex-lerp":
-        _require(d, path, "from", "to")
-        return DeformationPath.from_breakpoints(
-            "vertex-lerp", [0.0, 1.0],
-            [np.asarray(d["from"], dtype=float), np.asarray(d["to"], dtype=float)])
+        ends = [_get(d, path, k, "points") for k in ("from", "to")]
+        return DeformationPath.from_breakpoints("vertex-lerp", [0.0, 1.0], ends)
     if kind == "breaking":
-        _require(d, path, "triangle", "side", "w0", "w1", "eps")
-        T = Polygon(d["triangle"])
-        e = _side(T, int(d["side"]))
+        T = Polygon(_get(d, path, "triangle", "points"))
+        e = _side(T, _get(d, path, "side", "integer"))
         a, sv = T.vertices[e], T.side_vectors[e]
-        w0 = a + float(d["w0"]) * sv
-        w1 = a + float(d["w1"]) * sv
-        return breaking_family(T, e, (w0, w1), float(d["eps"]) * T.side_lengths[e])
+        w0, w1, eps = (float(_get(d, path, k, "number")) for k in ("w0", "w1", "eps"))
+        return breaking_family(T, e, (a + w0 * sv, a + w1 * sv), eps * T.side_lengths[e])
     if kind == "lip1-reduction":
-        _require(d, path, "polygon")
-        return lip1_reduction_path(Polygon(d["polygon"]))
+        return lip1_reduction_path(Polygon(_get(d, path, "polygon", "points")))
     raise ValueError(f"unknown path kind {kind!r}")
 
 
-def _parse_field(sol, spec: str) -> ScalarField:
+def _parse_field(P: Polygon, spec: str):
+    """The --field spec, checked against P, as a function of the solution."""
     if spec == "u":
-        return ScalarField.u(sol)
+        return ScalarField.u
     if spec.startswith("L:"):
-        return ScalarField.directional(sol, math.radians(float(spec[2:])))
+        return partial(ScalarField.directional, psi=math.radians(float(spec[2:])))
     if spec.startswith("side:"):
-        return ScalarField.side_directional(sol, _side(sol.polygon, int(spec[5:])))
+        return partial(ScalarField.side_directional, side=_side(P, int(spec[5:])))
     if spec.startswith("R:"):
         x, y = (float(v) for v in spec[2:].split(","))
-        return ScalarField.rotational(sol, (x, y))
+        return partial(ScalarField.rotational, w=(x, y))
     raise ValueError("field must be 'u', 'L:<deg>', 'side:<i>' or 'R:<x>,<y>'")
-
-
-def _solve(cfg: RunConfig, P: Polygon):
-    mesh = triangulate(P, cfg.h)
-    sol = solve_second(mesh)
-    return mesh, sol
 
 
 def run(cfg: RunConfig) -> int:
@@ -129,25 +139,32 @@ def run(cfg: RunConfig) -> int:
     cfg.validate()
     os.makedirs(cfg.out, exist_ok=True)
     payload = {"command": cfg.command, "config": to_jsonable(vars(cfg))}
+    # every input is read and checked before the one mesh and solve
+    if cfg.command == "path":
+        path = _load_path(cfg.spec)
+    else:
+        P = _load_polygon(cfg.spec)
+    if cfg.command == "nodal":
+        field_of = _parse_field(P, cfg.field)
+    if cfg.command in ("solve", "critical", "verify-index", "nodal"):
+        mesh = triangulate(P, cfg.h)
+        sol = solve_second(mesh)
 
     if cfg.command == "lip1":
-        P = _load_polygon(cfg.spec)
         res = lip1_classify(P)
+        pairs = orthogonal_side_pairs(P)
         payload["polygon"] = P.to_dict()
         payload["is_lip1"] = res.is_lip1
         payload["partition"] = res.partition
         payload["partition_count"] = res.partition_count
-        payload["orthogonal_side_pairs"] = orthogonal_side_pairs(P)
-        if res.is_lip1 and not orthogonal_side_pairs(P):
+        payload["orthogonal_side_pairs"] = pairs
+        if res.is_lip1 and not pairs:
             try:
-                path = lip1_reduction_path(P)
-                payload["reduction_legs"] = path.params.get("n_legs")
+                payload["reduction_legs"] = lip1_reduction_path(P).params.get("n_legs")
             except GeometryError as e:
                 payload["reduction_error"] = str(e)
 
     elif cfg.command == "solve":
-        P = _load_polygon(cfg.spec)
-        mesh, sol = _solve(cfg, P)
         payload["polygon"] = P.to_dict()
         payload["mesh"] = {"n_nodes": mesh.n_nodes, "n_triangles": mesh.n_triangles,
                            "min_angle_deg": mesh.min_angle()}
@@ -161,8 +178,6 @@ def run(cfg: RunConfig) -> int:
             write_report(os.path.join(cfg.out, "mesh.json"), mesh.to_dict())
 
     elif cfg.command in ("critical", "verify-index"):
-        P = _load_polygon(cfg.spec)
-        mesh, sol = _solve(cfg, P)
         cset = find_critical_points(sol)
         payload["mu"] = sol.mu
         payload["critical"] = cset.to_dict()
@@ -176,10 +191,7 @@ def run(cfg: RunConfig) -> int:
             payload["error"] = "index formula violated"
 
     elif cfg.command == "nodal":
-        P = _load_polygon(cfg.spec)
-        mesh, sol = _solve(cfg, P)
-        fld = _parse_field(sol, cfg.field)
-        g = trace(fld)
+        g = trace(field_of(sol))
         payload["mu"] = sol.mu
         payload["graph"] = g.to_dict()
         payload["simple_arc"] = g.simple_arc_report() if cfg.field == "u" else None
@@ -189,7 +201,6 @@ def run(cfg: RunConfig) -> int:
             scene.write(os.path.join(cfg.out, "nodal.svg"))
 
     elif cfg.command == "path":
-        path = _load_path(cfg.spec)
         run_ = track(path, steps=cfg.steps, h=cfg.h)
         payload["track"] = run_.to_dict()
         payload["summary"] = [{"t": s.t, "mu": s.mu, "S": s.S, "V": s.V}
@@ -201,8 +212,7 @@ def run(cfg: RunConfig) -> int:
                 scene.write(os.path.join(cfg.out, f"frame_{k:03d}.svg"))
 
     elif cfg.command == "break":
-        T = _load_polygon(cfg.spec)
-        rep = breaking_experiment(T, eps_rel=cfg.eps, steps=cfg.steps,
+        rep = breaking_experiment(P, eps_rel=cfg.eps, steps=cfg.steps,
                                   h=lambda P_: P_.diameter / max(8, round(P_.diameter / cfg.h)))
         payload["breaking"] = rep.to_dict()
         payload["summary"] = [{"t": c["t"], "minus_one_side": c["minus_one_side"],

@@ -43,8 +43,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .config import DEFAULTS
-from .geometry import (Polygon, DeformationPath, GeometryError,
-                       lip1_classify, lip1_reduction_path, orthogonal_side_pairs,
+from .geometry import (Polygon, DeformationPath, GeometryError, lip1_reduction_path,
                        breaking_family)
 from .mesh import triangulate, MeshingError
 from .eigensolver import solve_second, EigenSolution, SolverError
@@ -274,17 +273,13 @@ def lip1_no_hotspots(P: Polygon, *, steps: int = 8, h=None) -> Lip1HotspotsVerdi
     """Verify: a Lip-1 polygon with no two sides orthogonal has exactly two
     critical points, the two acute vertices (one max, one min).
 
-    Builds the reduction path to an obtuse triangle, tracks it, and checks
-    S = 2 and V = 0 at every accepted sample.
+    Builds the reduction path to an obtuse triangle (which checks both
+    preconditions), tracks it, and checks S = 2 and V = 0 at every accepted sample.
     """
-    if not lip1_classify(P).is_lip1:
-        raise GeometryError("polygon is not Lip-1")
-    if orthogonal_side_pairs(P):
-        raise GeometryError("polygon has two orthogonal sides")
+    path = lip1_reduction_path(P)
     acute = [i for i in range(P.n) if P.angles[i] < math.pi / 2 - DEFAULTS.angle_tol]
     if len(acute) != 2:
         raise GeometryError(f"expected exactly two acute vertices, found {len(acute)}")
-    path = lip1_reduction_path(P)
     run = track(path, steps=steps, h=h)
     S_ok = all(s.S == 2 for s in run.samples)
     V_ok = all(s.V == 0 for s in run.samples)

@@ -192,10 +192,10 @@ def _probe_index(sol, p, locus, radii) -> IndexResult:
     elif locus[0] == "side":
         t = P.side_tangents[locus[1]]
         phi_t = math.atan2(t[1], t[0])
-        phis = np.linspace(phi_t, phi_t + math.pi, max(m // 2, 90))
+        phis = np.linspace(phi_t, phi_t + math.pi, m // 2)
     else:
         _, alpha, beta = P.vertex_frame(locus[1])
-        phis = np.linspace(alpha, alpha + beta, max(m // 2, 90))
+        phis = np.linspace(alpha, alpha + beta, m // 2)
 
     vals = sol.eval(np.vstack([p, arc_points(p, radii, phis)]))
     counts = []

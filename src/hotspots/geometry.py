@@ -321,9 +321,6 @@ class Lip1Result:
     partition: tuple[tuple[int, ...], tuple[int, ...]] | None
     partition_count: int = 0
 
-    def __bool__(self):
-        return self.is_lip1
-
 
 def lip1_classify(P: Polygon) -> Lip1Result:
     """Decide whether P is isometric to a Lip-1 domain.

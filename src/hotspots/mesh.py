@@ -208,16 +208,10 @@ class Mesh:
         return 0.5 * _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
 
     def min_angle(self) -> float:
-        return float(self.triangle_min_angles().min())
-
-    def triangle_min_angles(self) -> np.ndarray:
-        return _min_angles(self.nodes, self.triangles)
-
-    def edges(self) -> np.ndarray:
-        return _unique_edges(self.triangles, self.n_nodes)
+        return float(_min_angles(self.nodes, self.triangles).min())
 
     def edge_lengths(self) -> np.ndarray:
-        e = self.edges()
+        e = _unique_edges(self.triangles, self.n_nodes)
         return np.linalg.norm(self.nodes[e[:, 0]] - self.nodes[e[:, 1]], axis=1)
 
     def h_at(self, pts: np.ndarray) -> np.ndarray:

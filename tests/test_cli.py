@@ -190,7 +190,24 @@ class TestCommands:
                   "w0": 0.3, "w1": 0.7, "eps": 0.01}, "lacks key 'side'"),
         ("path", {"kind": "breaking", "triangle": [[0, 0], [1, 0], [0.5, 1]], "side": 3,
                   "w0": 0.3, "w1": 0.7, "eps": 0.01}, "side 3 is not a side of a 3-gon (0..2)"),
-    ], ids=["no-vertices-key", "top-level-list", "breaking-without-side", "breaking-side-3"])
+        ("solve", {"vertices": {"a": 1}},
+         "'vertices' must be a list of [x, y] finite numbers, not {\"a\": 1}"),
+        ("path", {"kind": "breaking", "triangle": [[0, 0], [1, 0], [0.5, 1]], "side": 0,
+                  "w0": None, "w1": 0.7, "eps": 0.01}, "'w0' must be a finite number, not null"),
+        ("path", {"kind": "breaking", "triangle": [[0, 0], [1, 0], [0.5, 1]], "side": 1.7,
+                  "w0": 0.3, "w1": 0.7, "eps": 0.01}, "'side' must be an integer, not 1.7"),
+        ("path", {"kind": "breaking", "triangle": [[0, 0], [1, 0], [0.5, 1]], "side": True,
+                  "w0": 0.3, "w1": 0.7, "eps": 0.01}, "'side' must be an integer, not true"),
+        ("solve", {"vertices": [[0, 0], [1, 0], [float("nan"), 1]]},
+         "'vertices' must be a list of [x, y] finite numbers, not [[0, 0], [1, 0], [NaN, 1]]"),
+        ("path", {"kind": "breaking", "triangle": [[0, 0], [1, 0], [0.5, 1]], "side": 0,
+                  "w0": 0.3, "w1": float("inf"), "eps": 0.01},
+         "'w1' must be a finite number, not Infinity"),
+        ("path", {"kind": "vertex-lerp", "from": [[0, 0], [1, 0], [0, 1]],
+                  "to": [[0, 0], [10 ** 400, 0], [0, 1]]}, "'to' must be a list of [x, y]"),
+    ], ids=["no-vertices-key", "top-level-list", "breaking-without-side", "breaking-side-3",
+            "vertices-object", "breaking-w0-null", "breaking-side-1.7", "breaking-side-true",
+            "vertex-nan", "breaking-w1-infinity", "lerp-int-beyond-float"])
     def test_malformed_spec_writes_error_record(self, tmp_path, command, spec, message):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
@@ -208,6 +225,43 @@ class TestCommands:
                      "--out", out]) == 2
         err = json.loads(Path(out, "error.json").read_text())
         assert err["message"] == f"side {side} is not a side of a 4-gon (0..3)"
+
+    @pytest.mark.parametrize("field, message", [
+        ("side:7", "side 7 is not a side of a 5-gon (0..4)"),
+        ("Q:1", "field must be 'u', 'L:<deg>', 'side:<i>' or 'R:<x>,<y>'"),
+    ], ids=["side-7", "Q-1"])
+    def test_bad_field_rejected_before_any_mesh(self, tmp_path, monkeypatch, field, message):
+        from hotspots.geometry import regular_polygon
+
+        def triangulate(*args, **kwargs):
+            raise AssertionError("a mesh was built for a bad --field")
+
+        monkeypatch.setattr("hotspots.cli.triangulate", triangulate)
+        spec = tmp_path / "pentagon.json"
+        spec.write_text(json.dumps(regular_polygon(5).to_dict()))
+        out = str(tmp_path / "out")
+        assert main(["nodal", "--spec", str(spec), "--h", "0.02", "--field", field,
+                     "--out", out]) == 2
+        err = json.loads(Path(out, "error.json").read_text())
+        assert (err["error"], err["message"], err["command"]) == ("ValueError", message, "nodal")
+        assert not Path(out, "report.json").exists()
+
+    def test_violated_index_formula_exits_1_with_a_report(self, obtuse_spec, tmp_path,
+                                                         monkeypatch):
+        from hotspots.critical import IndexFormulaReport
+        failed = IndexFormulaReport(lhs=2, rhs=4, passed=False, terms={}, unresolved=0,
+                                    degenerate=False)
+        monkeypatch.setattr("hotspots.cli.verify_index_formula", lambda sol, cset: failed)
+        out = str(tmp_path / "out")
+        assert main(["verify-index", "--spec", obtuse_spec, "--h", "0.06", "--out", out]) == 1
+        rep = _report(out)
+        assert rep["error"] == "index formula violated"
+        assert rep["index_formula"] == failed.to_dict()
+        assert not Path(out, "error.json").exists()
+        # critical records the same report without calling it an error
+        out = str(tmp_path / "critical")
+        assert main(["critical", "--spec", obtuse_spec, "--h", "0.06", "--out", out]) == 0
+        assert "error" not in _report(out) and _report(out)["index_formula"]["passed"] is False
 
     def test_nodal_svg_dashes_the_zero_sides(self, tmp_path):
         # u_x of the 2 x 1 rectangle's mode cos(pi x / 2) vanishes on the
@@ -255,6 +309,13 @@ class TestCommands:
     def test_invalid_config_rejected(self):
         cfg = RunConfig(command="solve", spec="x.json", h=-1.0)
         with pytest.raises(ValueError):
+            cfg.validate()
+
+    @pytest.mark.parametrize("name", ["h", "eps"])
+    def test_nan_setting_rejected(self, name):
+        # NaN <= 0 is false, so only "not > 0" keeps it from the mesh
+        cfg = RunConfig(command="break", spec="x.json", **{name: math.nan})
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
             cfg.validate()
 
     def test_report_records_defaults_and_version(self, square_spec, tmp_path):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from hotspots.geometry import (Polygon, DeformationPath, GeometryError, unit_square,
-                               isosceles_triangle, equilateral_triangle,
-                               triangle_from_angles)
+from hotspots.geometry import (Polygon, DeformationPath, GeometryError, NotLip1Error,
+                               OrthogonalSidesError, unit_square, isosceles_triangle,
+                               equilateral_triangle, triangle_from_angles)
 from hotspots.bessel import fit_sector_coefficients, leading_coefficient_test
 from hotspots.report import to_jsonable
 from hotspots.critical import CriticalPoint, CriticalSet, find_critical_points
@@ -382,11 +382,11 @@ class TestLip1NoHotspots:
         assert sorted(v.acute_vertices) == [0, 1]
 
     def test_square_precondition_error(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(OrthogonalSidesError, match="polygon has two orthogonal sides"):
             lip1_no_hotspots(unit_square())
 
     def test_acute_triangle_rejected(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(NotLip1Error, match="polygon is not Lip-1"):
             lip1_no_hotspots(equilateral_triangle())
 
     # two polygons of tests/lip1_sweep.py: sweep index 10 and sweep index 2

@@ -7,7 +7,7 @@ import pytest
 import hotspots.mesh as mesh_mod
 from hotspots.config import DEFAULTS
 from hotspots.geometry import (Polygon, unit_square, isosceles_triangle,
-                               triangle_from_angles, breaking_family)
+                               triangle_from_angles, regular_polygon, breaking_family)
 from hotspots.mesh import (triangulate, refine,
                            default_grading, MeshingError, _unique_edges, _check_conforming,
                            _SizeFunction)
@@ -406,6 +406,35 @@ class TestWarmStart:
         m = triangulate(R, 0.2, warm_start=triangulate(unit_square(), 0.2))
         assert _same_mesh(m, triangulate(R, 0.2))
         assert m.origin == "fresh" and m.fallback == "angle bound"
+
+    def test_turned_triangle_is_a_carried_fault(self):
+        R = self._rhombus(35)
+        size = mesh_mod._SizeFunction(R, 0.2)
+        stations, segments = mesh_mod._boundary_stations(R, size)
+        carried, _ = mesh_mod._transported(triangulate(unit_square(), 0.2), size, stations,
+                                           segments, 0.0)
+        t = carried.triangles.copy()
+        assert mesh_mod._carried_fault(carried.nodes, t, 0.0) is None
+        assert mesh_mod._carried_fault(carried.nodes, t, 20.0) == "angle bound"
+        t[7] = t[7, ::-1]
+        assert mesh_mod._carried_fault(carried.nodes, t, 0.0) == "turned triangle"
+
+    def test_turned_triangle_whose_second_chance_fails_meshes_afresh(self, monkeypatch):
+        # vertex 0 of the regular pentagon pushed in past the chord of its
+        # neighbours: the harmonic carry turns a triangle over at the dent,
+        # and the carried nodes triangulated afresh fail too
+        pentagon = regular_polygon(5)
+        V = pentagon.vertices.copy()
+        V[0] += 1.2 * ((V[1] + V[4]) / 2 - V[0])
+        dented = Polygon(V)
+        faults = []
+        fault = mesh_mod._carried_fault
+        monkeypatch.setattr(mesh_mod, "_carried_fault",
+                            lambda *a: faults.append(fault(*a)) or faults[-1])
+        m = triangulate(dented, 0.15, warm_start=triangulate(pentagon, 0.15))
+        assert faults == ["turned triangle"]
+        assert _same_mesh(m, triangulate(dented, 0.15))
+        assert m.origin == "fresh" and m.fallback == "turned triangle"
 
     @pytest.fixture(scope="class")
     def edited(self, pair):
