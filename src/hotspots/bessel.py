@@ -171,33 +171,40 @@ def _fit_on_grid(U, mu: float, beta: float, radii: np.ndarray, thetas: np.ndarra
                            pinned=tuple(np.flatnonzero(~live).tolist()))
 
 
-def _vertex_grid(P, vertex: int):
-    """apex, alpha, beta, radii and thetas of the fit grid at ``vertex``."""
+@dataclass(frozen=True)
+class FitGrid:
+    """A vertex's fit grid: the vertex angle ``beta``, the ``radii`` and
+    ``thetas`` of ``_polar_grid`` in the vertex frame, and the grid
+    ``points``, radius-major."""
+    beta: float
+    radii: np.ndarray
+    thetas: np.ndarray
+    points: np.ndarray
+
+
+def vertex_fit_grid(P, vertex: int) -> FitGrid:
+    """The grid whose values ``fit_coefficients`` fits at ``vertex``: its
+    annulus runs from ``annulus_inner`` to ``annulus_outer`` times the
+    vertex's ``Polygon.vertex_clearance``."""
     apex, alpha, beta = P.vertex_frame(vertex)
     ref = float(P.vertex_clearance[vertex % P.n])
-    return (apex, alpha, beta,
-            *_polar_grid(beta, DEFAULTS.annulus_inner * ref, DEFAULTS.annulus_outer * ref))
+    radii, thetas = _polar_grid(beta, DEFAULTS.annulus_inner * ref, DEFAULTS.annulus_outer * ref)
+    return FitGrid(beta, radii, thetas, arc_points(apex, radii, alpha + thetas))
 
 
-def vertex_fit_grid(P, vertex: int) -> np.ndarray:
-    """The points whose values ``fit_coefficients`` fits at ``vertex``."""
-    apex, alpha, _, radii, thetas = _vertex_grid(P, vertex)
-    return arc_points(apex, radii, alpha + thetas)
-
-
-def fit_coefficients(sol, vertex: int, values=None) -> BesselExpansion:
+def fit_coefficients(sol, vertex: int, values=None, grid: FitGrid | None = None) -> BesselExpansion:
     """Vertex expansion of a computed eigenfunction at polygon vertex ``vertex``.
 
-    The annulus runs from ``annulus_inner`` to ``annulus_outer`` times the
-    vertex's ``Polygon.vertex_clearance``.  ``values`` are the solution's
-    values on ``vertex_fit_grid(P, vertex)``, evaluated here when not given.
-    A grid point off the mesh reads NaN, which raises FitError.
+    ``grid`` is ``vertex_fit_grid(P, vertex)`` and ``values`` the
+    solution's values on its points; each is built here when not given.  A
+    grid point off the mesh reads NaN, which raises FitError.
     """
     P = sol.polygon
-    apex, alpha, beta, radii, thetas = _vertex_grid(P, vertex)
+    if grid is None:
+        grid = vertex_fit_grid(P, vertex)
     if values is None:
-        values = sol.eval(arc_points(apex, radii, alpha + thetas))
-    return _fit_on_grid(values, sol.mu, beta, radii, thetas, vertex % P.n)
+        values = sol.eval(grid.points)
+    return _fit_on_grid(values, sol.mu, grid.beta, grid.radii, grid.thetas, vertex % P.n)
 
 
 @dataclass

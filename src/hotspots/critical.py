@@ -5,8 +5,14 @@ gradient of u_h is affine, so its zero is one 2x2 solve per element, kept
 when it lies in that element.  On a boundary edge u_h is the quadratic
 through the edge's three dofs, so the tangential derivative is linear and
 its root is closed form; a sign change of the derivative across a boundary
-node is a root at that node.  Probes and vertex fits read the solution's
-point evaluation.
+node is a root at that node.
+
+``find_critical_points`` reads u_h in one batched query: once the side and
+interior points are found, every probe's centre and arcs and every vertex's
+fit grid go into one ``eval``, and the side and interior points' gradients
+into one ``eval_grad``.  The locator places each point by itself, so each
+value is the one a query of its own would give; ``index_of`` and
+``classify_vertex`` evaluate for themselves.
 
 A point p gets index 1 - n/2 (interior) or 1 - n (boundary), where n counts
 the level-set arcs of u through u(p) that emanate from p.  The count is
@@ -179,15 +185,12 @@ def _arc_index(counts, interior: bool):
     return 1 - n // 2, n, ""
 
 
-def _probe_index(sol, p, locus, radii) -> IndexResult:
-    """Arc count of u - u(p) on the two ``radii``: a full circle at an
-    interior point (index 1 - n/2), a semicircle into the domain at a side
-    point or the wedge at a vertex (index 1 - n).  u(p) and both arcs take
-    one ``eval``."""
-    P = sol.polygon
+def _probe_points(P, p, locus, radii) -> np.ndarray:
+    """p, then the probe arcs at ``radii`` in turn: a full circle at an
+    interior point, a semicircle into the domain at a side point, the wedge
+    at a vertex."""
     m = DEFAULTS.probe_samples
-    interior = locus == "interior"
-    if interior:
+    if locus == "interior":
         phis = np.linspace(0.0, 2 * math.pi, m + 1)[:-1]
     elif locus[0] == "side":
         t = P.side_tangents[locus[1]]
@@ -196,29 +199,28 @@ def _probe_index(sol, p, locus, radii) -> IndexResult:
     else:
         _, alpha, beta = P.vertex_frame(locus[1])
         phis = np.linspace(alpha, alpha + beta, m // 2)
+    return np.vstack([p, arc_points(p, radii, phis)])
 
-    vals = sol.eval(np.vstack([p, arc_points(p, radii, phis)]))
+
+def _probe_count(vals, locus, radii) -> IndexResult:
+    """Arc count of u - u(p) from u at ``_probe_points``: index 1 - n/2 at
+    an interior point (the arcs are closed circles), 1 - n at a side point
+    or a vertex."""
+    interior = locus == "interior"
     counts = []
     for arc in (vals[1:] - vals[0]).reshape(len(radii), -1):
         band = DEFAULTS.sign_band_frac * np.nanmax(np.abs(arc)) if np.any(np.isfinite(arc)) else 0
         counts.append(_count_sign_changes(arc, cyclic=interior, band=band))
-
     idx, n, note = _arc_index(counts, interior)
     return IndexResult(idx, n, counts, list(radii), note)
 
 
 def index_of(sol, p, locus="interior") -> IndexResult:
-    """Poincare-Hopf index of an isolated critical point by probe-circle counts."""
+    """Poincare-Hopf index of an isolated critical point by probe-circle
+    counts; u(p) and both arcs take one ``eval``."""
     p = np.asarray(p, dtype=float)
-    return _probe_index(sol, p, locus, _probe_radii(sol, p, locus))
-
-
-def _probed_point(sol, p, locus) -> CriticalPoint:
-    res = index_of(sol, p, locus)
-    g = sol.eval_grad(p[None, :])[0]
-    return CriticalPoint(p, locus, res.index, res.index == 1,
-                         {"n_arcs": res.n_arcs, "counts": res.counts, "radii": res.radii,
-                          "grad_residual": float(np.linalg.norm(g)), "note": res.note})
+    radii = _probe_radii(sol, p, locus)
+    return _probe_count(sol.eval(_probe_points(sol.polygon, p, locus, radii)), locus, radii)
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +281,10 @@ def _vertex_verdict(idx, probe: IndexResult, composite: bool):
     return probe.index, f"probe total {probe.index} overrides expansion index {idx}"
 
 
-def classify_vertex(sol, vid: int, *, absorbed=(), nearest=math.inf, fit_values=None) -> dict:
+def classify_vertex(sol, vid: int, *, absorbed=(), nearest=math.inf) -> dict:
     """Vertex index from the fitted expansion and the probe count, combined
     by ``_vertex_verdict``; the expansion-route index is kept in the entry.
-    ``fit_values``, when given, are the solution's values on the vertex's
-    fit grid (``bessel.vertex_fit_grid``).
+    The fit and the probe each take one ``eval``.
 
     ``absorbed`` (distances of roots absorbed into the vertex) and
     ``nearest`` (distance to the nearest side or interior critical point;
@@ -293,16 +294,23 @@ def classify_vertex(sol, vid: int, *, absorbed=(), nearest=math.inf, fit_values=
     """
     P = sol.polygon
     vid = vid % P.n
-    expansion = _bessel.fit_coefficients(sol, vid, fit_values)
-    idx, k, a, note = _expansion_index(expansion)
+    expansion = _bessel.fit_coefficients(sol, vid)
     locus = ("vertex", vid)
     radii = _probe_radii(sol, P.vertices[vid], locus, absorbed, nearest)
-    probe = _probe_index(sol, P.vertices[vid], locus, radii)
+    probe = _probe_count(sol.eval(_probe_points(P, P.vertices[vid], locus, radii)), locus, radii)
+    return _vertex_entry(vid, expansion, probe, absorbed)
+
+
+def _vertex_entry(vid: int, expansion, probe: IndexResult, absorbed) -> dict:
+    """The vertex table entry of ``classify_vertex`` from the vertex's
+    fitted expansion and its probe count."""
+    idx, k, a, note = _expansion_index(expansion)
     final, more = _vertex_verdict(idx, probe, bool(absorbed))
     note = _join(note, more)
     if expansion.pinned:
         note = _join(note, f"modes {list(expansion.pinned)} pinned to 0: "
                            f"their columns underflow over the fit annulus")
+    radii = probe.radii
     if radii[0] == radii[1]:
         # the two-radius agreement check then compares a circle with itself
         note = _join(note, f"probe radii collapse to one circle at the "
@@ -424,10 +432,10 @@ def find_critical_points(sol) -> CriticalSet:
     """
     P = sol.polygon
     gscale = _grad_scale(sol)
-    points: list[CriticalPoint] = []
     degenerate: list[DegenerateLocus] = []
     notes: list[str] = []
     absorbed: dict[int, list[float]] = {}   # vid -> distances of absorbed roots
+    probes = []                             # (point, locus) of each side and interior point
 
     # sides first: vertex probes adapt to nearby side structure
     side_roots = _side_tangential_roots(sol, range(P.n),
@@ -451,7 +459,7 @@ def find_critical_points(sol) -> CriticalSet:
             # too close to isolate from the vertex: absorbed into its probe
             absorbed.setdefault(vnear, []).append(float(dists[vnear]))
             continue
-        points.append(_probed_point(sol, p, ("side", i)))
+        probes.append((p, ("side", i)))
 
     # interior; the boundary zone is handled by side and vertex detection
     zeros = _element_gradient_zeros(sol)
@@ -470,31 +478,48 @@ def find_critical_points(sol) -> CriticalSet:
                                               np.array(found)))
             notes.append("interior: non-isolated critical locus (rectangle-like degenerate)")
             found = []
-
-    points += [_probed_point(sol, p, "interior") for p in found]
+    probes += [(p, "interior") for p in found]
 
     # vertices last: probe radii adapt to the side and interior points
-    # nearby, so no vertex depends on another.  One evaluation serves every
-    # vertex's fit grid.
-    detected = list(points)
-    grids = [_bessel.vertex_fit_grid(P, vid) for vid in range(P.n)]
-    fit_values = np.split(np.asarray(sol.eval(np.vstack(grids)), dtype=float),
-                          np.cumsum([len(g) for g in grids[:-1]]))
-    vertex_table = {}
+    # nearby, so no vertex depends on another.  Every probe and every fit
+    # grid then takes one ``eval``, and the points' gradients one
+    # ``eval_grad``; each point is located by itself, so each value is the
+    # one a query of its own gives.
+    radii = [_probe_radii(sol, p, locus) for p, locus in probes]
+    loci = list(probes)
     for vid in range(P.n):
         vpt = P.vertices[vid]
-        nearest = min((float(np.linalg.norm(cp.location - vpt)) for cp in detected),
-                      default=np.inf)
+        nearest = min((float(np.linalg.norm(p - vpt)) for p, _ in probes), default=math.inf)
+        loci.append((vpt, ("vertex", vid)))
+        radii.append(_probe_radii(sol, vpt, ("vertex", vid), absorbed.get(vid, ()), nearest))
+    grids = [_bessel.vertex_fit_grid(P, vid) for vid in range(P.n)]
+    blocks = [_probe_points(P, p, locus, r) for (p, locus), r in zip(loci, radii)]
+    blocks += [g.points for g in grids]
+    values = np.split(sol.eval(np.vstack(blocks)), np.cumsum([len(b) for b in blocks[:-1]]))
+    counted = [_probe_count(v, locus, r) for v, (_, locus), r in zip(values, loci, radii)]
+
+    points: list[CriticalPoint] = []
+    if probes:
+        grads = sol.eval_grad(np.reshape([p for p, _ in probes], (-1, 2)))
+        points = [CriticalPoint(p, locus, res.index, res.index == 1,
+                                {"n_arcs": res.n_arcs, "counts": res.counts, "radii": res.radii,
+                                 "grad_residual": float(np.linalg.norm(g)), "note": res.note})
+                  for (p, locus), res, g in zip(probes, counted, grads)]
+
+    vertex_table = {}
+    for vid, grid, fit_values, probe in zip(range(P.n), grids, values[len(loci):],
+                                            counted[len(probes):]):
         try:
-            info = classify_vertex(sol, vid, absorbed=absorbed.get(vid, ()), nearest=nearest,
-                                   fit_values=fit_values[vid])
+            expansion = _bessel.fit_coefficients(sol, vid, fit_values, grid)
         except _bessel.FitError as e:
             info = {"vertex": vid, "index": None, "note": f"fit failed: {e}",
                     "expansion": None, "leading_ratio": None}
+        else:
+            info = _vertex_entry(vid, expansion, probe, absorbed.get(vid, ()))
         vertex_table[vid] = info
         idx = info["index"]
         if idx != 0:
-            points.append(CriticalPoint(vpt.copy(), ("vertex", vid), idx, idx == 1,
+            points.append(CriticalPoint(P.vertices[vid].copy(), ("vertex", vid), idx, idx == 1,
                                         {key: info.get(key) for key in
                                          ("k", "leading_ratio", "probe_index", "agree", "note")}))
 

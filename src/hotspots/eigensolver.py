@@ -13,30 +13,54 @@ centroid lies out of reach.  A point that no element holds is off the mesh:
 ``eval`` and ``eval_grad`` give NaN there, and callers test for it with
 ``np.isfinite``.
 
-The shift-invert operator is a sparse LU factor of A = K - sigma M with
-sigma = -mu_scale / 4 < 0.  K is positive semidefinite and M positive
-definite, so A is symmetric positive definite: its diagonal pivots are
-positive without any row exchange, and SuperLU factors it in a fixed order
-with no pivoting.  That order is a nested dissection of the mesh (George
-1973): k-d tree bisection of the elements, each separator's dofs after both
-halves it separates.  On a planar mesh this keeps the factor near
-O(n log n); at 83k dofs it holds about 56 % of the fill of SciPy's default
-column order and factors in about a third of the time.
+The shift-invert operator is a factor of A = K - sigma M with sigma =
+-mu_scale / 4 < 0.  K is positive semidefinite and M positive definite, so
+A is symmetric positive definite and needs no pivoting.  It takes one of two
+routes, by the dof count alone:
+
+- a mesh of at most ``_BAND_MAX_DOFS`` dofs is factored as a band: A in
+  reverse Cuthill-McKee order (Cuthill & McKee 1969; George & Liu 1981) by
+  LAPACK's banded Cholesky, ``pbtrf``, and each application is one
+  ``pbtrs``;
+- a larger mesh is factored by SuperLU with its diagonal pivots taken as
+  they come, in a nested-dissection order of the mesh (George 1973): k-d
+  tree bisection of the elements, each separator's dofs after both halves
+  it separates.  On a planar mesh this keeps the factor near O(n log n); at
+  83k dofs it holds about 56 % of the fill of SciPy's default column order
+  and factors in about a third of the time.
+
+``_BAND_MAX_DOFS`` = 3000 is the crossover of a sweep over fresh meshes of
+four polygons (two graded: an L and a reflex pentagon), each row the median
+of 15 runs of one factor and 15 solves, band against SuperLU, with the
+order already built (single-threaded BLAS, 2-core x86-64, SciPy 1.17.1):
+
+    dofs   polygon   band ms   SuperLU ms
+     525   L           0.79       1.88
+     910   isosceles   1.45       2.78
+    1923   reflex      4.03       5.55
+    2361   L           5.82       8.66
+    2931   isosceles   8.06       9.49
+    3221   L          12.06      12.35
+    3972   reflex     12.34      13.20
+    4851   L          21.39      19.68
+    6147   reflex     33.98      24.51
+
+With each route's order built afresh in every run, as a fresh mesh pays it,
+the band wins by the same margins below 3000 dofs and ties near 3200.
 
 What depends on the mesh's connectivity alone is kept in a ``_P2Structure``
 on its connectivity record (``mesh``), which a plain carry shares with its
-warm mesh: the edge and dof map, the dissection order (computed from the
-geometry of the mesh that made the record, so it does not depend on which
-mesh of a chain is solved first) and, once the record is shared, the CSR
-pattern of K and M with the order and slot in which SciPy's COO to CSR
-conversion sums each element entry, and the permuted CSC pattern of
-K - sigma M with its gather map from K's data.  A mesh whose record no
-other mesh shares (every mesh of ``fine`` and ``corpus``) converts from COO
-and builds the permuted matrix itself, because at 113k dofs the pattern
-costs 118 ms and its scatter 78 ms against 105 ms for two conversions; the
-shared patterns give K, M and K - sigma M bit for bit, so the route never
-changes a result and ``solve_second(mesh)`` depends on the mesh and its
-record alone.
+warm mesh: the edge and dof map, the band layout (the reverse Cuthill-McKee
+order and the place of each of K's lower-triangle entries in the band) or
+the dissection order (computed from the geometry of the mesh that made the
+record, so it does not depend on which mesh of a chain is solved first)
+and, once the record is shared, the CSR pattern of K and M with the order
+and slot in which SciPy's COO to CSR conversion sums each element entry.  A
+mesh whose record no other mesh shares (every mesh of ``fine`` and
+``corpus``) converts from COO, because at 113k dofs the pattern costs 118
+ms and its scatter 78 ms against 105 ms for two conversions; the shared
+pattern gives K and M bit for bit, so the route never changes a result and
+``solve_second(mesh)`` depends on the mesh and its record alone.
 
 The eigensolve is a plain shift-invert Lanczos loop (Ericsson & Ruhe 1980)
 on OP = A^-1 M, which is self-adjoint in the M inner product; its largest
@@ -71,6 +95,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.spatial import cKDTree
 
 from .config import DEFAULTS
@@ -299,9 +324,9 @@ class _P2Structure:
     made the record.  Built when the first space is made: the edges (a < b,
     lexicographic) and the (m, 6) dof map, corners then the midpoints of
     edges (0,1), (1,2), (2,0), numbered n + edge row.  Computed on first
-    use: the dissection ``order`` (``solve_second``) and, on a shared record
-    only, the assembly ``pattern`` and the ``shifted`` pattern of K - sigma M
-    (``_shifted_operator``).  Every array is read-only.
+    use: the dissection ``order`` or the ``band`` layout (``solve_second``,
+    by the dof count) and, on a shared record only, the assembly
+    ``pattern``.  Every array is read-only.
     """
 
     def __init__(self, nodes: np.ndarray, triangles: np.ndarray):
@@ -315,7 +340,7 @@ class _P2Structure:
 
     @cached_property
     def order(self) -> np.ndarray:
-        """The dof order in which K - sigma M is factored."""
+        """The dof order in which SuperLU factors K - sigma M."""
         return _read_only(_nested_dissection(self))
 
     @cached_property
@@ -345,16 +370,27 @@ class _P2Structure:
                 _read_only(runs.indices[start]), _read_only(indptr))
 
     @cached_property
-    def shifted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The permuted CSC pattern of K - sigma M and the gather map that fills
-        it from K's data: ``_shifted_operator``'s route run on positions."""
-        _, _, indices, indptr = self.pattern
-        n, p = len(indptr) - 1, self.order
-        at = sp.csr_matrix((np.arange(len(indices), dtype=float), indices, indptr), shape=(n, n))
-        ip = np.empty(n, dtype=at.indices.dtype)
-        ip[p] = np.arange(n)
-        at = sp.csr_matrix((at.data, ip[at.indices], at.indptr), shape=(n, n))[p].tocsc()
-        return _read_only(at.data.astype(np.intp)), _read_only(at.indices), _read_only(at.indptr)
+    def band(self) -> tuple[np.ndarray, np.ndarray, int, np.ndarray, np.ndarray]:
+        """Where K - sigma M goes in LAPACK's banded Cholesky: the reverse
+        Cuthill-McKee order p of the dofs and its inverse ip, the
+        half-bandwidth kd of K in that order, and for each entry of K's CSR
+        pattern that order puts on or below the diagonal its index in the
+        data (``take``) and its place in the lower band storage, (kd + 1)
+        rows by ndof columns in column-major order (``at``).  The pattern is
+        SciPy's COO to CSR conversion of the element positions, which is the
+        one ``P2Space.assemble`` gives on either route."""
+        rows, cols = _element_rows_cols(self.dof)
+        ndof = len(self.nodes) + len(self.edge_nodes)
+        pattern = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(ndof, ndof)).tocsr()
+        p = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+        ip = np.empty(ndof, dtype=p.dtype)
+        ip[p] = np.arange(ndof)
+        r = ip[np.repeat(np.arange(ndof), np.diff(pattern.indptr))]
+        c = ip[pattern.indices]
+        take = np.flatnonzero(r >= c)
+        kd = int((r - c)[take].max())
+        return (_read_only(p), _read_only(ip), kd, _read_only(take),
+                _read_only(c[take] * (kd + 1) + (r - c)[take]))
 
 
 def _element_rows_cols(dof: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -507,31 +543,52 @@ def _nested_dissection(structure: _P2Structure) -> np.ndarray:
         s, e = np.where(right, mid, s), np.where(left, mid, e)
 
 
-def _shifted_operator(space: P2Space, sigma: float, p: np.ndarray,
-                      ip: np.ndarray) -> sp.csc_matrix:
-    """K - sigma M, with rows and columns in the dissection order p (ip its
-    inverse), as CSC.
+def _shift_invert(space: P2Space, sigma: float):
+    """(solve, factor, stored) for A = K - sigma M: ``solve(b)`` is A^-1 b,
+    ``factor`` the route, "band" or "superlu", and ``stored`` the number of
+    entries the factor keeps.  K and M share the pattern ``assemble``
+    scatters them on, so A's data is one pass over theirs.
 
-    K and M share the pattern assemble scatters them on, so K - sigma M is
-    one pass over the data.  Relabel its columns, gather its rows in order
-    p, and the CSC transpose sorts each column's rows; no name holds these
-    matrices, so each is freed once the next is built.  On a shared record
-    the route runs once on the entries' positions, and the data is gathered
-    straight into the pattern it gives, which moves the same values to the
-    same places.
+    A mesh of at most ``_BAND_MAX_DOFS`` dofs scatters the lower triangle of
+    A, in its ``band`` order, into LAPACK's band storage and factors it by
+    ``pbtrf``; each solve is one ``pbtrs``.  A larger mesh relabels A's
+    columns, gathers its rows in the dissection ``order`` (the CSC transpose
+    sorts each column's rows) and factors it by SuperLU with no pivoting.
+    Either way a failed factorization raises SolverError.
     """
     K, M = space.matrices
-    if not space.mesh._connectivity.shared:
-        return sp.csr_matrix((K.data - sigma * M.data, ip[K.indices], K.indptr),
-                             shape=K.shape)[p].tocsc()
-    gather, indices, indptr = space._structure.shifted
-    return sp.csc_matrix(((K.data - sigma * M.data)[gather], indices, indptr), shape=K.shape)
+    n = space.ndof
+    data = K.data - sigma * M.data
+    structure = space._structure
+    if n <= _BAND_MAX_DOFS:
+        p, ip, kd, take, at = structure.band
+        ab = np.zeros((kd + 1) * n)
+        ab[at] = data[take]
+        c, info = _PBTRF(ab.reshape(n, kd + 1).T, lower=1, overwrite_ab=1)
+        if info:
+            raise SolverError(f"factorization of K - sigma M failed on {n} dofs: "
+                              f"pbtrf info {info}")
+        return (lambda b: _PBTRS(c, b[p], lower=1, overwrite_b=1)[0][ip]), "band", ab.size
+    p = structure.order
+    ip = np.empty(n, dtype=K.indices.dtype)            # relabelled indices keep K's width
+    ip[p] = np.arange(n)
+    try:
+        lu = spla.splu(sp.csr_matrix((data, ip[K.indices], K.indptr), shape=K.shape)[p].tocsc(),
+                       permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as err:       # SuperLU: "Factor is exactly singular"
+        raise SolverError(f"factorization of K - sigma M failed on {n} dofs: {err}") from err
+    # stored in L and U; lu.L, lu.U would copy them
+    return (lambda b: lu.solve(b[p])[ip]), "superlu", int(lu.nnz)
 
 
 _LANCZOS_CAP = 80       # Lanczos basis size at which solve_second gives up
+_BAND_MAX_DOFS = 3000   # largest mesh factored as a band (module docstring)
 # LAPACK's divide-and-conquer tridiagonal eigensolver, the driver
-# eigh_tridiagonal picks for a full spectrum, called without its checks
+# eigh_tridiagonal picks for a full spectrum, and its banded Cholesky
+# factor and solve, all called without their checks
 _STEVD = la.get_lapack_funcs("stevd", (np.zeros(1),))
+_PBTRF, _PBTRS = la.get_lapack_funcs(("pbtrf", "pbtrs"), (np.zeros(1),))
 
 
 def _lanczos(solve, M, deflate, v0, tol, cap):
@@ -596,11 +653,16 @@ def solve_second(mesh: Mesh) -> EigenSolution:
     eigenspace.
 
     Shift-invert Lanczos (``_lanczos``) at sigma = -mu_scale / 4 applies
-    (K - sigma M)^-1 through one sparse LU factor per call.  K - sigma M is
-    symmetric positive definite (K >= 0, M > 0, sigma < 0), so the factor
-    takes the diagonal pivots as they come (``diag_pivot_thresh=0``) in the
-    nested-dissection order of ``_nested_dissection``, which only decides
-    the fill.  A failed factorization raises SolverError.
+    (K - sigma M)^-1 through one factor per call (``_shift_invert``).
+    K - sigma M is symmetric positive definite (K >= 0, M > 0, sigma < 0),
+    so neither route pivots: a mesh of at most ``_BAND_MAX_DOFS`` dofs takes
+    LAPACK's banded Cholesky in reverse Cuthill-McKee order, a larger one
+    SuperLU with the diagonal pivots as they come (``diag_pivot_thresh=0``)
+    in the nested-dissection order of ``_nested_dissection``.  The orders
+    only decide the fill.  A failed factorization raises SolverError.
+    ``diagnostics["factor"]`` names the route, "band" or "superlu", and
+    ``factor_nnz`` counts the entries the factor stores: the band's
+    (kd + 1) ndof, or the nonzeros of SuperLU's L and U.
 
     The loop stops once the Ritz estimates of mu_2 and mu_3 are within tol =
     ``solver_tol`` and the reported residual ||K u - mu M u|| / (mu ||M u||)
@@ -616,14 +678,7 @@ def solve_second(mesh: Mesh) -> EigenSolution:
     n = space.ndof
     mu_scale = (2 * math.pi / mesh.polygon.diameter) ** 2
     sigma = -0.25 * mu_scale
-    p = space._structure.order
-    ip = np.empty(n, dtype=K.indices.dtype)            # relabelled indices keep K's width
-    ip[p] = np.arange(n)
-    try:
-        lu = spla.splu(_shifted_operator(space, sigma, p, ip), permc_spec="NATURAL",
-                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    except RuntimeError as err:       # SuperLU: "Factor is exactly singular"
-        raise SolverError(f"factorization of K - sigma M failed on {n} dofs: {err}") from err
+    solve, factor, factor_nnz = _shift_invert(space, sigma)
 
     ones = np.ones(n)
     m1 = M @ ones
@@ -645,7 +700,7 @@ def solve_second(mesh: Mesh) -> EigenSolution:
         return gap, [mode(mus[i], X[i]) for i in range(1 + (gap < DEFAULTS.degenerate_gap))]
 
     route, applications = "lanczos", 0
-    ritz = _lanczos(lambda b: lu.solve(b[p])[ip], M, deflate,
+    ritz = _lanczos(solve, M, deflate,
                     np.cos(0.7 * np.arange(n)), tol, min(n - 1, _LANCZOS_CAP))
     for applications, (theta, X) in enumerate(ritz, 1):
         if X is not None:
@@ -675,7 +730,7 @@ def solve_second(mesh: Mesh) -> EigenSolution:
     diag = {"spectrum_head": [mu2, mu3],
             "ndof": n, "residual": residual, "gap": gap,
             "mass_total": mass_total, "route": route, "applications": applications,
-            "factor_nnz": int(lu.nnz)}        # stored in L and U; lu.L, lu.U would copy them
+            "factor": factor, "factor_nnz": factor_nnz}
     return EigenSolution(space, mu2, c2, gap, residual,
                          neighbor_mu=mu3, neighbor_coef=pairs[1][0] if len(pairs) > 1 else None,
                          diagnostics=diag)

@@ -80,11 +80,7 @@ class Polygon:
         self._v.setflags(write=False)
         self._validate()
 
-    # -- construction helpers -------------------------------------------------
-    @staticmethod
-    def from_dict(d: dict) -> "Polygon":
-        return Polygon(d["vertices"])
-
+    # -- serialization ---------------------------------------------------------
     def to_dict(self) -> dict:
         return {"vertices": [[float(x), float(y)] for x, y in self._v]}
 

@@ -155,7 +155,8 @@ class TestOneRouteFit:
         P = sol.polygon
         for v in range(P.n):
             own = fit_coefficients(sol, v)
-            given = fit_coefficients(sol, v, values=sol.eval(bessel.vertex_fit_grid(P, v)))
+            grid = bessel.vertex_fit_grid(P, v)
+            given = fit_coefficients(sol, v, values=sol.eval(grid.points), grid=grid)
             for f in dataclasses.fields(own):
                 a, b = getattr(own, f.name), getattr(given, f.name)
                 if isinstance(a, np.ndarray):

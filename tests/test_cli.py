@@ -39,6 +39,15 @@ class TestCommands:
         assert rep["multiplicity_2_flag"] is True
         assert len(rep["vertex_expansions"]) == 4
 
+    def test_spec_holds_the_vertices_only(self, tmp_path):
+        # a spec file's other keys, such as "labels", are ignored
+        spec = tmp_path / "labelled.json"
+        spec.write_text(json.dumps({"vertices": [[0, 0], [1, 0], [0, 1]],
+                                    "labels": ["a", "b", "c"]}))
+        out = str(tmp_path / "out")
+        assert main(["solve", "--spec", str(spec), "--h", "0.3", "--out", out]) == 0
+        assert _report(out)["polygon"] == {"vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
+
     def test_verify_index_obtuse(self, obtuse_spec, tmp_path):
         out = str(tmp_path / "out")
         assert main(["verify-index", "--spec", obtuse_spec, "--h", "0.04",

@@ -297,12 +297,14 @@ class TestProbeRadii:
         for _ in range(20):
             P = random_simple_polygon(rng, int(rng.integers(5, 8)))
         nearest = {}
+        probe_radii = critical._probe_radii
 
-        def spy(sol, vid, **kw):
-            nearest[vid] = kw["nearest"]
-            return classify_vertex(sol, vid, **kw)
+        def spy(sol, p, locus, absorbed=(), near=math.inf):
+            if locus[0] == "vertex":
+                nearest[locus[1]] = near
+            return probe_radii(sol, p, locus, absorbed, near)
 
-        monkeypatch.setattr(critical, "classify_vertex", spy)
+        monkeypatch.setattr(critical, "_probe_radii", spy)
         find_critical_points(solve_cached(P, P.diameter / 26))
         assert nearest[5] == math.inf
 
@@ -395,6 +397,58 @@ class TestVertexVerdict:
         assert _vertex_verdict(idx, probe, composite) == expected
 
 
+class TestOneQuery:
+    """``find_critical_points`` reads u_h in one ``eval`` (every probe and
+    every vertex fit grid) and the side and interior points' gradients in
+    one ``eval_grad``, with each value the one a query of its own gives."""
+
+    @pytest.fixture(scope="class")
+    def field(self):
+        # a planted field with side, interior and vertex points
+        T = triangle_from_angles(math.radians(30), math.radians(35))
+        sol = solve_second(triangulate(T, T.diameter / 20))
+        x, y = sol.space.dof_points().T
+        return sol.with_coef(np.cos(8 * x + 0.4) * np.cos(8 * y + 0.3))
+
+    def test_one_eval_and_one_eval_grad(self, field, monkeypatch):
+        from hotspots import bessel
+        from hotspots.eigensolver import P2Space
+        calls = {"eval": 0, "eval_grad": 0, "vertex_fit_grid": 0}
+        for owner, name in ((P2Space, "eval"), (P2Space, "eval_grad"),
+                            (bessel, "vertex_fit_grid")):
+            def counting(*args, _orig=getattr(owner, name), _name=name):
+                calls[_name] += 1
+                return _orig(*args)
+            monkeypatch.setattr(owner, name, counting)
+        cs = find_critical_points(field)
+        assert {p.kind for p in cs.points} == {"side", "interior", "vertex"}
+        assert calls["eval"] == 1 and calls["eval_grad"] <= 1
+        assert calls["vertex_fit_grid"] == field.polygon.n
+
+    def test_points_match_their_own_queries(self, field):
+        cs = find_critical_points(field)
+        found = [cp for cp in cs.points if cp.kind != "vertex"]
+        assert found
+        for cp in found:
+            own = index_of(field, cp.location, cp.locus)
+            g = field.eval_grad(cp.location[None, :])[0]
+            assert cp.diagnostics["counts"] == own.counts
+            assert cp.diagnostics["radii"] == own.radii
+            assert cp.diagnostics["grad_residual"] == float(np.linalg.norm(g))
+            assert (cp.index, cp.diagnostics["n_arcs"]) == (own.index, own.n_arcs)
+        for vid, entry in cs.vertex_table.items():
+            vpt = field.polygon.vertices[vid]
+            nearest = min(float(np.linalg.norm(cp.location - vpt)) for cp in found)
+            own = classify_vertex(field, vid, absorbed=entry.get("absorbed_distances", ()),
+                                  nearest=nearest)
+            assert own.keys() == entry.keys()
+            for key, value in own.items():
+                if key == "expansion":
+                    assert value.coeffs.tobytes() == entry[key].coeffs.tobytes()
+                else:
+                    assert value == entry[key], key
+
+
 class TestFitFailure:
     def test_failed_fit_is_an_unresolved_vertex(self, monkeypatch, obtuse_sol):
         """A vertex whose fit raises FitError is reported with index None and
@@ -402,10 +456,10 @@ class TestFitFailure:
         import hotspots.bessel as bessel
         fit = bessel.fit_coefficients
 
-        def failing_at_0(sol, vid, values=None):
+        def failing_at_0(sol, vid, values=None, grid=None):
             if vid == 0:
                 raise FitError("injected")
-            return fit(sol, vid, values)
+            return fit(sol, vid, values, grid)
 
         monkeypatch.setattr(bessel, "fit_coefficients", failing_at_0)
         cs = find_critical_points(obtuse_sol)

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import hotspots.eigensolver as eigensolver
 from hotspots.config import DEFAULTS
@@ -206,8 +207,10 @@ class TestSolverRoute:
         with pytest.raises(SolverError, match="5305 dofs"):
             solve_second(mesh)
 
+    # The four SuperLU tests below run on meshes above ``_BAND_MAX_DOFS``
+    # (5305 and 5859 dofs); ``TestBandRoute`` checks the same on the band.
     def test_other_errors_are_not_swallowed(self, monkeypatch):
-        mesh = triangulate(unit_square(), 0.3)
+        mesh = _obtuse_refined_twice()
 
         class Broken:
             nnz = 0
@@ -228,12 +231,13 @@ class TestSolverRoute:
             return _CountingFactor(splu(A, **kwargs), solves)
 
         monkeypatch.setattr(eigensolver.spla, "splu", recording_splu)
-        sol = solve_second(triangulate(unit_square(), 0.3))
+        sol = solve_second(_obtuse_refined_twice())
         assert factored == [("NATURAL", 0.0)]
         assert len(solves) == sol.diagnostics["applications"]
+        assert sol.diagnostics["factor"] == "superlu"
 
     def test_failed_factorization_raises_solver_error(self, monkeypatch):
-        mesh = triangulate(unit_square(), 0.3)
+        mesh = _obtuse_refined_twice()
 
         def singular(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")
@@ -299,7 +303,7 @@ class TestSolverRoute:
             return splu(A, **kwargs)
 
         monkeypatch.setattr(eigensolver.spla, "splu", recording_splu)
-        sol = solve_second(triangulate(L_SHAPE, 0.2))
+        sol = solve_second(triangulate(L_SHAPE, 0.08))              # graded, 5859 dofs
         K, M = sol.space.matrices
         sigma = -0.25 * (2 * math.pi / L_SHAPE.diameter) ** 2
         p = eigensolver._nested_dissection(sol.space._structure)
@@ -327,6 +331,90 @@ class TestSolverRoute:
         _, M = sol.space.matrices
         assert abs(c2 @ (M @ c3)) <= 1e-10 * math.sqrt((c2 @ (M @ c2)) * (c3 @ (M @ c3)))
         assert sol.diagnostics["spectrum_head"] == [sol.mu, sol.neighbor_mu]
+
+
+class TestBandRoute:
+    """A mesh of at most ``_BAND_MAX_DOFS`` dofs factors K - sigma M as a
+    band in reverse Cuthill-McKee order, by LAPACK's pbtrf and pbtrs."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """Wrap pbtrf and pbtrs: the bands factored (copied before pbtrf
+        overwrites them) and the length of each right-hand side solved."""
+        factored, solves = [], []
+        pbtrf, pbtrs = eigensolver._PBTRF, eigensolver._PBTRS
+
+        def recording_pbtrf(ab, **kwargs):
+            factored.append(np.array(ab))
+            return pbtrf(ab, **kwargs)
+
+        def recording_pbtrs(c, b, **kwargs):
+            solves.append(len(b))
+            return pbtrs(c, b, **kwargs)
+
+        monkeypatch.setattr(eigensolver, "_PBTRF", recording_pbtrf)
+        monkeypatch.setattr(eigensolver, "_PBTRS", recording_pbtrs)
+        return factored, solves
+
+    def test_one_factorization_per_solve(self, monkeypatch):
+        factored, solves = self.record(monkeypatch)
+        splu = []
+        monkeypatch.setattr(eigensolver.spla, "splu", lambda *a, **k: splu.append(a))
+        sol = solve_second(triangulate(unit_square(), 0.3))
+        assert len(factored) == 1 and splu == []
+        assert solves == [sol.space.ndof] * sol.diagnostics["applications"]
+        assert sol.diagnostics["factor"] == "band"
+        assert sol.diagnostics["factor_nnz"] == factored[0].size
+
+    def test_failed_factorization_raises_solver_error(self, monkeypatch):
+        mesh = triangulate(unit_square(), 0.3)
+        monkeypatch.setattr(eigensolver, "_PBTRF", lambda ab, **kwargs: (ab, 3))
+        with pytest.raises(SolverError, match=f"{P2Space(mesh).ndof} dofs"):
+            solve_second(mesh)
+
+    def test_other_errors_are_not_swallowed(self, monkeypatch):
+        def broken(c, b, **kwargs):
+            raise ValueError("not a convergence failure")
+
+        monkeypatch.setattr(eigensolver, "_PBTRS", broken)
+        with pytest.raises(ValueError, match="not a convergence failure"):
+            solve_second(triangulate(unit_square(), 0.3))
+
+    def test_factored_band_is_the_permuted_shift(self, monkeypatch):
+        factored, _ = self.record(monkeypatch)
+        sol = solve_second(triangulate(L_SHAPE, 0.2))              # graded
+        K, M = sol.space.matrices
+        sigma = -0.25 * (2 * math.pi / L_SHAPE.diameter) ** 2
+        p = reverse_cuthill_mckee(K, symmetric_mode=True)
+        A = (K - sigma * M)[p][:, p].toarray()
+        (ab,) = factored
+        kd, n = ab.shape[0] - 1, len(A)
+        assert kd == max(i - j for i, j in zip(*np.nonzero(A)))
+        want = np.zeros_like(ab)
+        for d in range(kd + 1):
+            want[d, :n - d] = np.diagonal(A, -d)
+        assert ab.tobytes() == want.tobytes()
+
+    def test_matches_dense_eigh(self):
+        T = triangle_from_angles(math.radians(30), math.radians(35))
+        sol = solve_second(triangulate(T, T.diameter / 12))
+        assert sol.diagnostics["factor"] == "band"
+        K, M = sol.space.matrices
+        mus, V = scipy.linalg.eigh(K.toarray(), M.toarray(), subset_by_index=[1, 2])
+        u = V[:, 0] / np.abs(V[:, 0]).max()
+        u *= np.sign(u @ sol.coef)
+        assert abs(sol.mu - mus[0]) <= 1e-12 * mus[0]
+        assert np.abs(sol.coef - u).max() <= 1e-12
+
+    def test_dof_count_picks_the_route(self, monkeypatch):
+        mesh = triangulate(unit_square(), 0.3)
+        n = P2Space(mesh).ndof
+        monkeypatch.setattr(eigensolver, "_BAND_MAX_DOFS", n)
+        band = solve_second(mesh)
+        monkeypatch.setattr(eigensolver, "_BAND_MAX_DOFS", n - 1)
+        superlu = solve_second(mesh)
+        assert (band.diagnostics["factor"], superlu.diagnostics["factor"]) == ("band", "superlu")
+        assert abs(band.mu - superlu.mu) <= 1e-12 * band.mu
 
 
 class TestNestedDissection:
@@ -622,9 +710,11 @@ class TestSharedConnectivity:
     shared pattern and order; each solve is a pure function of its mesh."""
 
     @staticmethod
-    def chain():
+    def chain(k=20):
+        """Three plain carries at h = diameter / k: 1069 dofs at k = 20,
+        3697 dofs (above ``_BAND_MAX_DOFS``) at k = 45."""
         T = [isosceles_triangle(math.radians(a)) for a in (50, 50.02, 50.04)]
-        h = T[0].diameter / 20
+        h = T[0].diameter / k
         meshes = [triangulate(T[0], h)]
         for P in T[1:]:
             meshes.append(triangulate(P, h, warm_start=meshes[-1]))
@@ -648,16 +738,17 @@ class TestSharedConnectivity:
         sol = solve_second(triangulate(L_SHAPE, 0.2))
         structure = sol.space._structure
         assert not sol.mesh._connectivity.shared
-        assert "pattern" not in vars(structure) and "shifted" not in vars(structure)
+        assert "pattern" not in vars(structure)
         assert structure.order is not None
 
     def test_carried_operator_is_the_permuted_shift(self, monkeypatch):
-        mesh = self.chain()[-1]
+        mesh = self.chain(45)[-1]
         seen = []
         splu = spla.splu
         monkeypatch.setattr(eigensolver.spla, "splu",
                             lambda A, **kwargs: seen.append(A) or splu(A, **kwargs))
         sol = solve_second(mesh)
+        assert sol.diagnostics["factor"] == "superlu"
         K, M = sol.space.matrices
         sigma = -0.25 * (2 * math.pi / mesh.polygon.diameter) ** 2
         p = eigensolver._nested_dissection(sol.space._structure)
@@ -665,6 +756,15 @@ class TestSharedConnectivity:
         (A,) = seen
         for got, want in ((A.indptr, ref.indptr), (A.indices, ref.indices), (A.data, ref.data)):
             assert np.array_equal(got, want)
+
+    def test_band_layout_built_once_per_chain(self, monkeypatch):
+        calls = []
+        rcm = eigensolver.reverse_cuthill_mckee
+        monkeypatch.setattr(eigensolver, "reverse_cuthill_mckee",
+                            lambda *a, **k: calls.append(1) or rcm(*a, **k))
+        sols = [solve_second(m) for m in self.chain()]
+        assert len(calls) == 1
+        assert {s.diagnostics["factor"] for s in sols} == {"band"}
 
     def test_dissection_order_is_the_owners(self):
         # a square's mesh carried onto a 35 deg rhombus, with no angle bound

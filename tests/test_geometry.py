@@ -80,11 +80,6 @@ class TestPolygonValidation:
         P = Polygon([[0, 0], [0, 1], [1, 1], [1, 0]])
         assert P.area > 0
 
-    def test_spec_dict_holds_the_vertices_only(self):
-        # a spec file's other keys, such as "labels", are ignored
-        P = Polygon.from_dict({"vertices": [[0, 0], [1, 0], [0, 1]], "labels": ["a", "b", "c"]})
-        assert P.to_dict() == {"vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}
-
     def test_contains_and_distance(self):
         P = unit_square()
         assert P.contains(np.array([[0.5, 0.5], [1.5, 0.5]])).tolist() == [True, False]
