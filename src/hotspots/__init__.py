@@ -14,14 +14,13 @@ from .geometry import (
     lip1_classify, lip1_reduction_path, break_triangle, breaking_family,
     orthogonal_side_pairs,
     unit_square, rectangle, equilateral_triangle, isosceles_triangle,
-    triangle_from_angles, regular_polygon,
+    triangle_from_angles,
     GeometryError, NotLip1Error, OrthogonalSidesError, ReductionFailure,
 )
 from .mesh import Mesh, triangulate, refine, MeshingError
 from .eigensolver import EigenSolution, solve_second, SolverError
 from .bessel import (
-    BesselExpansion, fit_coefficients, fit_sector_coefficients,
-    leading_coefficient_test, FitError,
+    BesselExpansion, fit_coefficients, leading_coefficient_test, FitError,
 )
 from .nodal import ScalarField, NodalGraph, trace, arc_ends_at_vertex
 from .critical import (

@@ -104,35 +104,20 @@ def _polar_grid(beta: float, r_in: float, r_out: float) -> tuple[np.ndarray, np.
             np.linspace(pad, beta - pad, DEFAULTS.fit_n_theta))
 
 
-def fit_sector_coefficients(u_eval, mu: float, apex, alpha: float, beta: float,
-                            r_in: float, r_out: float) -> BesselExpansion:
-    """Least-squares Fourier-Bessel fit of c_0..c_K (K = ``bessel_K``) over a
-    polar grid in a vertex frame.
-
-    ``u_eval`` maps an (n,2) array of points to values; ``alpha`` is the world
-    angle of the theta=0 ray.  The grid (``fit_n_radii`` radii by
-    ``fit_n_theta`` angles, from ``arc_points``) takes one ``u_eval`` call; a
-    mode's contribution is |c_n| times max |J_{n nu}(sqrt(mu) r)| over its
-    column.  A mode whose column norm underflows to 0 (J_{n nu} at the large
-    nu of a sharp corner) cannot be identified at any radius the fit
-    reaches: it is left out of the solve, its coefficient is 0 and
-    ``pinned`` names it.  The expansion's ``vertex`` is -1: the sector
-    belongs to no polygon.
-    """
-    radii, thetas = _polar_grid(beta, r_in, r_out)
-    U = u_eval(arc_points(apex, radii, alpha + thetas))
-    return _fit_on_grid(U, mu, beta, radii, thetas, -1)
-
-
 def _fit_on_grid(U, mu: float, beta: float, radii: np.ndarray, thetas: np.ndarray,
                  vertex: int) -> BesselExpansion:
-    """``fit_sector_coefficients`` from the values U on its grid of ``radii``
-    by ``thetas`` (``_polar_grid``, so 0 < r_in < r_out).
+    """Least-squares Fourier-Bessel fit of c_0..c_K (K = ``bessel_K``) to the
+    values U on the grid of ``radii`` by ``thetas`` (``_polar_grid``, so
+    0 < r_in < r_out) in the frame of a vertex of angle ``beta``.
 
     A column is J_{n nu}(sqrt(mu) r) cos(n nu theta) over the radius-major
     grid: J on the radii and cos on the angles, multiplied out.  One SVD of
     the column-scaled matrix gives both its condition number and the
-    least-squares coefficients.
+    least-squares coefficients.  A mode's contribution is |c_n| times
+    max |J_{n nu}(sqrt(mu) r)| over its column.  A mode whose column norm
+    underflows to 0 (J_{n nu} at the large nu of a sharp corner) cannot be
+    identified at any radius the fit reaches: it is left out of the solve,
+    its coefficient is 0 and ``pinned`` names it.
     """
     K = DEFAULTS.bessel_K
     U = np.asarray(U, dtype=float)

@@ -174,6 +174,11 @@ def run(cfg: RunConfig) -> int:
         payload["solver"] = sol.diagnostics
         payload["vertex_expansions"] = [fit_coefficients(sol, i).to_dict()
                                         for i in range(P.n)]
+        if sol.multiplicity_flag:
+            payload["vertex_expansions_note"] = (
+                "u_2 is near-double: the expansions are fitted to the one member "
+                "of its eigenspace that the eigensolver returned, so their coeffs, "
+                "magnitudes and scale depend on that choice of basis")
         if cfg.dump_mesh:
             write_report(os.path.join(cfg.out, "mesh.json"), mesh.to_dict())
 

@@ -98,9 +98,6 @@ class PathRun:
     def V_values(self) -> list[int]:
         return [s.V for s in self.samples]
 
-    def events_of(self, kind: str) -> list[PathEvent]:
-        return [e for e in self.events if e.kind == kind]
-
     def to_dict(self) -> dict:
         return {"path": self.path.to_dict(), "config": self.config,
                 "samples": [s.to_dict() for s in self.samples],
@@ -140,11 +137,12 @@ def _solve_sample(path: DeformationPath, t: float, h, prev: PathSample | None) -
                       sol=sol)
 
 
-def _match_points(a: PathSample, b: PathSample, radius_factor: float):
+def _match_points(a: PathSample, b: PathSample):
     """Pair nonzero-index points of consecutive samples (same index, nearby).
 
-    Vertices persist by id; free points match by distance.  Returns the list
-    of unmatched descriptors and the max matched displacement.
+    Vertices persist by id; free points match by distance, within
+    ``match_radius_factor`` times the local mesh size.  Returns the list of
+    unmatched descriptors and the max matched displacement (in local h).
     """
     unmatched = []
     max_move = 0.0
@@ -169,7 +167,7 @@ def _match_points(a: PathSample, b: PathSample, radius_factor: float):
             d = float(np.linalg.norm(pa.location - pb.location))
             if d < best_d:
                 best, best_d = j, d
-        if best is not None and best_d < radius_factor * h_loc:
+        if best is not None and best_d < DEFAULTS.match_radius_factor * h_loc:
             used.add(best)
             max_move = max(max_move, best_d / h_loc)
         else:
@@ -206,8 +204,7 @@ def track(path: DeformationPath, steps: int, *, h=None) -> PathRun:
             cand = None
             trouble.append(("sample failed", f"sample failed: {type(e).__name__}: {e}"))
         else:
-            unmatched, max_move = _match_points(samples[-1], cand,
-                                                DEFAULTS.match_radius_factor)
+            unmatched, max_move = _match_points(samples[-1], cand)
             unresolved = len(cand.critical.unresolved_points())
             if unmatched:
                 trouble.append(("index-sum change",
@@ -261,12 +258,6 @@ class Lip1HotspotsVerdict:
     acute_vertices: list[int]
     run: PathRun
     detail: str = ""
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "S_ok": self.S_ok, "V_ok": self.V_ok,
-                "critical_at_acute_vertices": self.critical_at_acute_vertices,
-                "acute_vertices": self.acute_vertices, "detail": self.detail,
-                "run": self.run.to_dict()}
 
 
 def lip1_no_hotspots(P: Polygon, *, steps: int = 8, h=None) -> Lip1HotspotsVerdict:
@@ -491,7 +482,7 @@ def breaking_experiment(T: Polygon, *, eps_rel: float = 0.01, steps: int = 12,
     tvec = T.side_tangents[e]
     a = T.vertices[e]
     s_p = float(np.dot(nm.saddle - a, tvec)) / L
-    d = max(_BREAK_REACH, DEFAULTS.w_margin)
+    d = _BREAK_REACH
     lo, hi = _SIDE_END_MARGIN, 1 - _SIDE_END_MARGIN
     s0, s1 = s_p - d, s_p + d
     if s0 < lo or s1 > hi:

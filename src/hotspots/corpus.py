@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .geometry import Polygon, GeometryError, triangle_from_angles
+from .geometry import Polygon, GeometryError
 
 
 def random_simple_polygon(rng: np.random.Generator, n_sides: int, *,
@@ -36,31 +36,3 @@ def random_simple_polygon(rng: np.random.Generator, n_sides: int, *,
             continue
         return P
     raise RuntimeError(f"no valid {n_sides}-gon found in {max_tries} tries")
-
-
-def random_triangle(rng: np.random.Generator) -> Polygon:
-    """Triangle with vertices uniform in [-1, 1]^2 and every angle at least
-    0.12 rad (400 tries)."""
-    for _ in range(400):
-        verts = rng.uniform(-1, 1, (3, 2))
-        try:
-            T = Polygon(verts)
-        except GeometryError:
-            continue
-        if T.angles.min() >= 0.12:
-            return T
-    raise RuntimeError("no valid triangle found")
-
-
-def random_obtuse_triangle(rng: np.random.Generator) -> Polygon:
-    """Obtuse triangle with the obtuse angle in [1.66, 2.6) and both acute
-    angles at least 0.26 (radians)."""
-    while True:
-        gamma = rng.uniform(1.66, 2.6)
-        rest = math.pi - gamma
-        alpha = rng.uniform(0.26, rest - 0.26)
-        beta = rest - alpha
-        if min(alpha, beta) < 0.26:
-            continue
-        # place the obtuse vertex opposite the base
-        return triangle_from_angles(alpha, beta)

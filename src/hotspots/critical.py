@@ -11,8 +11,8 @@ node is a root at that node.
 interior points are found, every probe's centre and arcs and every vertex's
 fit grid go into one ``eval``, and the side and interior points' gradients
 into one ``eval_grad``.  The locator places each point by itself, so each
-value is the one a query of its own would give; ``index_of`` and
-``classify_vertex`` evaluate for themselves.
+value is the one a query of its own would give; ``index_of`` evaluates for
+itself.
 
 A point p gets index 1 - n/2 (interior) or 1 - n (boundary), where n counts
 the level-set arcs of u through u(p) that emanate from p.  The count is
@@ -281,29 +281,11 @@ def _vertex_verdict(idx, probe: IndexResult, composite: bool):
     return probe.index, f"probe total {probe.index} overrides expansion index {idx}"
 
 
-def classify_vertex(sol, vid: int, *, absorbed=(), nearest=math.inf) -> dict:
-    """Vertex index from the fitted expansion and the probe count, combined
-    by ``_vertex_verdict``; the expansion-route index is kept in the entry.
-    The fit and the probe each take one ``eval``.
-
-    ``absorbed`` (distances of roots absorbed into the vertex) and
-    ``nearest`` (distance to the nearest side or interior critical point;
-    ``find_critical_points`` counts no other vertex) size the
-    probe through ``_probe_radii``; a vertex with absorbed roots is
-    composite, and its table entry keeps their distances.
-    """
-    P = sol.polygon
-    vid = vid % P.n
-    expansion = _bessel.fit_coefficients(sol, vid)
-    locus = ("vertex", vid)
-    radii = _probe_radii(sol, P.vertices[vid], locus, absorbed, nearest)
-    probe = _probe_count(sol.eval(_probe_points(P, P.vertices[vid], locus, radii)), locus, radii)
-    return _vertex_entry(vid, expansion, probe, absorbed)
-
-
 def _vertex_entry(vid: int, expansion, probe: IndexResult, absorbed) -> dict:
-    """The vertex table entry of ``classify_vertex`` from the vertex's
-    fitted expansion and its probe count."""
+    """A vertex's table entry: the index from its fitted expansion and its
+    probe count, combined by ``_vertex_verdict``, with the expansion-route
+    index kept beside it.  A vertex with absorbed roots is composite, and
+    its entry keeps their distances."""
     idx, k, a, note = _expansion_index(expansion)
     final, more = _vertex_verdict(idx, probe, bool(absorbed))
     note = _join(note, more)
@@ -383,8 +365,8 @@ def _element_gradient_zeros(sol) -> np.ndarray:
     return p0 + np.einsum("eab,eb->ea", space.J[e], xi[e])
 
 
-def _side_tangential_roots(sol, sides, *, zero_rtol: float, gscale: float):
-    """Roots of the tangential derivative of u_h along each of ``sides``.
+def _side_tangential_roots(sol, gscale: float):
+    """Roots of the tangential derivative of u_h along each side.
 
     On a boundary edge u_h is the quadratic through its dofs a, m, b, so the
     tangential derivative is linear between its end values (-3a + 4m - b)/L
@@ -392,7 +374,8 @@ def _side_tangential_roots(sol, sides, *, zero_rtol: float, gscale: float):
     change sign, and at a boundary node where the derivative changes sign
     across the node.  Returns one ``(roots, pts)`` pair per side: the roots
     as increasing fractions along the side, or None when every end value is
-    below ``zero_rtol * gscale`` (a degenerate locus), and the side's nodes.
+    below ``grad_zero_rtol * gscale`` (a degenerate locus), and the side's
+    nodes.
     The edges are read in ``mesh.boundary_edges`` order, which runs along
     each side from its first vertex (a chain ``_check_conforming`` asserts).
     """
@@ -402,7 +385,7 @@ def _side_tangential_roots(sol, sides, *, zero_rtol: float, gscale: float):
     be = mesh.boundary_edges
     mid = space.boundary_mid_dofs
     out = []
-    for i in sides:
+    for i in range(P.n):
         rows = np.nonzero(be[:, 2] == i)[0]            # in order along the side
         ends = be[rows, :2]
         s = (mesh.nodes[ends] - P.vertices[i]) @ P.side_vectors[i] / P.side_lengths[i] ** 2
@@ -410,7 +393,7 @@ def _side_tangential_roots(sol, sides, *, zero_rtol: float, gscale: float):
         L = (s[:, 1] - s[:, 0]) * P.side_lengths[i]
         f0, f1 = (-3 * a + 4 * um - b) / L, (a - 4 * um + 3 * b) / L
         pts = mesh.nodes[np.append(ends[:, 0], ends[-1, 1])]
-        if np.all(np.maximum(np.abs(f0), np.abs(f1)) < zero_rtol * gscale):
+        if np.all(np.maximum(np.abs(f0), np.abs(f1)) < DEFAULTS.grad_zero_rtol * gscale):
             out.append((None, pts))  # entire side critical: degenerate locus
             continue
         cross = f0 * f1 < 0
@@ -438,8 +421,7 @@ def find_critical_points(sol) -> CriticalSet:
     probes = []                             # (point, locus) of each side and interior point
 
     # sides first: vertex probes adapt to nearby side structure
-    side_roots = _side_tangential_roots(sol, range(P.n),
-                                        zero_rtol=DEFAULTS.grad_zero_rtol, gscale=gscale)
+    side_roots = _side_tangential_roots(sol, gscale)
     roots_at, sides = [], []
     for i, (roots, pts) in enumerate(side_roots):
         if roots is None:

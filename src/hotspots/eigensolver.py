@@ -62,6 +62,19 @@ ms and its scatter 78 ms against 105 ms for two conversions; the shared
 pattern gives K and M bit for bit, so the route never changes a result and
 ``solve_second(mesh)`` depends on the mesh and its record alone.
 
+Both routes stay, measured with the band factor in place (2-core x86-64,
+SciPy 1.17.1).  One route for every mesh loses on one side or the other:
+
+- the two real conversions for every mesh raise ``breaking`` assembly from
+  20 ms to about 40 ms per pass (36-63 ms over six passes);
+- one complex COO to CSR conversion of K + iM gives K and M bit for bit as
+  two real ones do, but ``breaking`` assembly rises from about 22 to 29 ms
+  per pass (ten passes a side, in one process); on ``fine`` the peak
+  resident size rises from 270.3-270.8 to 287.3-287.9 MB and the wall time
+  from 3.06-3.18 to 3.17-3.45 s (five runs each); and it loses 8 of 10
+  interleaved ``breaking`` pairs against the two routes, median ``wall_s``
+  0.464 against 0.448 s.
+
 The eigensolve is a plain shift-invert Lanczos loop (Ericsson & Ruhe 1980)
 on OP = A^-1 M, which is self-adjoint in the M inner product; its largest
 eigenvalues theta = 1 / (mu - sigma) belong to the smallest mu, found from
@@ -433,10 +446,6 @@ class EigenSolution:
     @cached_property
     def _recovered(self) -> tuple[np.ndarray, np.ndarray]:
         return self.space.project_gradient(self.coef)
-
-    def integral(self) -> float:
-        _, M = self.space.matrices
-        return float(np.ones(self.space.ndof) @ (M @ self.coef))
 
     def h_at(self, pts) -> np.ndarray:
         return self.mesh.h_at(pts)

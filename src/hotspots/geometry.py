@@ -290,11 +290,6 @@ class DeformationPath:
 
         return DeformationPath(kind, fn, breakpoints=(ts, vs), params=params)
 
-    @staticmethod
-    def constant(P: Polygon, kind: str = "vertex-lerp") -> "DeformationPath":
-        V = P.vertices.copy()
-        return DeformationPath.from_breakpoints(kind, [0.0, 1.0], [V, V])
-
     def polygon_at(self, t: float) -> Polygon:
         return Polygon(self._fn(t))
 
@@ -532,11 +527,6 @@ def breaking_family(T: Polygon, e: int, w_path, eps: float) -> DeformationPath:
 # ---------------------------------------------------------------------------
 # canonical shapes
 # ---------------------------------------------------------------------------
-
-def regular_polygon(n: int) -> Polygon:
-    th = np.linspace(0, TWO_PI, n, endpoint=False)
-    return Polygon(np.column_stack([np.cos(th), np.sin(th)]))
-
 
 def unit_square() -> Polygon:
     return Polygon([[0, 0], [1, 0], [1, 1], [0, 1]])

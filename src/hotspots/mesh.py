@@ -203,16 +203,8 @@ class Mesh:
     def n_triangles(self) -> int:
         return len(self.triangles)
 
-    def triangle_areas(self) -> np.ndarray:
-        p = self.nodes[self.triangles]
-        return 0.5 * _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-
     def min_angle(self) -> float:
         return float(_min_angles(self.nodes, self.triangles).min())
-
-    def edge_lengths(self) -> np.ndarray:
-        e = _unique_edges(self.triangles, self.n_nodes)
-        return np.linalg.norm(self.nodes[e[:, 0]] - self.nodes[e[:, 1]], axis=1)
 
     def h_at(self, pts: np.ndarray) -> np.ndarray:
         """Local target size at each of the (n, 2) points (scaled by

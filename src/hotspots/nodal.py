@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .config import DEFAULTS
 from .eigensolver import P2Space
@@ -125,19 +127,14 @@ class NodalGraph:
         return [n for n in self.nodes if n.degree == 1]
 
     def n_components(self) -> int:
-        parent = {n.id: n.id for n in self.nodes}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for a, b, _ in self.edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        return len({find(n.id) for n in self.nodes})
+        """Connected components of the graph; a node's id is its position in
+        ``nodes``, as ``trace`` numbers them."""
+        n = len(self.nodes)
+        if n == 0:
+            return 0
+        ab = np.array([(a, b) for a, b, _ in self.edges], dtype=int).reshape(-1, 2)
+        adjacency = sp.coo_matrix((np.ones(len(ab)), (ab[:, 0], ab[:, 1])), shape=(n, n))
+        return int(connected_components(adjacency, directed=False)[0])
 
     def polyline_points(self) -> np.ndarray:
         if not self.edges:
@@ -189,10 +186,6 @@ class WedgeProbe:
     root_thetas: list[list[float]]   # per radius, interior arc crossings
     boundary_band: bool              # crossings only inside the side bands
     ends_at_vertex: bool | None      # None = inconclusive (field too small)
-
-    @property
-    def n_roots(self) -> list[int]:
-        return [len(r) for r in self.root_thetas]
 
 
 def wedge_probe(field: ScalarField, vid: int) -> WedgeProbe:

@@ -27,8 +27,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import hotspots.mesh as mesh_mod
 from hotspots.config import DEFAULTS
-from hotspots.corpus import (random_simple_polygon, random_triangle,
-                             random_obtuse_triangle)
+from hotspots.corpus import random_simple_polygon
+from oracles import random_obtuse_triangle, random_triangle
 from hotspots.geometry import Polygon
 
 DIVISORS = (10, 18, 26)

@@ -1,20 +1,28 @@
-"""Test oracles: a closed-form field posing as a solution, and a uniform mesh.
+"""Test oracles: closed-form fields and meshes, reference entries and inputs.
 
-Neither is part of the pipeline.  ``AnalyticSolution`` lets a test hand the
-critical-point, nodal and vertex-fit code a field whose structure is known
-exactly; ``structured_triangle_mesh`` gives a mesh whose lattice carries a
-triangle's symmetry, so the discrete eigenproblem inherits it.
+None of this is part of the pipeline.  ``AnalyticSolution`` lets a test hand
+the critical-point, nodal and vertex-fit code a field whose structure is
+known exactly; ``structured_triangle_mesh`` gives a mesh whose lattice
+carries a triangle's symmetry, so the discrete eigenproblem inherits it.
+``fit_sector_coefficients`` fits a closed-form sector and
+``classify_vertex`` classifies one vertex by itself, each from the
+pipeline's own private steps.  The rest are inputs and measures: random and
+regular polygons, a constant path, and a mesh's areas and edge lengths.
 """
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
 
+from hotspots import bessel
+from hotspots.critical import _probe_count, _probe_points, _probe_radii, _vertex_entry
 from hotspots.eigensolver import EigenSolution, P2Space
-from hotspots.geometry import Polygon
+from hotspots.geometry import (TWO_PI, DeformationPath, GeometryError, Polygon, arc_points,
+                               triangle_from_angles)
 from hotspots.mesh import (Mesh, MeshingError, _SizeFunction, _check_conforming,
-                           _cross2, refine, triangulate)
+                           _cross2, _unique_edges, refine, triangulate)
 
 
 class AnalyticSolution(EigenSolution):
@@ -101,3 +109,88 @@ def structured_triangle_mesh(T: Polygon, k: int) -> Mesh:
                 polygon=T, size_fn=_SizeFunction(T, h))
     _check_conforming(mesh)
     return mesh
+
+
+def triangle_areas(mesh: Mesh) -> np.ndarray:
+    """Signed area of each triangle of the mesh."""
+    p = mesh.nodes[mesh.triangles]
+    return 0.5 * _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+
+
+def edge_lengths(mesh: Mesh) -> np.ndarray:
+    """Length of each edge of the mesh, every edge once."""
+    e = _unique_edges(mesh.triangles, mesh.n_nodes)
+    return np.linalg.norm(mesh.nodes[e[:, 0]] - mesh.nodes[e[:, 1]], axis=1)
+
+
+def regular_polygon(n: int) -> Polygon:
+    """Regular n-gon of unit circumradius, its first vertex at (1, 0)."""
+    th = np.linspace(0, TWO_PI, n, endpoint=False)
+    return Polygon(np.column_stack([np.cos(th), np.sin(th)]))
+
+
+def constant_path(P: Polygon, kind: str = "vertex-lerp") -> DeformationPath:
+    """The path that stays at P for every t."""
+    V = P.vertices.copy()
+    return DeformationPath.from_breakpoints(kind, [0.0, 1.0], [V, V])
+
+
+def random_triangle(rng: np.random.Generator) -> Polygon:
+    """Triangle with vertices uniform in [-1, 1]^2 and every angle at least
+    0.12 rad (400 tries)."""
+    for _ in range(400):
+        verts = rng.uniform(-1, 1, (3, 2))
+        try:
+            T = Polygon(verts)
+        except GeometryError:
+            continue
+        if T.angles.min() >= 0.12:
+            return T
+    raise RuntimeError("no valid triangle found")
+
+
+def random_obtuse_triangle(rng: np.random.Generator) -> Polygon:
+    """Obtuse triangle with the obtuse angle in [1.66, 2.6) and both acute
+    angles at least 0.26 (radians)."""
+    while True:
+        gamma = rng.uniform(1.66, 2.6)
+        rest = math.pi - gamma
+        alpha = rng.uniform(0.26, rest - 0.26)
+        beta = rest - alpha
+        if min(alpha, beta) < 0.26:
+            continue
+        # place the obtuse vertex opposite the base
+        return triangle_from_angles(alpha, beta)
+
+
+def fit_sector_coefficients(u_eval, mu: float, apex, alpha: float, beta: float,
+                            r_in: float, r_out: float) -> bessel.BesselExpansion:
+    """Least-squares Fourier-Bessel fit of c_0..c_K (K = ``bessel_K``) over a
+    polar grid in a vertex frame, by the fit ``fit_coefficients`` makes.
+
+    ``u_eval`` maps an (n,2) array of points to values; ``alpha`` is the world
+    angle of the theta=0 ray.  The grid (``fit_n_radii`` radii by
+    ``fit_n_theta`` angles, from ``arc_points``) takes one ``u_eval`` call.
+    The expansion's ``vertex`` is -1: the sector belongs to no polygon.
+    """
+    radii, thetas = bessel._polar_grid(beta, r_in, r_out)
+    U = u_eval(arc_points(apex, radii, alpha + thetas))
+    return bessel._fit_on_grid(U, mu, beta, radii, thetas, -1)
+
+
+def classify_vertex(sol, vid: int, *, absorbed=(), nearest=math.inf) -> dict:
+    """One vertex's table entry, evaluated by itself: the reference for the
+    entries ``find_critical_points`` builds from its one batched query.
+
+    The fit and the probe each take one ``eval``.  ``absorbed`` (distances
+    of roots absorbed into the vertex) and ``nearest`` (distance to the
+    nearest side or interior critical point) size the probe through
+    ``_probe_radii``, as in the search.
+    """
+    P = sol.polygon
+    vid = vid % P.n
+    expansion = bessel.fit_coefficients(sol, vid)
+    locus = ("vertex", vid)
+    radii = _probe_radii(sol, P.vertices[vid], locus, absorbed, nearest)
+    probe = _probe_count(sol.eval(_probe_points(P, P.vertices[vid], locus, radii)), locus, radii)
+    return _vertex_entry(vid, expansion, probe, absorbed)

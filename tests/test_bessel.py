@@ -9,10 +9,11 @@ from scipy.special import jv
 
 import hotspots.bessel as bessel
 from hotspots.geometry import unit_square, Polygon
-from hotspots.bessel import (g_at_zero, g0_prime_at_zero,
-                             fit_sector_coefficients, fit_coefficients,
+from hotspots.bessel import (g_at_zero, g0_prime_at_zero, fit_coefficients,
                              leading_coefficient_test, UndefinedLeadingCoefficient,
                              FitError)
+
+from oracles import fit_sector_coefficients
 
 
 def half_order_closed_form(x):

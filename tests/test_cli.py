@@ -38,6 +38,16 @@ class TestCommands:
         assert abs(rep["mu"] - math.pi ** 2) / math.pi ** 2 < 1e-3
         assert rep["multiplicity_2_flag"] is True
         assert len(rep["vertex_expansions"]) == 4
+        # the pair is near-double, so the expansions depend on the basis
+        assert "basis" in rep["vertex_expansions_note"]
+
+    def test_solve_obtuse_has_no_basis_note(self, obtuse_spec, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["solve", "--spec", obtuse_spec, "--h", "0.06", "--out", out]) == 0
+        rep = _report(out)
+        assert rep["multiplicity_2_flag"] is False
+        assert len(rep["vertex_expansions"]) == 3
+        assert "vertex_expansions_note" not in rep
 
     def test_spec_holds_the_vertices_only(self, tmp_path):
         # a spec file's other keys, such as "labels", are ignored
@@ -240,7 +250,7 @@ class TestCommands:
         ("Q:1", "field must be 'u', 'L:<deg>', 'side:<i>' or 'R:<x>,<y>'"),
     ], ids=["side-7", "Q-1"])
     def test_bad_field_rejected_before_any_mesh(self, tmp_path, monkeypatch, field, message):
-        from hotspots.geometry import regular_polygon
+        from oracles import regular_polygon
 
         def triangulate(*args, **kwargs):
             raise AssertionError("a mesh was built for a bad --field")

@@ -9,12 +9,14 @@ from scipy.special import jv
 from hotspots.geometry import (Polygon, DeformationPath, GeometryError, NotLip1Error,
                                OrthogonalSidesError, unit_square, isosceles_triangle,
                                equilateral_triangle, triangle_from_angles)
-from hotspots.bessel import fit_sector_coefficients, leading_coefficient_test
+from hotspots.bessel import leading_coefficient_test
 from hotspots.report import to_jsonable
 from hotspots.critical import CriticalPoint, CriticalSet, find_critical_points
 from hotspots.continuation import (track, lip1_no_hotspots, n_membership,
                                    breaking_experiment, PathEvent, PathSample,
                                    _sample_conditions, _breaking_verdict, _side_min_abs)
+
+from oracles import constant_path, fit_sector_coefficients
 
 
 class TestNMembership:
@@ -217,7 +219,7 @@ class TestBreakingRerun:
 class TestTrack:
     def test_constant_path(self):
         T = triangle_from_angles(math.radians(30), math.radians(35))
-        path = DeformationPath.constant(T)
+        path = constant_path(T)
         run = track(path, steps=3, h=lambda P: P.diameter / 18)
         assert len(set(run.S_values())) == 1
         assert len(set(run.V_values())) == 1
@@ -262,8 +264,8 @@ class TestTrackFailedSample:
         monkeypatch.setattr(cont, "DEFAULTS",
                             dataclasses.replace(cont.DEFAULTS, track_max_halvings=1))
         T = triangle_from_angles(math.radians(30), math.radians(35))
-        run = track(DeformationPath.constant(T), steps=4, h=lambda P: P.diameter / 12)
-        failed = run.events_of("sample failed")
+        run = track(constant_path(T), steps=4, h=lambda P: P.diameter / 12)
+        failed = [e for e in run.events if e.kind == "sample failed"]
         assert failed and all("SolverError" in e.detail for e in failed)
         assert all(not 0.25 <= s.t <= 0.75 for s in run.samples)
         assert run.samples[-1].t == 1.0
@@ -282,11 +284,11 @@ class TestTrackGapFloor:
         select = EigenSolution.select_from_pair
         monkeypatch.setattr(EigenSolution, "select_from_pair",
                             lambda self, target: selected.append(target) or select(self, target))
-        run = track(DeformationPath.constant(unit_square()), steps=2,
+        run = track(constant_path(unit_square()), steps=2,
                     h=lambda P: P.diameter / 12)
         assert all(s.gap < cont.DEFAULTS.gap_floor for s in run.samples)
         assert selected == [s.sol.eval for s in run.samples[:-1]]
-        gaps = run.events_of("eigenvalue gap below floor")
+        gaps = [e for e in run.events if e.kind == "eigenvalue gap below floor"]
         assert [(e.t_lo, e.t_hi) for e in gaps] == [(0.0, 0.5), (0.5, 1.0)]
         assert all(e.detail.startswith("eigenvalue gap ") for e in gaps)
 
@@ -298,7 +300,7 @@ class TestTrackGapFloor:
         solves = []
         solve = cont.solve_second
         monkeypatch.setattr(cont, "solve_second", lambda m: solves.append(m) or solve(m))
-        run = track(DeformationPath.constant(unit_square()), steps=2,
+        run = track(constant_path(unit_square()), steps=2,
                     h=lambda P: P.diameter / 12)
         assert len(run.samples) == 3 and len(solves) == 3
         assert [(e.t_lo, e.t_hi, e.kind) for e in run.events] == [
@@ -320,8 +322,8 @@ class TestTrackUnresolved:
         monkeypatch.setattr(cont, "DEFAULTS",
                             dataclasses.replace(cont.DEFAULTS, track_max_halvings=0))
         T = triangle_from_angles(math.radians(30), math.radians(35))
-        run = track(DeformationPath.constant(T), steps=2, h=lambda P: P.diameter / 12)
-        events = run.events_of("unresolved critical points")
+        run = track(constant_path(T), steps=2, h=lambda P: P.diameter / 12)
+        events = [e for e in run.events if e.kind == "unresolved critical points"]
         assert [e.detail for e in events] == ["1 unresolved critical points"] * 2
         assert len(run.samples) == 3
 
@@ -329,12 +331,12 @@ class TestTrackUnresolved:
 class TestTrackEventKinds:
     def test_event_kind_is_a_fixed_string(self, monkeypatch):
         import hotspots.continuation as cont
-        monkeypatch.setattr(cont, "_match_points", lambda a, b, radius_factor: ([], 99.0))
+        monkeypatch.setattr(cont, "_match_points", lambda a, b: ([], 99.0))
         monkeypatch.setattr(cont, "DEFAULTS",
                             dataclasses.replace(cont.DEFAULTS, track_max_halvings=0))
         T = triangle_from_angles(math.radians(30), math.radians(35))
-        run = track(DeformationPath.constant(T), steps=3, h=lambda P: P.diameter / 12)
-        moved = run.events_of("critical point moved")
+        run = track(constant_path(T), steps=3, h=lambda P: P.diameter / 12)
+        moved = [e for e in run.events if e.kind == "critical point moved"]
         assert len(moved) == 3 == len(run.samples) - 1
         assert all(e.detail == "critical point moved 99.0 h" for e in moved)
 

@@ -11,14 +11,14 @@ from hotspots.mesh import triangulate, refine
 from hotspots.eigensolver import solve_second
 from hotspots.bessel import BesselExpansion, FitError
 from hotspots.critical import (find_critical_points, index_of, verify_index_formula,
-                               cusp_diagnostic, classify_vertex, CriticalPoint, IndexResult,
+                               cusp_diagnostic, CriticalPoint, IndexResult,
                                estimate_hessian, _side_tangential_roots, _grad_scale,
                                _probe_radii, _count_sign_changes, _arc_index,
                                _expansion_index, _vertex_verdict)
 from hotspots.nodal import ScalarField, trace
 from hotspots.corpus import random_simple_polygon
 
-from oracles import AnalyticSolution
+from oracles import AnalyticSolution, classify_vertex
 
 
 @pytest.fixture(scope="module")
@@ -169,8 +169,7 @@ class TestSideRoots:
                              & (nodes[:, 0] > 1e-9) & (nodes[:, 0] < 1 - 1e-9))[0]
         xk = float(nodes[on_side[np.argmin(np.abs(nodes[on_side, 0] - 0.5))], 0])
         sol = base.with_coef(np.abs(base.space.dof_points()[:, 0] - xk))
-        (roots, pts), = _side_tangential_roots(sol, [0], zero_rtol=2e-2,
-                                               gscale=_grad_scale(sol))
+        roots, pts = _side_tangential_roots(sol, _grad_scale(sol))[0]
         assert roots == [pytest.approx(xk, abs=1e-14)]
         assert np.all(pts[:, 1] == 0) and np.all(np.diff(pts[:, 0]) > 0)
 

@@ -8,10 +8,12 @@ from hotspots.geometry import (
     Polygon, DeformationPath, GeometryError, NotLip1Error,
     OrthogonalSidesError, arc_points, lip1_classify, lip1_reduction_path,
     break_triangle, breaking_family, orthogonal_side_pairs,
-    unit_square, regular_polygon, equilateral_triangle, isosceles_triangle,
+    unit_square, equilateral_triangle, isosceles_triangle,
     triangle_from_angles,
 )
-from hotspots.corpus import random_simple_polygon, random_triangle
+from hotspots.corpus import random_simple_polygon
+
+from oracles import random_triangle, regular_polygon
 
 
 def brute_force_lip1(P, tol=1e-12):

@@ -10,9 +10,9 @@ from hotspots.eigensolver import solve_second
 from hotspots.mesh import triangulate
 from hotspots.bessel import BesselExpansion
 from hotspots.nodal import (ScalarField, trace, arc_ends_at_vertex,
-                            wedge_probe, analytic_arc_verdict, NodalGraph)
+                            wedge_probe, analytic_arc_verdict, GraphNode, NodalGraph)
 
-from oracles import AnalyticSolution
+from oracles import AnalyticSolution, fit_sector_coefficients
 
 
 def cos_mode_solution():
@@ -157,6 +157,22 @@ class TestTraceOracles:
         assert rep["endpoint_sides"] == [1, 3]
 
 
+class TestNodalGraph:
+    def test_n_components(self):
+        # a path 0-1-2, a loop 3-4 with a doubled edge, and node 5 alone
+        nodes = [GraphNode(i, np.array([float(i), 0.0]), "interior") for i in range(6)]
+        pl = np.zeros((2, 2))
+        edges = [(0, 1, pl), (2, 1, pl), (3, 4, pl), (4, 3, pl)]
+        g = NodalGraph(nodes=nodes, edges=edges, zero_sides=[], unresolved=[])
+        assert g.n_components() == 3
+        assert g.euler_data()["n_components"] == 3
+
+    def test_empty_graph_has_no_components(self):
+        g = NodalGraph(nodes=[], edges=[], zero_sides=[], unresolved=[])
+        assert g.n_components() == 0
+        assert g.simple_arc_report()["is_simple_arc"] is False
+
+
 class TestArcAtVertex:
     def test_case_a_interval(self):
         # c0-dominant, beta = pi/3: arc iff psi in [pi/2, pi/2 + beta] mod pi
@@ -182,7 +198,7 @@ class TestArcAtVertex:
         sol = sector_solution(beta, [1.0, 0.0, 0.2])
         fld = ScalarField.directional(sol, math.pi / 2 + beta / 2)
         probe = wedge_probe(fld, 0)
-        assert all(n <= 1 for n in probe.n_roots)
+        assert all(n <= 1 for n in [len(r) for r in probe.root_thetas])
         # the crossings equal a sample-by-sample loop over each arc
         apex, alpha, _ = sol.polygon.vertex_frame(0)
         th = np.linspace(1e-4 * beta, beta * (1 - 1e-4), 241)
@@ -191,7 +207,7 @@ class TestArcAtVertex:
             roots = [th[k] + f[k] / (f[k] - f[k + 1]) * (th[k + 1] - th[k])
                      for k in range(240) if f[k] * f[k + 1] < 0]
             assert got == [r for r in roots if 0.04 * beta <= r <= beta - 0.04 * beta]
-        assert probe.n_roots == [1, 1, 1]
+        assert [len(r) for r in probe.root_thetas] == [1, 1, 1]
 
     def test_rotational_field_extremum_criterion(self, solve_cached):
         # convex polygon, w interior: arc of Z(R_w u) ends at v iff v extremum
@@ -217,7 +233,6 @@ class TestAnalyticVerdict:
         beta = 4 * math.pi / 3
         sol = sector_solution(beta, [0.5, 1.0], extent=0.8)
         exp_fit = None
-        from hotspots.bessel import fit_sector_coefficients
         exp_fit = fit_sector_coefficients(sol.eval, sol.mu, [0, 0], 0.0, beta,
                                           0.02, 0.2)
         v, margin, near, note = analytic_arc_verdict(exp_fit, psi_local=0.6 * math.pi)
@@ -228,7 +243,6 @@ class TestAnalyticVerdict:
     def test_near_boundary_flagged(self):
         beta = math.pi / 3
         sol = sector_solution(beta, [1.0])
-        from hotspots.bessel import fit_sector_coefficients
         exp_fit = fit_sector_coefficients(sol.eval, sol.mu, [0, 0], 0.0, beta,
                                           0.05, 0.4)
         v, margin, near, note = analytic_arc_verdict(exp_fit,
@@ -319,4 +333,4 @@ class TestWedgeProbeInconclusive:
         assert probe.ends_at_vertex is None
         assert probe.root_thetas == [[], [], []]
         other = wedge_probe(fld, v1)
-        assert other.ends_at_vertex is False and other.n_roots == [0, 0, 0]
+        assert other.ends_at_vertex is False and [len(r) for r in other.root_thetas] == [0, 0, 0]
