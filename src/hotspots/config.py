@@ -5,15 +5,16 @@ library reads these values where it uses them and no call takes a solver,
 fit or tracking override, so runs are reproducible from a config record
 alone (the run settings a call takes, h and steps, plus
 ``DEFAULTS.to_dict()``).
-The exceptions are fixed design constants, each stated beside its rule
-rather than offered as a knob: the factors that size the probe circles
-around ``probe_radius_factor`` (boundary clearance, the composite and
+The exceptions are fixed design constants, each stated beside its rule rather
+than offered as a knob: the factors that size the probe circles around
+``probe_radius_factor`` (boundary clearance, the composite and
 nearest-structure rules, the clearance cap) in ``critical._probe_radii``, the
 only code that sizes a probe; the |a| band of ``critical._expansion_index``
 (``_A_BAND``); the 0.5 h and 1.2 h vertex and boundary zones of
-``critical.find_critical_points``; the radii, sampling and side band of
-``nodal.wedge_probe`` and the fit lines of ``critical.cusp_diagnostic``;
-and in ``continuation`` the 2.5 h vertex approach of ``track``
+``critical.find_critical_points``; the Hessian ratio below which interior
+zeros sample a line (``critical._FLAT``); the radii, sampling and side band of
+``nodal.wedge_probe`` and the fit lines of ``critical.cusp_diagnostic``; and
+in ``continuation`` the 2.5 h vertex approach of ``track``
 (``_VERTEX_APPROACH``), the det and side floors of ``n_membership``
 (``_DET_FLOOR``, ``_SIDE_FLOOR``) and the break path's reach and side-end
 margin in ``breaking_experiment`` (``_BREAK_REACH``, ``_SIDE_END_MARGIN``).
@@ -58,7 +59,6 @@ class Defaults:
     sign_band_frac: float = 0.02       # |value| below band * max => suppressed in sign counting
     grad_zero_rtol: float = 2e-2       # a side whose tangential derivative stays below this
                                        # * max|grad u| is a degenerate locus
-    degenerate_collinear_count: int = 10
 
     # continuation
     track_max_halvings: int = 5

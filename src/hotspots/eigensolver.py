@@ -239,7 +239,7 @@ class P2Space:
         83k dofs, graded or not: see the module docstring); SolverError is
         raised when CG stops short.
         """
-        rA = self._reference_gradients(coef)                 # (r0 | A), (m,2,3)
+        rA = np.dstack(self.affine_gradients(coef))         # (r0 | A), (m,2,3)
         DJ = self.detJ[:, None, None] * self.Jinv
         pq = DJ.transpose(0, 2, 1) @ rA                     # detJ Jinv^T (r0 | A)
         be = (pq.reshape(-1, 3) @ _W).reshape(-1, 2, 6)     # moments, (m,2,6)
@@ -256,18 +256,15 @@ class P2Space:
             out.append(g)
         return tuple(out)
 
-    def affine_gradients(self, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each element's gradient of u_h in reference coordinates.
+    def affine_gradients(self, coef: np.ndarray, e=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """The gradient of u_h in reference coordinates on the elements e
+        (all by default).
 
         On P2 elements it is affine: grad_xi u(xi) = r0 + A xi, with r0 (m,2)
         and A (m,2,2); the physical gradient is Jinv^T (r0 + A xi).
         """
-        g = self._reference_gradients(coef)
+        g = (np.take(coef, self.dof[e]) @ _G_AFFINE).reshape(-1, 2, 3)
         return g[:, :, 0], g[:, :, 1:]
-
-    def _reference_gradients(self, coef: np.ndarray) -> np.ndarray:
-        """(r0 | A) of ``affine_gradients`` as one (m,2,3) array."""
-        return (np.take(coef, self.dof) @ _G_AFFINE).reshape(-1, 2, 3)
 
     @cached_property
     def boundary_mid_dofs(self) -> np.ndarray:

@@ -6,13 +6,13 @@ import pytest
 
 from hotspots.geometry import (Polygon, unit_square, isosceles_triangle,
                                triangle_from_angles)
-from hotspots.config import DEFAULTS
 from hotspots.mesh import triangulate, refine
 from hotspots.eigensolver import solve_second
 from hotspots.bessel import BesselExpansion, FitError
 from hotspots.critical import (find_critical_points, index_of, verify_index_formula,
                                cusp_diagnostic, CriticalPoint, IndexResult,
                                estimate_hessian, _side_tangential_roots, _grad_scale,
+                               _element_gradient_zeros, _FLAT,
                                _probe_radii, _count_sign_changes, _arc_index,
                                _expansion_index, _vertex_verdict)
 from hotspots.nodal import ScalarField, trace
@@ -157,6 +157,12 @@ class TestInteriorOracle:
         assert nearest == set(range(len(want)))
         rep = verify_index_formula(sol, cs)
         assert rep.passed and rep.rhs == 2
+        # the negative case of the line locus: no point's element Hessian is flat
+        zeros, hessians = _element_gradient_zeros(sol)
+        for p in got:
+            (k,) = np.nonzero((zeros == p.location).all(axis=1))[0]
+            lam = np.abs(np.linalg.eigvalsh(hessians[k]))
+            assert lam.min() > _FLAT * lam.max()
 
 
 class TestSideRoots:
@@ -196,7 +202,9 @@ class TestIndexFormula:
 
 class TestLineLocus:
     """Positive oracle for the interior 'line' locus: cos(2 pi x) on the unit
-    square is critical on the whole segment x = 1/2."""
+    square is critical on the whole segment x = 1/2.  The element Hessians
+    there are flat along the segment, so the locus does not depend on how
+    many zeros the one-h dedupe leaves."""
 
     @pytest.mark.parametrize("h", [0.02, 0.03])
     def test_collinear_zeros_reported_as_line(self, h):
@@ -208,25 +216,40 @@ class TestLineLocus:
         lines = [d for d in cs.degenerate_loci if d.kind == "line"]
         assert len(lines) == 1
         pts = lines[0].points
-        assert len(pts) >= DEFAULTS.degenerate_collinear_count
+        assert len(pts) == {0.02: 21, 0.03: 16}[h]     # the zeros the one-h dedupe leaves
         assert np.abs(pts[:, 0] - 0.5).max() < 1e-4
         assert np.ptp(pts[:, 1]) > 0.5
         assert not cs.by_kind("interior")
         assert verify_index_formula(sol, cs).degenerate
 
-
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="9 zeros survive the dedupe, below degenerate_collinear_count")
-    def test_coarse_mesh_segment_reported_as_line(self):
+    def test_coarse_mesh_segment_reported_as_line(self, solve_cached):
         # the P2 interpolant of cos(2 pi x) on a coarse unstructured mesh:
-        # today 9 isolated index-1 points on x = 1/2 and no line locus
-        sol = solve_second(triangulate(unit_square(), 0.05))
-        x = sol.space.dof_points()[:, 0]
-        cs = find_critical_points(sol.with_coef(np.cos(2 * math.pi * x), mu=4 * math.pi ** 2))
+        # 9 zeros survive the dedupe, all on x = 1/2
+        sol = _interpolant(solve_cached, unit_square(), 0.05,
+                           lambda p: np.cos(2 * math.pi * p[:, 0]), 4 * math.pi ** 2)
+        cs = find_critical_points(sol)
         lines = [d for d in cs.degenerate_loci if d.kind == "line"]
         assert len(lines) == 1
+        assert len(lines[0].points) == 9
         assert np.abs(lines[0].points[:, 0] - 0.5).max() < 1e-4
         assert not cs.by_kind("interior")
+
+    def test_tilted_segments_reported_as_lines(self, solve_cached):
+        # cos(2 pi s), s = x cos 20 deg + y sin 20 deg, is critical on the
+        # two segments s = 1/2 and s = 1 that cross the unit square; each
+        # is one locus, whose null direction is the tilted one
+        n = np.array([math.cos(math.radians(20)), math.sin(math.radians(20))])
+        sol = _interpolant(solve_cached, unit_square(), 0.05,
+                           lambda p: np.cos(2 * math.pi * p @ n), 4 * math.pi ** 2)
+        cs = find_critical_points(sol)
+        lines = [d for d in cs.degenerate_loci if d.kind == "line"]
+        assert len(lines) == 2
+        for line, s, n_zeros in zip(sorted(lines, key=lambda d: d.points[0] @ n),
+                                    (0.5, 1.0), (9, 6)):
+            assert len(line.points) == n_zeros
+            assert np.abs(line.points @ n - s).max() < 1e-4
+        assert not cs.by_kind("interior")
+        assert verify_index_formula(sol, cs).degenerate
 
 
 class TestProbeFallback:
